@@ -1,7 +1,7 @@
 """Molecular-timing channels with additive alpha-stable noise.
 
 Modules:
-  stable    evaluate / sample alpha-stable laws (Levy and Gaussian fast paths)
+  stable    evaluate / sample alpha-stable laws (alpha = 1/2 closed form at every beta)
   power     geometric power, G-SNR and the physics -> noise-parameter map
   systems   conditional densities, ML thresholds, analytic and Monte Carlo BER
   validate  dual-route cross checks (closed form vs numeric, KS, MC oracles)

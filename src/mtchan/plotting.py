@@ -51,7 +51,7 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]],
 
     # horizontal decade gridlines + y tick labels
     for dec in range(y_lo_dec, y_hi_dec + 1):
-        py = _y_px(10.0 ** dec, y_lo_dec, y_hi_dec - y_lo_dec)
+        py = _y_px(10.0 ** dec, y_lo_dec, y_hi_dec)
         parts.append(f'<line x1="{_MARGIN_L}" y1="{py:.1f}" '
                      f'x2="{_WIDTH - _MARGIN_R}" y2="{py:.1f}" '
                      f'stroke="#dddddd" stroke-width="1"/>')
@@ -84,11 +84,10 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]],
                  f'transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2})"'
                  f'>{y_label}</text>')
 
-    y_span = y_hi_dec - y_lo_dec
     for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
-            f"{_x_px(x, x_lo, x_hi):.2f},{_y_px(y, y_lo_dec, y_span):.2f}"
+            f"{_x_px(x, x_lo, x_hi):.2f},{_y_px(y, y_lo_dec, y_hi_dec):.2f}"
             for x, y in zip(xs, ys) if y > 0.0)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')

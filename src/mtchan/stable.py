@@ -7,10 +7,23 @@ The parameterization follows the characteristic-function convention
 with Phi(t, alpha) = tan(pi*alpha/2) for alpha != 1 and -(2/pi)*log|t|
 for alpha = 1 (Nolan's "1" parameterization).
 
-Closed forms cover the subfamilies this package leans on: the one-sided
-Levy law (alpha = 1/2, beta = +/-1), the Gaussian (alpha = 2) and the
-Cauchy (alpha = 1, beta = 0).  Every other (alpha, beta) pair is handled
-by numerical inversion of the characteristic function:
+Closed forms cover the subfamilies this package leans on: alpha = 1/2 at
+every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
+(alpha = 1, beta = 0).
+
+  * alpha = 1/2, |beta| = 1: the one-sided Levy law.
+  * alpha = 1/2, |beta| < 1: substituting t = s^2 in the inversion integral
+    gives f(x) = (1/pi) * Re[(1 - B*I0)/A] with A = j*x, B = 1 - j*beta and
+    I0 = sqrt(pi)/(2*sqrt(A)) * w(j*B/(2*sqrt(A))), w the Faddeeva function
+    (scipy.special.wofz; Weideman 1994).  A short expansion about x = 0
+    replaces it where it cancels.  The CDF is a fixed 64-node
+    Gauss-Legendre rule over that density: F(0) + x*Int_0^1 f(x*tau) dtau
+    for |x| < 1, and the tail mass Int_0^1 f(x/tau^2)*2|x|/tau^3 dtau, whose
+    integrand is smooth in tau, beyond.
+
+Every other (alpha, beta) pair is handled by numerical inversion of the
+characteristic function (Nolan 1997), which also serves as the oracle for
+the closed forms:
 
   * PDF: f(x) = (1/pi) * Int_0^inf exp(-t^alpha) * cos(beta*k*t^alpha - t*x) dt
     with k = tan(pi*alpha/2), split into cos/sin components so scipy's
@@ -52,6 +65,8 @@ G_GAMMA = math.exp(EULER_GAMMA)
 NUMERIC_TOL = 1e-10
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# pi / (sqrt(pi)/2): folds I0's prefactor into the density's 1/pi
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 
 class QuadratureError(RuntimeError):
@@ -141,6 +156,70 @@ def _levy_std_cdf(x: float) -> float:
     if x <= 0.0:
         return 0.0
     return float(special.erfc(math.sqrt(0.5 / x)))
+
+
+#: below this |x| the alpha = 1/2 closed form loses digits to cancellation
+#: and its expansion about 0 takes over
+_HALF_SERIES_EDGE = 1e-3
+_HALF_SERIES_TERMS = 10
+
+#: 64-node Gauss-Legendre rule on (0, 1) for the alpha = 1/2 CDF
+_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_gl_nodes + 1.0), 0.5 * _gl_weights
+_GL_NODES_SQ = _GL_NODES ** 2
+_GL_TAIL_JACOBIAN = 2.0 * _GL_WEIGHTS / _GL_NODES ** 3
+
+
+@functools.lru_cache(maxsize=None)
+def _half_series(beta: float) -> tuple[float, ...]:
+    # f(x) = (2/pi) * Re sum_n (-j*x)^n * (2n+1)!/n! / B^(2n+2), an
+    # asymptotic series whose terms shrink by ~4n|x| each; highest power first
+    b = 1.0 - 1j * beta
+    coeffs = [(2.0 / math.pi)
+              * ((-1j) ** n * (math.factorial(2 * n + 1) / math.factorial(n))
+                 / b ** (2 * n + 2)).real
+              for n in range(_HALF_SERIES_TERMS)]
+    # f(0) exactly
+    coeffs[0] = (2.0 / math.pi) * (1.0 - beta * beta) / (1.0 + beta * beta) ** 2
+    return tuple(reversed(coeffs))
+
+
+def _half_closed(beta: float, x):
+    # (1/pi) Re[(1 - B*I0)/A] = -Im(B*I0)/(pi*x); x nonzero, scalar or array
+    b = 1.0 - 1j * beta
+    root = np.sqrt(1j * x)
+    return -(b * special.wofz(0.5j * b / root) / root).imag / (_TWO_SQRT_PI * x)
+
+
+def _half_pdf(beta: float, x):
+    """Density of S(0, 1, 1/2, beta), |beta| < 1, at a float or an array."""
+    if np.ndim(x) == 0:
+        if abs(x) < _HALF_SERIES_EDGE:
+            return _horner(_half_series(beta), x)
+        return float(_half_closed(beta, x))
+    small = np.abs(x) < _HALF_SERIES_EDGE
+    if not small.any():
+        return _half_closed(beta, x)
+    return np.where(small, _horner(_half_series(beta), x),
+                    _half_closed(beta, np.where(small, 1.0, x)))
+
+
+def _half_cdf(beta: float, x: float) -> float:
+    if abs(x) < 1.0:
+        f0 = 0.5 - (2.0 / math.pi) * math.atan(beta)
+        value = f0 + x * float(_GL_WEIGHTS @ _half_pdf(beta, x * _GL_NODES))
+    else:
+        # mass beyond x, with t = x/tau^2
+        mass = abs(x) * float(_GL_TAIL_JACOBIAN @ _half_pdf(beta, x / _GL_NODES_SQ))
+        value = 1.0 - mass if x > 0.0 else mass
+    return min(max(value, 0.0), 1.0)
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for a in coeffs:
+        acc = acc * x + a
+    return acc
 
 
 def _gauss_std_pdf(x: float) -> float:
@@ -272,6 +351,8 @@ def std_pdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
         return _levy_std_pdf(x)
     if s.alpha == 0.5 and s.beta == -1.0:
         return _levy_std_pdf(-x)
+    if s.alpha == 0.5:
+        return _half_pdf(s.beta, x)
     return _pdf_numeric(s.alpha, s.beta, x, tol)
 
 
@@ -287,6 +368,8 @@ def std_cdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
         return _levy_std_cdf(x)
     if s.alpha == 0.5 and s.beta == -1.0:
         return 1.0 - _levy_std_cdf(-x)
+    if s.alpha == 0.5:
+        return _half_cdf(s.beta, x)
     return _cdf_numeric(s.alpha, s.beta, x, tol)
 
 

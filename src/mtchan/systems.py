@@ -139,9 +139,9 @@ def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     return std_pdf(_std(scheme), u + d) - std_pdf(_std(scheme), u - d)
 
 
-def _bisect_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
+def _solve_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
     xtol = 1e-12 * max(d, 1.0)
-    return optimize.bisect(lambda u: _density_gap(scheme, u, d), lo, hi,
+    return optimize.brentq(lambda u: _density_gap(scheme, u, d), lo, hi,
                            xtol=xtol, rtol=8.881784197001252e-16)
 
 
@@ -171,11 +171,11 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
 
     if scheme.system is System.A:
         lo = max(d, 1.0 / 3.0) * (1.0 + 1e-12)
-        u = _bisect_gap(scheme, lo, d + 1.0 / 3.0, d)
+        u = _solve_gap(scheme, lo, d + 1.0 / 3.0, d)
     elif scheme.system is System.B:
         lo = d / 2.0 * (1.0 + 1e-12)
         hi = _expand_bracket(scheme, lo, d, 1.0 + d)
-        u = _bisect_gap(scheme, lo, hi, d)
+        u = _solve_gap(scheme, lo, hi, d)
     else:
         beta = scheme.noise.beta
         if beta == 0.0:
@@ -186,7 +186,7 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
             work = scheme if beta > 0.0 else BinaryScheme(
                 System.C, scheme.delta, StableParams(0.0, c, 0.5, 1.0))
             lo = max(d, 1.0 / 3.0 - d) * (1.0 + 1e-12)
-            u = _bisect_gap(work, lo, d + 1.0 / 3.0, d)
+            u = _solve_gap(work, lo, d + 1.0 / 3.0, d)
             if beta < 0.0:
                 u = -u
         else:
@@ -203,7 +203,7 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
                 lo, hi = 2.0 * lo, 2.0 * hi
             else:
                 raise RuntimeError("system C bracket expansion failed")
-            u = _bisect_gap(work, lo, hi, d)
+            u = _solve_gap(work, lo, hi, d)
             if flip:
                 u = -u
     return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)

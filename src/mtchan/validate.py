@@ -1,6 +1,6 @@
-"""Cross-validation checks: closed form vs numerical inversion, sampler vs
-CDF by Kolmogorov-Smirnov, geometric power vs a Monte Carlo log-moment
-oracle, and analytic vs simulated BER.
+"""Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
+vs numerical inversion, sampler vs CDF by Kolmogorov-Smirnov, geometric
+power vs a Monte Carlo log-moment oracle, and analytic vs simulated BER.
 
 Each check returns a CheckResult; the CLI `validate` command prints one
 line per check and the test suite asserts on the same objects.
@@ -34,7 +34,7 @@ def make_std_cdf_vectorized(alpha: float, beta: float, n_grid: int = 600,
                             edge: float = 1e4):
     """Vectorized approximation of the standard CDF for KS-style use.
 
-    PCHIP interpolation of the numerical CDF on a grid that is uniform in
+    PCHIP interpolation of `std_cdf` on a grid that is uniform in
     x/(1+|x|), with first-order power-law tails beyond +/-edge.  The
     approximation error is orders of magnitude below KS critical values.
     """
@@ -74,7 +74,9 @@ def _ks_result(name: str, samples: np.ndarray, cdf_callable) -> CheckResult:
 
 
 def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
-    """Numerical inversion vs Levy closed forms on x in [0.05, 50]."""
+    """Numerical inversion vs the closed forms: the Levy law on x in
+    [0.05, 50], and alpha = 1/2 at beta in {0, 0.5, -0.75} on +/-x in
+    [0.05, 50], where the inversion is accurate to ~1e-11."""
     from .stable import _cdf_numeric, _pdf_numeric
     xs = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 50.0, 40)])
     dev_pdf = max(abs(_pdf_numeric(0.5, 1.0, float(x), 1e-10) - _levy_std_pdf(float(x)))
@@ -82,7 +84,7 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     dev_cdf = max(abs(_cdf_numeric(0.5, 1.0, float(x), 1e-10) - _levy_std_cdf(float(x)))
                   for x in xs)
     at_zero = abs(std_pdf(StandardStable(0.5, 0.0), 0.0) - 2.0 / math.pi)
-    return [
+    results = [
         CheckResult("pdf numeric vs Levy closed form", dev_pdf <= tol,
                     f"max |dev| = {dev_pdf:.3e} (tol {tol:.1e})"),
         CheckResult("cdf numeric vs Levy closed form", dev_cdf <= tol,
@@ -90,6 +92,17 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
         CheckResult("symmetric pdf at 0 equals 2/pi", at_zero <= 1e-10,
                     f"|dev| = {at_zero:.3e} (tol 1e-10)"),
     ]
+    half = np.geomspace(0.05, 50.0, 16)
+    xs = [float(x) for x in np.concatenate([-half[::-1], half])]
+    for beta in (0.0, 0.5, -0.75):
+        s = StandardStable(0.5, beta)
+        for what, closed, numeric in (("pdf", std_pdf, _pdf_numeric),
+                                      ("cdf", std_cdf, _cdf_numeric)):
+            dev = max(abs(closed(s, x) - numeric(0.5, beta, x, 1e-10)) for x in xs)
+            results.append(CheckResult(
+                f"{what} numeric vs alpha=1/2 closed form (beta={beta})",
+                dev <= tol, f"max |dev| = {dev:.3e} (tol {tol:.1e})"))
+    return results
 
 
 def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
@@ -123,7 +136,7 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
         tn = sample(StableParams(0.0, c_neg, 0.5, 1.0), n, rng.integers(2 ** 63))
         skew_cdf = make_std_cdf_vectorized(0.5, beta)
         results.append(_ks_result(
-            f"system C decomposition vs numeric CDF (beta={beta})",
+            f"system C decomposition vs std_cdf (beta={beta})",
             (tp - tn) / c, skew_cdf))
     return results
 

@@ -190,3 +190,17 @@ def test_validate_rejects_tiny_mc(capsys):
     code, _, err = run(["validate", "--mc-samples", "100"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_import_cli_skips_validate_dependencies():
+    import os
+    import subprocess
+    import sys
+    code = ("import sys, mtchan.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.interpolate' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]

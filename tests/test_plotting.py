@@ -1,0 +1,30 @@
+import re
+
+from mtchan import plotting
+from mtchan.plotting import _HEIGHT, _MARGIN_B, _MARGIN_T
+
+
+def _gridline_ys(svg: str) -> list[float]:
+    return [float(y) for y in re.findall(r'<line x1="\d+" y1="([\d.]+)" '
+                                         r'x2="\d+" y2="\1" stroke="#dddddd"', svg)]
+
+
+def test_decade_gridlines_span_the_plot_area(tmp_path):
+    path = tmp_path / "ber.svg"
+    # BER from 0.3 down to 2e-3: decades 1e-3 .. 1e0
+    plotting.write_ber_svg(str(path), [("A", [0.0, 10.0, 20.0], [0.3, 0.02, 0.002])])
+    ys = _gridline_ys(path.read_text())
+    assert len(ys) == 4
+    assert max(ys) == _HEIGHT - _MARGIN_B
+    assert min(ys) == _MARGIN_T
+
+
+def test_curve_points_stay_inside_the_plot_area(tmp_path):
+    path = tmp_path / "ber.svg"
+    plotting.write_ber_svg(str(path), [("A", [0.0, 10.0, 20.0], [0.3, 0.02, 0.002]),
+                                       ("B", [0.0, 10.0, 20.0], [0.4, 0.1, 0.05])])
+    svg = path.read_text()
+    for pts in re.findall(r'<polyline points="([^"]+)"', svg):
+        for pair in pts.split():
+            y = float(pair.split(",")[1])
+            assert _MARGIN_T <= y <= _HEIGHT - _MARGIN_B

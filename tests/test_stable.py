@@ -261,3 +261,79 @@ def test_nonfinite_x_rejected():
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         sample(StableParams(0.0, 1.0, 0.5, 1.0), -1, 0)
+
+
+# ---------------------------------------------------------------------------
+# alpha = 1/2 closed form vs an mpmath oracle
+# ---------------------------------------------------------------------------
+
+HALF_BETAS = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, 0.95, 0.99)
+
+
+def _mp_half_pdf(mp, beta, x):
+    # (1/pi) Re[(1 - B*I0)/A] at high precision; extra digits where it cancels
+    beta, x = mp.mpf(beta), mp.mpf(x)
+    if x == 0:
+        return 2 / mp.pi * (1 - beta ** 2) / (1 + beta ** 2) ** 2
+    with mp.extradps(max(0, int(-mp.log10(abs(x)))) + 5):
+        a, b = mp.mpc(0, x), mp.mpc(1, -beta)
+        root = mp.sqrt(a)
+        z = b / (2 * root)
+        i0 = mp.sqrt(mp.pi) / (2 * root) * mp.exp(z * z) * mp.erfc(z)
+        return mp.re((1 - b * i0) / a) / mp.pi
+
+
+def _mp_half_cdf(mp, beta, x):
+    f = lambda t: _mp_half_pdf(mp, beta, t)
+    x = mp.mpf(x)
+    if abs(x) < 1:
+        f0 = mp.mpf(1) / 2 - 2 / mp.pi * mp.atan(beta)
+        return f0 + x * mp.quad(lambda t: f(x * t), [0, 1])
+    mass = mp.quad(lambda t: f(x / t ** 2) * 2 * abs(x) / t ** 3, [0, 1])
+    return 1 - mass if x > 0 else mass
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        yield mpmath
+
+
+@pytest.mark.parametrize("beta", HALF_BETAS)
+def test_half_pdf_relative_error_vs_mpmath(mp, beta):
+    s = StandardStable(0.5, beta)
+    xs = [0.0] + [sign * 10.0 ** e for sign in (1.0, -1.0)
+                  for e in np.arange(-9.0, 5.01, 0.25)]
+    for x in xs:
+        ref = float(_mp_half_pdf(mp, beta, x))
+        assert std_pdf(s, x) == pytest.approx(ref, rel=1e-10, abs=0.0), x
+
+
+@pytest.mark.parametrize("beta", HALF_BETAS)
+def test_half_cdf_absolute_error_vs_mpmath(mp, beta):
+    s = StandardStable(0.5, beta)
+    xs = [0.0] + [sign * 10.0 ** e for sign in (1.0, -1.0)
+                  for e in (-9.0, -3.0, -1.0, -0.2, 0.0, 0.5, 2.0, 4.0, 5.0)]
+    for x in xs:
+        ref = float(_mp_half_cdf(mp, beta, x))
+        assert std_cdf(s, x) == pytest.approx(ref, abs=1e-12), x
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.5))
+@pytest.mark.parametrize("x", (1e4, -1e4, 1e5, -1e5))
+def test_half_pdf_far_tail_vs_mpmath(mp, beta, x):
+    # the numerical inversion's absolute tolerance grows as |x|/10 while f
+    # falls as |x|^(-3/2); the closed form must stay right in relative terms
+    ref = float(_mp_half_pdf(mp, beta, x))
+    assert std_pdf(StandardStable(0.5, beta), x) == pytest.approx(ref, rel=1e-10)
+
+
+def test_half_pdf_scalar_and_array_agree():
+    from mtchan.stable import _half_pdf
+    xs = np.array([-3e4, -2.0, -1e-3, -5e-4, 0.0, 2e-4, 0.999e-3, 0.7, 1e5])
+    for beta in (0.0, 0.6, -0.9):
+        vec = _half_pdf(beta, xs)
+        assert vec == pytest.approx([_half_pdf(beta, float(x)) for x in xs],
+                                    rel=1e-15)
+

@@ -137,7 +137,7 @@ def test_threshold_system_c_skew_antisymmetry():
 
 
 def test_threshold_grid_scan_oracle():
-    # brute-force scan of the decision rule never beats the bisection root
+    # brute-force scan of the decision rule never beats the solver root
     for s in (make("A"), make("B"), make("C", beta=0.5)):
         state = ml_threshold(s)
         best = ber_analytic(s, state)
@@ -261,3 +261,25 @@ def test_ber_record_validation():
         BerRecord(1.0, 0.0, System.A, 1.0, 1.0, 1.0, 1.0, ber_analytic=1.5)
     with pytest.raises(ValueError):
         BerRecord(1.0, 0.0, System.A, 1.0, 1.0, 1.0, 1.0, 0.1, ber_mc=0.1)
+
+
+def test_threshold_high_gsnr_converges_to_tail_balance():
+    # in the |x|^(-3/2) tails: C solves ((d+u)/(d-u))^(3/2) = (1+beta)/(1-beta),
+    # B solves 2 r^(-3/2) = (1-r)^(-3/2) + (1+r)^(-3/2) with r = u/d
+    k = 3.0 ** (2.0 / 3.0)
+    c_limit = (k - 1.0) / (k + 1.0)
+    b_limit = 0.59425
+    ratios = {"B": [], "C": []}
+    for db in (60.0, 70.0, 80.0, 90.0):
+        gsnr = 10.0 ** (db / 10.0)
+        for system, beta in (("B", 0.0), ("C", 0.5)):
+            s = scheme_for_gsnr(System(system), 1.0, gsnr, beta)
+            ratios[system].append(ml_threshold(s).threshold / s.delta)
+    c70, c80 = ratios["C"][1], ratios["C"][2]
+    assert c70 == pytest.approx(0.3548, abs=2e-4)
+    assert c80 == pytest.approx(0.3530, abs=2e-4)
+    assert 0.5942 <= ratios["B"][2] <= 0.5946
+    for system, limit in (("B", b_limit), ("C", c_limit)):
+        gaps = [r - limit for r in ratios[system]]
+        assert all(g > 0.0 for g in gaps), system
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), system

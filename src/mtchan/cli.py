@@ -19,14 +19,16 @@ import argparse
 import concurrent.futures
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import shlex
 import sys
 
 import numpy as np
 
-from .power import System, geometric_power
+from .power import System, geometric_power, noise_beta
 from .stable import StableParams, cdf, pdf
 from .systems import (BerRecord, ber_analytic, ber_monte_carlo, ml_threshold,
                       scheme_for_gsnr)
@@ -69,7 +71,9 @@ def _compute_record(task) -> BerRecord:
 
 
 def _compute_grid(tasks, workers: int) -> list[BerRecord]:
-    if workers <= 1 or len(tasks) <= 1:
+    # an analytic point costs less than starting a worker, so only Monte
+    # Carlo grids go to the pool
+    if workers <= 1 or len(tasks) <= 1 or not any(t[5] for t in tasks):
         return [_compute_record(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so output is scheduling-independent
@@ -102,7 +106,10 @@ def _records_to_json(records: list[BerRecord]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(records: list[BerRecord], args) -> None:
+    text = (_records_to_json(records) if args.format == "json"
+            else _records_to_csv(records))
+    path = args.output
     if path is None:
         sys.stdout.write(text)
     else:
@@ -111,12 +118,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(int(env), 1)
-    return os.cpu_count() or 1
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    elif env:
+        source = WORKERS_ENV
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    else:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _float_list(text: str) -> list[float]:
@@ -153,9 +168,7 @@ def cmd_table1(args) -> int:
                 msgs.append("REF-FAIL")
         print("# " + " ".join(msgs), file=sys.stderr)
 
-    text = (_records_to_json(records) if args.format == "json"
-            else _records_to_csv(records))
-    _emit(text, args.output)
+    _emit(records, args)
     return 1 if failed else 0
 
 
@@ -174,41 +187,32 @@ def _sweep_grid(args) -> list[float]:
         dbs = [start]
     else:
         dbs = list(np.linspace(start, stop, points))
-    return [10.0 ** (v / 10.0) for v in dbs]
+    try:
+        return [10.0 ** (v / 10.0) for v in dbs]
+    except OverflowError:
+        raise ValueError(f"--gsnr-db {max(dbs):g} exceeds the floating-point "
+                         "range") from None
 
 
 def cmd_sweep(args) -> int:
     gsnrs = _sweep_grid(args)
     systems_sel = [System(s.strip()) for s in args.systems.split(",") if s.strip()]
     betas_c = _float_list(args.betas)
-
-    curves: list[tuple[str, str, float]] = []
-    for system in systems_sel:
-        if system is System.C:
-            curves.extend(("C", f"C (beta={b:g})", b) for b in betas_c)
-        else:
-            curves.append((system.value, system.value,
-                           1.0 if system is System.A else 0.0))
-
-    tasks = []
-    index = 0
-    for sys_name, _, beta in curves:
-        for gsnr in gsnrs:
-            tasks.append((index, sys_name, beta, args.delta, gsnr,
-                          args.mc_samples, args.seed))
-            index += 1
+    curves = [(system, noise_beta(system, b)) for system in systems_sel
+              for b in (betas_c if system is System.C else [0.0])]
+    points = itertools.product(curves, gsnrs)
+    tasks = [(i, system.value, beta, args.delta, gsnr, args.mc_samples,
+              args.seed) for i, ((system, beta), gsnr) in enumerate(points)]
     records = _compute_grid(tasks, _resolve_workers(args))
-
-    text = (_records_to_json(records) if args.format == "json"
-            else _records_to_csv(records))
-    _emit(text, args.output)
+    _emit(records, args)
 
     if args.plot:
         dbs = [10.0 * math.log10(g) for g in gsnrs]
         n = len(gsnrs)
         plot_curves = [
-            (label, dbs, [r.ber_analytic for r in records[k * n:(k + 1) * n]])
-            for k, (_, label, _) in enumerate(curves)]
+            (f"C (beta={beta:g})" if system is System.C else system.value, dbs,
+             [r.ber_analytic for r in records[k * n:(k + 1) * n]])
+            for k, (system, beta) in enumerate(curves)]
         plotting.write_ber_svg(args.plot, plot_curves)
     return 0
 
@@ -315,41 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # config values become defaults; explicit flags keep precedence
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    # each config line key=value becomes --key plus the value's shell words,
+    # inserted right after the subcommand: argparse then types and checks it
+    # like a flag, and flags given later on the command line win
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    tokens = []
+    with open(args.config, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    for action_group in parser._subparsers._group_actions:
-        for sub_parser in action_group.choices.values():
-            known = {a.dest: a for a in sub_parser._actions}
-            for key, value in overrides.items():
-                if key not in known:
-                    continue
-                action = known[key]
-                cast = action.type or (lambda v: v)
-                if action.nargs in ("+", "*"):
-                    parsed = [cast(v) for v in value.split()]
-                else:
-                    parsed = cast(value)
-                sub_parser.set_defaults(**{key: parsed})
-    return argv
+            key, _, value = line.strip().partition("=")
+            if key and not key.startswith("#"):
+                tokens += ["--" + key.strip().replace("_", "-"), *shlex.split(value)]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,12 +116,19 @@ def g_snr(x_max: float, x_min: float, s0: float) -> float:
     return ratio * ratio / (2.0 * G_GAMMA)
 
 
-def _noise_beta(system: System, beta: float) -> float:
+def noise_beta(system: System, beta: float) -> float:
+    """Skew of a system's noise law: A is one-sided (1), B symmetric (0),
+    and C takes the requested beta."""
     if system is System.A:
         return 1.0
     if system is System.B:
         return 0.0
     return beta
+
+
+def input_symbols(system: System, delta: float) -> tuple[float, float]:
+    """(low, high) input alphabet: C signs the separation, A and B start at 0."""
+    return (-delta, delta) if system is System.C else (0.0, delta)
 
 
 def system_gsnr(q: GsnrQuery) -> GsnrValue:
@@ -130,12 +137,9 @@ def system_gsnr(q: GsnrQuery) -> GsnrValue:
     System A uses symbols {0, delta} (range delta), C uses {-delta, delta}
     (range 2*delta).  For B the returned value is only an upper bound.
     """
-    s0 = geometric_power(StableParams(0.0, q.c, 0.5, _noise_beta(q.system, q.beta)))
-    if q.system is System.A:
-        return GsnrValue(g_snr(q.delta, 0.0, s0))
-    if q.system is System.B:
-        return GsnrValue(g_snr(q.delta, 0.0, s0), upper_bound=True)
-    return GsnrValue(g_snr(q.delta, -q.delta, s0))
+    s0 = geometric_power(StableParams(0.0, q.c, 0.5, noise_beta(q.system, q.beta)))
+    low, high = input_symbols(q.system, q.delta)
+    return GsnrValue(g_snr(high, low, s0), upper_bound=q.system is System.B)
 
 
 def physics_to_channel(spec: ChannelSpec) -> StableParams:
@@ -158,8 +162,6 @@ def scale_for_gsnr(system: System, delta: float, gsnr: float,
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     root = math.sqrt(2.0 * G_GAMMA * gsnr)
-    if system is System.A:
-        return delta / (2.0 * G_GAMMA * root)
-    if system is System.B:
-        return delta / (G_GAMMA * root)
-    return 2.0 * delta / (G_GAMMA * (1.0 + beta * beta) * root)
+    low, high = input_symbols(system, delta)
+    nb = noise_beta(system, beta)
+    return (high - low) / (G_GAMMA * (1.0 + nb * nb) * root)

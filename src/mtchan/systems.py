@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .power import System, scale_for_gsnr
+from .power import System, input_symbols, noise_beta, scale_for_gsnr
 from .stable import StableParams, StandardStable, std_cdf, std_pdf
-
-#: doublings allowed when expanding a root bracket before giving up
-BRACKET_EXPANSION_CAP = 60
-
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -36,25 +32,23 @@ class BinaryScheme:
             raise ValueError("noise must be a zero-location alpha = 1/2 law")
         if self.noise.c <= 0.0:
             raise ValueError("noise scale must be > 0")
-        expected = {System.A: 1.0, System.B: 0.0}
-        if self.system in expected and self.noise.beta != expected[self.system]:
+        required = noise_beta(self.system, self.noise.beta)
+        if self.noise.beta != required:
             raise ValueError(
-                f"system {self.system.value} requires beta = {expected[self.system]}")
+                f"system {self.system.value} requires beta = {required}")
 
     @property
     def symbols(self) -> tuple[float, float]:
         """(low, high) input alphabet."""
-        if self.system is System.C:
-            return (-self.delta, self.delta)
-        return (0.0, self.delta)
+        return input_symbols(self.system, self.delta)
 
 
 def scheme_for_gsnr(system: System, delta: float, gsnr: float,
                     beta: float = 0.0) -> BinaryScheme:
     """Build a scheme whose noise scale realizes the requested G-SNR."""
     c = scale_for_gsnr(system, delta, gsnr, beta)
-    noise_beta = {System.A: 1.0, System.B: 0.0}.get(system, beta)
-    return BinaryScheme(system, delta, StableParams(0.0, c, 0.5, noise_beta))
+    return BinaryScheme(system, delta,
+                        StableParams(0.0, c, 0.5, noise_beta(system, beta)))
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,6 @@ def _std(scheme: BinaryScheme) -> StandardStable:
     return StandardStable(0.5, scheme.noise.beta)
 
 
-_SYM = StandardStable(0.5, 0.0)
-
-
 def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
     """Density of the observation given the transmitted symbol."""
     if symbol not in scheme.symbols:
@@ -108,10 +99,10 @@ def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
         if y == 0.0:
             if symbol == 0.0:
                 return 2.0 / (c * math.pi)
-            return std_pdf(_SYM, scheme.delta / c) / c
+            return std_pdf(_std(scheme), scheme.delta / c) / c
         # folded output: contributions from +/-y
-        return (std_pdf(_SYM, (y - symbol) / c)
-                + std_pdf(_SYM, (-y - symbol) / c)) / c
+        return (std_pdf(_std(scheme), (y - symbol) / c)
+                + std_pdf(_std(scheme), (-y - symbol) / c)) / c
     return std_pdf(_std(scheme), (y - symbol) / c) / c
 
 
@@ -131,12 +122,11 @@ def llr(scheme: BinaryScheme, y: float) -> float:
 
 def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     # f(y|low) - f(y|high) in standardized units u = y/c, d = delta/c
-    if scheme.system is System.A:
-        return std_pdf(_std(scheme), u) - std_pdf(_std(scheme), u - d)
+    f = lambda x: std_pdf(_std(scheme), x)
     if scheme.system is System.B:
-        return (2.0 * std_pdf(_SYM, u)
-                - std_pdf(_SYM, u - d) - std_pdf(_SYM, u + d))
-    return std_pdf(_std(scheme), u + d) - std_pdf(_std(scheme), u - d)
+        return 2.0 * f(u) - f(u - d) - f(u + d)
+    low, high = input_symbols(scheme.system, d)
+    return f(u - low) - f(u - high)
 
 
 def _solve_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
@@ -145,67 +135,47 @@ def _solve_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
                            xtol=xtol, rtol=8.881784197001252e-16)
 
 
-def _expand_bracket(scheme: BinaryScheme, lo: float, d: float,
-                    step: float) -> float:
-    # grow hi geometrically until the density gap changes sign
-    hi = lo + step
-    for _ in range(BRACKET_EXPANSION_CAP):
-        if _density_gap(scheme, hi, d) < 0.0:
-            return hi
-        hi = lo + 2.0 * (hi - lo)
-    raise RuntimeError(
-        f"no sign change after {BRACKET_EXPANSION_CAP} bracket doublings; "
-        f"pathological parameters {scheme}")
+def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
+    # closed-form (lo, hi) in u = y/c with the density gap > 0 at lo and
+    # < 0 at hi; (u, u) where u is the root to working precision
+    beta = scheme.noise.beta
+    low, high = input_symbols(scheme.system, d)
+    if scheme.system is System.B:
+        lo = d / 2.0 * (1.0 + 1e-12)
+        hi = 1.5 * d + 1.0
+        # the B gap is second order in d and sinks below rounding once
+        # d < ~1e-7; then no observation favours either symbol and the
+        # symbols' midpoint is as good a threshold as any
+        return (lo, hi) if _density_gap(scheme, hi, d) < 0.0 else (lo, lo)
+    # one-sided noise: the Levy density is exactly 0 at its support edge and
+    # peaks 1/3 past it, so the gap f(u|low) - f(u|high) is > 0 at the high
+    # symbol's edge or the low symbol's mode, whichever is later, and < 0 at
+    # the high symbol's mode
+    if beta == 1.0:
+        return max(high, low + 1.0 / 3.0), high + 1.0 / 3.0
+    if beta == -1.0:
+        return low - 1.0 / 3.0, min(low, high - 1.0 / 3.0)
+    if beta == 0.0:
+        return 0.0, 0.0  # symmetric noise: the symbols' midpoint
+    return -(1.0 + d), 1.0 + d
 
 
 def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     """Maximum-likelihood decision threshold (root of the LLR).
 
-    Mode of the standard Levy law sits at 1/3, which pins the bracket for
-    system A; system B starts just above delta/2; system C brackets the
-    sign change symmetrically and short-circuits to 0 when beta = 0.
+    One Brent solve of the density gap on a closed-form bracket in
+    u = y/c, d = delta/c: (d/2, 3d/2 + 1) for system B, (-(1+d), 1+d) for
+    system C with 0 < |beta| < 1, and for one-sided noise (A, and C at
+    beta = +/-1) the span between the support edge and the Levy mode at
+    1/3.  System C with beta = 0 returns exactly 0.  A bracket that has
+    shrunk to one float (one-sided noise once d + 1/3 rounds to d) is
+    returned as the root.
     """
     c = scheme.noise.c
     d = scheme.delta / c
+    lo, hi = _bracket(scheme, d)
+    u = lo if lo == hi else _solve_gap(scheme, lo, hi, d)
     low, high = scheme.symbols
-
-    if scheme.system is System.A:
-        lo = max(d, 1.0 / 3.0) * (1.0 + 1e-12)
-        u = _solve_gap(scheme, lo, d + 1.0 / 3.0, d)
-    elif scheme.system is System.B:
-        lo = d / 2.0 * (1.0 + 1e-12)
-        hi = _expand_bracket(scheme, lo, d, 1.0 + d)
-        u = _solve_gap(scheme, lo, hi, d)
-    else:
-        beta = scheme.noise.beta
-        if beta == 0.0:
-            u = 0.0
-        elif abs(beta) == 1.0:
-            # one-sided noise: same structure as system A around the mode;
-            # solve in the beta = +1 mirror and flip the sign back
-            work = scheme if beta > 0.0 else BinaryScheme(
-                System.C, scheme.delta, StableParams(0.0, c, 0.5, 1.0))
-            lo = max(d, 1.0 / 3.0 - d) * (1.0 + 1e-12)
-            u = _solve_gap(work, lo, d + 1.0 / 3.0, d)
-            if beta < 0.0:
-                u = -u
-        else:
-            flip = beta < 0.0
-            work = scheme if not flip else BinaryScheme(
-                System.C, scheme.delta,
-                StableParams(0.0, c, 0.5, -beta))
-            span = 1.0 + d
-            lo, hi = -span, span
-            for _ in range(BRACKET_EXPANSION_CAP):
-                if (_density_gap(work, lo, d) > 0.0
-                        and _density_gap(work, hi, d) < 0.0):
-                    break
-                lo, hi = 2.0 * lo, 2.0 * hi
-            else:
-                raise RuntimeError("system C bracket expansion failed")
-            u = _solve_gap(work, lo, hi, d)
-            if flip:
-                u = -u
     return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)
 
 
@@ -221,15 +191,12 @@ def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> fl
     c = scheme.noise.c
     u = state.threshold / c
     d = scheme.delta / c
-    if scheme.system is System.A:
-        F = lambda x: std_cdf(_std(scheme), x)
-        return 0.5 * (1.0 - F(u) + F(u - d))
+    F = lambda x: std_cdf(_std(scheme), x)
     if scheme.system is System.B:
-        F = lambda x: std_cdf(_SYM, x)
         # re-derived from Pr(|L| > th | 0) and Pr(|delta + L| <= th | delta)
         return 0.5 - F(u) + 0.5 * F(u - d) + 0.5 * F(u + d)
-    F = lambda x: std_cdf(_std(scheme), x)
-    return 0.5 * (1.0 - F(u + d) + F(u - d))
+    low, high = input_symbols(scheme.system, d)
+    return 0.5 * (1.0 - F(u - low) + F(u - high))
 
 
 def _levy_variates(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:

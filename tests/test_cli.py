@@ -141,6 +141,48 @@ def test_sweep_invalid_points_exits_2(capsys):
     assert "error" in err
 
 
+def test_sweep_gsnr_beyond_float_range_exits_2(capsys):
+    code, _, err = run(["sweep", "--gsnr-db", "3090", "--points", "1",
+                        "--workers", "1"], capsys)
+    assert code == 2
+    assert "--gsnr-db 3090" in err
+
+
+@pytest.mark.parametrize("flags,config,env,source", [
+    (["--workers", "-3"], None, None, "--workers"),
+    (["--workers", "0"], None, None, "--workers"),
+    ([], "workers=0\n", None, "--workers"),
+    ([], None, "0", cli.WORKERS_ENV),
+    ([], None, "abc", cli.WORKERS_ENV),
+], ids=["flag-negative", "flag-zero", "config-zero", "env-zero", "env-text"])
+def test_bad_worker_count_exits_2(flags, config, env, source, tmp_path,
+                                  capsys, monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        flags = flags + ["--config", str(cfg)]
+    code, out, err = run(["sweep", "--systems", "A", "--gsnr-db", "0",
+                          "--points", "1"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert source in err
+
+
+def test_analytic_grid_skips_the_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("ProcessPoolExecutor constructed")
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    tasks = [(i, "C", 0.5, 1.0, g, 0, 0) for i, g in enumerate((1.0, 2.0, 4.0))]
+    assert [r.gsnr for r in cli._compute_grid(tasks, 4)] == [1.0, 2.0, 4.0]
+    # Monte Carlo grids still go to the pool
+    mc_tasks = [t[:5] + (10_000, 0) for t in tasks]
+    with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+        cli._compute_grid(mc_tasks, 4)
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
@@ -157,6 +199,28 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
                         "--workers", "1"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 5  # explicit flag wins
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("points=2\ngsnr-db=0 10\nsystems=A\n")
+    code, out, _ = run(["sweep", f"--config={cfg}", "--workers", "1"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("config_args,message", [
+    (["--config"], "expected one argument"),
+    (["--config", "{cfg}"], "--pionts"),
+], ids=["missing-path", "unknown-key"])
+def test_config_usage_errors_exit_2(config_args, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pionts=2\n")
+    argv = ["sweep", "--workers", "1"] + [a.format(cfg=cfg) for a in config_args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_missing_file_exits_nonzero(capsys):

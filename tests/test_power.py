@@ -123,6 +123,21 @@ def test_scale_for_gsnr_round_trip():
         assert achieved == pytest.approx(gsnr, rel=1e-12)
 
 
+def test_scale_for_gsnr_bitwise_per_system_formulas():
+    # the shared range / (G_gamma (1 + beta_noise^2) root) form must equal
+    # the per-system closed forms exactly, not only to rounding
+    for gsnr in (1e-4, 0.37, 1.0, 10.0, 3.3e5, 1e12):
+        root = math.sqrt(2.0 * G_GAMMA * gsnr)
+        for delta in (1e-3, 0.5, 1.0, 7.3, 300.0):
+            assert scale_for_gsnr(System.A, delta, gsnr, 0.4) == (
+                delta / (2.0 * G_GAMMA * root))
+            assert scale_for_gsnr(System.B, delta, gsnr, 0.4) == (
+                delta / (G_GAMMA * root))
+            for beta in (-1.0, -0.95, -0.3, 0.0, 0.25, 0.999, 1.0):
+                assert scale_for_gsnr(System.C, delta, gsnr, beta) == (
+                    2.0 * delta / (G_GAMMA * (1.0 + beta * beta) * root))
+
+
 def test_scale_for_gsnr_validation():
     with pytest.raises(ValueError):
         scale_for_gsnr(System.A, 1.0, 0.0)

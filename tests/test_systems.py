@@ -138,7 +138,11 @@ def test_threshold_system_c_skew_antisymmetry():
 
 def test_threshold_grid_scan_oracle():
     # brute-force scan of the decision rule never beats the solver root
-    for s in (make("A"), make("B"), make("C", beta=0.5)):
+    schemes = [make("A"), make("B"), make("C", beta=0.5), make("C", beta=-0.5),
+               make("C", beta=1.0), make("C", beta=-1.0)]
+    schemes += [make(name, delta=delta, beta=0.5)
+                for name in ("A", "B", "C") for delta in (1e-3, 1e3)]
+    for s in schemes:
         state = ml_threshold(s)
         best = ber_analytic(s, state)
         span = s.delta + 3.0 * s.noise.c
@@ -193,9 +197,13 @@ def test_ber_decreasing_in_skew_for_c():
 
 
 def test_ber_small_delta_limit():
-    for name, beta in [("A", 1.0), ("B", 0.0), ("C", 0.5)]:
-        scheme = BinaryScheme(System(name), 1e-9, StableParams(0.0, 1.0, 0.5, beta))
-        assert ber_analytic(scheme) == pytest.approx(0.5, abs=1e-6)
+    # at these separations the B gap is below rounding and the one-sided
+    # gaps are barely resolved; the solver must still return
+    for name, beta in [("A", 1.0), ("B", 0.0), ("C", 0.5), ("C", 1.0)]:
+        for delta in (1e-9, 2e-9, 2e-8):
+            scheme = BinaryScheme(System(name), delta,
+                                  StableParams(0.0, 1.0, 0.5, beta))
+            assert ber_analytic(scheme) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_ber_local_minimality():
@@ -283,3 +291,32 @@ def test_threshold_high_gsnr_converges_to_tail_balance():
         gaps = [r - limit for r in ratios[system]]
         assert all(g > 0.0 for g in gaps), system
         assert all(a > b for a, b in zip(gaps, gaps[1:])), system
+
+
+@pytest.mark.parametrize("system,beta", [
+    ("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.999),
+    ("C", -0.999), ("C", 0.95), ("C", -0.95), ("C", 0.5), ("C", -0.5),
+    ("C", 0.25)])
+def test_threshold_bracket_scan(system, beta):
+    # from -60 to 300 dB (past 297 dB, d + 1/3 rounds to d for system A)
+    # the LLR flips across the threshold within the solver tolerance, and
+    # threshold/delta moves monotonically onto its tail-balance limit
+    if system == "B":
+        limit = 0.59425
+    elif abs(beta) == 1.0 or system == "A":
+        limit = beta
+    else:
+        k = ((1.0 + beta) / (1.0 - beta)) ** (2.0 / 3.0)
+        limit = (k - 1.0) / (k + 1.0)
+    side = -1.0 if beta < 0.0 else 1.0
+    gaps = []
+    for db in range(-60, 301, 10):
+        s = scheme_for_gsnr(System(system), 1.0, 10.0 ** (db / 10.0), beta)
+        th = ml_threshold(s).threshold
+        c = s.noise.c
+        d = s.delta / c
+        h = 2.0 * c * 1e-12 * max(d, 1.0) + 8.0 * math.ulp(th)
+        assert llr(s, th - h) > 0.0 > llr(s, th + h), db
+        gaps.append(side * (th / s.delta - limit))
+    assert all(g >= 0.0 for g in gaps), gaps
+    assert all(a >= b for a, b in zip(gaps, gaps[1:])), gaps

@@ -176,10 +176,9 @@ def _sweep_grid(args) -> list[float]:
     if args.gsnr_list:
         return _float_list(args.gsnr_list)
     db = args.gsnr_db
-    if len(db) == 1:
-        start = stop = db[0]
-    else:
-        start, stop = db[0], db[1]
+    if len(db) > 2:
+        raise ValueError(f"--gsnr-db takes one or two values, got {len(db)}")
+    start, stop = db[0], db[-1]
     points = args.points
     if points < 1:
         raise ValueError("--points must be >= 1")
@@ -220,6 +219,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     # imported here so sweeps skip scipy.stats and scipy.interpolate
     from . import validate
+    _resolve_workers(args)  # checked as for sweeps; validate runs in-process
     if args.mc_samples < 10_000:
         raise ValueError("--mc-samples must be >= 10000")
     results = validate.run_all(mc_samples=args.mc_samples, seed=args.seed,
@@ -253,13 +253,16 @@ def cmd_geopower(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_WORKERS_HELP = (f"worker processes (default: {WORKERS_ENV} env var or "
+                 "available parallelism)")
+
+
+def _add_common(p: argparse.ArgumentParser,
+                workers_help: str = _WORKERS_HELP) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default: {WORKERS_ENV} env var "
-                        "or available parallelism)")
+    p.add_argument("--workers", type=int, default=None, help=workers_help)
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -295,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the oracle/cross-check suite")
-    _add_common(p)
+    _add_common(p, "validate runs in one process; the value (or "
+                   f"{WORKERS_ENV}) is only checked, as for sweep")
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="closed-form vs numeric tolerance")

@@ -33,6 +33,10 @@ the closed forms:
 
 Target absolute tolerance for both is 1e-10; failure to converge raises
 QuadratureError carrying the achieved error bound.
+
+Only numpy and scipy.special load with this module: the closed forms need
+nothing more, and scipy.integrate is imported on the first numerical
+inversion.
 """
 
 from __future__ import annotations
@@ -44,18 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
-
-
-def _quiet_quad(fn):
-    # convergence is checked against the returned error bound instead
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return fn(*args, **kwargs)
-
-    return wrapper
+from scipy import special
 
 EULER_GAMMA = 0.5772156649015329
 #: exp(Euler's gamma), the constant underlying geometric power.
@@ -235,12 +228,21 @@ def _gauss_std_cdf(x: float) -> float:
 # numerical inversion
 # ---------------------------------------------------------------------------
 
+def _quad(*args, **kwargs):
+    # scipy.integrate loads here, on the first numerical inversion, so the
+    # alpha = 1/2 closed forms never pay for it; convergence is checked
+    # against the returned error bound, so its warnings are silenced
+    from scipy import integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(*args, **kwargs)
+
+
 def _inversion_cutoff(alpha: float) -> float:
     # |phi(t)| = exp(-t^alpha) < 1e-16 beyond this point
     return (16.0 * math.log(10.0)) ** (1.0 / alpha)
 
 
-@_quiet_quad
 def _pdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
     k = math.tan(math.pi * alpha / 2.0)
     upper = _inversion_cutoff(alpha)
@@ -254,8 +256,8 @@ def _pdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
             ta = t ** alpha
             return math.exp(-ta) * math.cos(beta * k * ta - t * x)
 
-        val, err = integrate.quad(integrand, 0.0, upper,
-                                  epsabs=0.1 * tol, epsrel=1e-13, limit=400)
+        val, err = _quad(integrand, 0.0, upper,
+                         epsabs=0.1 * tol, epsrel=1e-13, limit=400)
     else:
         # cos(b*k*t^a - t*x) = cos(b*k*t^a)cos(w*t) + s*sin(b*k*t^a)sin(w*t)
         # with w = |x|, s = sgn(x); the oscillatory factors go to the
@@ -271,11 +273,11 @@ def _pdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
             ta = t ** alpha
             return math.exp(-ta) * math.sin(beta * k * ta)
 
-        v1, e1 = integrate.quad(g_cos, 0.0, np.inf, weight="cos", wvar=w,
-                                epsabs=0.05 * tol, limit=400)
+        v1, e1 = _quad(g_cos, 0.0, np.inf, weight="cos", wvar=w,
+                       epsabs=0.05 * tol, limit=400)
         if beta != 0.0:
-            v2, e2 = integrate.quad(g_sin, 0.0, np.inf, weight="sin", wvar=w,
-                                    epsabs=0.05 * tol, limit=400)
+            v2, e2 = _quad(g_sin, 0.0, np.inf, weight="sin", wvar=w,
+                           epsabs=0.05 * tol, limit=400)
         else:
             v2, e2 = 0.0, 0.0
         val, err = v1 + sgn * v2, e1 + e2
@@ -285,7 +287,6 @@ def _pdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
     return max(val / math.pi, 0.0)
 
 
-@_quiet_quad
 def _cdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
     k = math.tan(math.pi * alpha / 2.0)
     upper = _inversion_cutoff(alpha)
@@ -297,10 +298,10 @@ def _cdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
         return math.exp(-ta) * math.sin(beta * k * ta - t * x) / t
 
     if abs(x) * upper <= 30.0:
-        v1, e1 = integrate.quad(integrand, 0.0, 1.0,
-                                epsabs=0.1 * tol, epsrel=1e-13, limit=400)
-        v2, e2 = integrate.quad(integrand, 1.0, upper,
-                                epsabs=0.1 * tol, epsrel=1e-13, limit=400)
+        v1, e1 = _quad(integrand, 0.0, 1.0,
+                       epsabs=0.1 * tol, epsrel=1e-13, limit=400)
+        v2, e2 = _quad(integrand, 1.0, upper,
+                       epsabs=0.1 * tol, epsrel=1e-13, limit=400)
         val, err = v1 + v2, e1 + e2
     else:
         # plain quadrature absorbs the integrable t^(alpha-1) endpoint over
@@ -319,15 +320,15 @@ def _cdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
             ta = t ** alpha
             return math.exp(-ta) * math.cos(beta * k * ta) / t
 
-        v0, e0 = integrate.quad(integrand, 0.0, split,
-                                epsabs=0.05 * tol, epsrel=1e-13, limit=400)
+        v0, e0 = _quad(integrand, 0.0, split,
+                       epsabs=0.05 * tol, epsrel=1e-13, limit=400)
         if beta != 0.0:
-            v1, e1 = integrate.quad(h_sin, split, np.inf, weight="cos",
-                                    wvar=w, epsabs=0.05 * tol, limit=400)
+            v1, e1 = _quad(h_sin, split, np.inf, weight="cos",
+                           wvar=w, epsabs=0.05 * tol, limit=400)
         else:
             v1, e1 = 0.0, 0.0
-        v2, e2 = integrate.quad(h_cos, split, np.inf, weight="sin", wvar=w,
-                                epsabs=0.05 * tol, limit=400)
+        v2, e2 = _quad(h_cos, split, np.inf, weight="sin", wvar=w,
+                       epsabs=0.05 * tol, limit=400)
         val, err = v0 + v1 - sgn * v2, e0 + e1 + e2
 
     if err / math.pi > tol:
@@ -396,9 +397,13 @@ def tail_coefficient(alpha: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _standard_levy(rng: np.random.Generator, n: int) -> np.ndarray:
+def _standard_levy(rng: np.random.Generator, n: int,
+                   scale: float = 1.0) -> np.ndarray:
+    # Levy(0, scale) as scale / Z^2; scale 0 draws nothing from rng
+    if scale == 0.0:
+        return np.zeros(n)
     z = rng.standard_normal(n)
-    return 1.0 / (z * z)
+    return scale / (z * z)
 
 
 def _standard_sample(alpha: float, beta: float, n: int,

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
-from .stable import StableParams, StandardStable, std_cdf, std_pdf
+from .stable import (StableParams, StandardStable, _standard_levy, std_cdf,
+                     std_pdf)
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -129,10 +129,78 @@ def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     return f(u - low) - f(u - high)
 
 
+#: iteration cap of the Brent solve (scipy.optimize.brentq's default)
+BRENT_MAXITER = 100
+
+
+class _NoSignChange(ValueError):
+    """The function has one sign at both ends of a Brent bracket."""
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    # scipy's brentq.c step for step (same float operations in the same
+    # order, so roots are bitwise equal to scipy.optimize.brentq), without
+    # loading scipy.optimize; raises where brentq does
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise _NoSignChange("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf  # C yields inf or nan here: bisect
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
+
+
 def _solve_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
     xtol = 1e-12 * max(d, 1.0)
-    return optimize.brentq(lambda u: _density_gap(scheme, u, d), lo, hi,
-                           xtol=xtol, rtol=8.881784197001252e-16)
+    return _brent(lambda u: _density_gap(scheme, u, d), lo, hi,
+                  xtol, 8.881784197001252e-16)
 
 
 def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
@@ -167,14 +235,23 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     u = y/c, d = delta/c: (d/2, 3d/2 + 1) for system B, (-(1+d), 1+d) for
     system C with 0 < |beta| < 1, and for one-sided noise (A, and C at
     beta = +/-1) the span between the support edge and the Levy mode at
-    1/3.  System C with beta = 0 returns exactly 0.  A bracket that has
-    shrunk to one float (one-sided noise once d + 1/3 rounds to d) is
-    returned as the root.
+    1/3.  System C with beta = 0 returns exactly 0, and so does system C
+    with 0 < |beta| < 1 when its gap has one sign at both ends (d below
+    ~1e-16, where the gap is rounding noise).  A bracket that has shrunk to
+    one float (one-sided noise once d + 1/3 rounds to d) is returned as the
+    root.
     """
     c = scheme.noise.c
     d = scheme.delta / c
     lo, hi = _bracket(scheme, d)
-    u = lo if lo == hi else _solve_gap(scheme, lo, hi, d)
+    try:
+        u = lo if lo == hi else _solve_gap(scheme, lo, hi, d)
+    except _NoSignChange:
+        if abs(scheme.noise.beta) == 1.0 or scheme.system is not System.C:
+            raise
+        # C's gap ~ 2d*f'(u) sinks below rounding once d < ~1e-16: as for
+        # B, no observation favours either symbol, so take their midpoint
+        u = 0.0
     low, high = scheme.symbols
     return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)
 
@@ -197,13 +274,6 @@ def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> fl
         return 0.5 - F(u) + 0.5 * F(u - d) + 0.5 * F(u + d)
     low, high = input_symbols(scheme.system, d)
     return 0.5 * (1.0 - F(u - low) + F(u - high))
-
-
-def _levy_variates(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    if scale == 0.0:
-        return np.zeros(n)
-    z = rng.standard_normal(n)
-    return scale / (z * z)
 
 
 def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
@@ -230,16 +300,16 @@ def simulate_transmission(scheme: BinaryScheme, n_bits: int,
     sent = np.where(rng.integers(0, 2, n_bits) == 0, low, high)
     c = scheme.noise.c
     if scheme.system is System.A:
-        y = sent + _levy_variates(rng, n_bits, c)
+        y = sent + _standard_levy(rng, n_bits, c)
     elif scheme.system is System.B:
         # two indistinguishable first arrivals, each Levy with c_B/4
-        t1 = _levy_variates(rng, n_bits, c / 4.0)
-        t2 = _levy_variates(rng, n_bits, c / 4.0)
+        t1 = _standard_levy(rng, n_bits, c / 4.0)
+        t2 = _standard_levy(rng, n_bits, c / 4.0)
         y = np.abs(sent + t1 - t2)
     else:
         c_pos, c_neg = system_c_component_scales(c, scheme.noise.beta)
-        t_pos = _levy_variates(rng, n_bits, c_pos)
-        t_neg = _levy_variates(rng, n_bits, c_neg)
+        t_pos = _standard_levy(rng, n_bits, c_pos)
+        t_neg = _standard_levy(rng, n_bits, c_neg)
         y = sent + t_pos - t_neg
     return sent, y
 

@@ -38,6 +38,14 @@ def test_dist_invalid_combination_exits_2(capsys):
     assert "error" in err
 
 
+def test_dist_general_alpha_numeric_inversion(capsys):
+    # general alpha goes through scipy.integrate, loaded on first use
+    code, out, _ = run(["dist", "--alpha", "1.5", "--beta", "0.3",
+                        "--x", "1"], capsys)
+    assert code == 0
+    assert float(out) == pytest.approx(0.16235873175932355, abs=1e-9)
+
+
 def test_geopower(capsys):
     code, out, _ = run(["geopower", "--alpha", "0.5", "--beta", "1"], capsys)
     assert code == 0
@@ -148,6 +156,24 @@ def test_sweep_gsnr_beyond_float_range_exits_2(capsys):
     assert "--gsnr-db 3090" in err
 
 
+def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
+    code, out, err = run(["sweep", "--systems", "A", "--gsnr-db", "0", "10",
+                          "20", "--points", "3", "--workers", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--gsnr-db takes one or two values, got 3" in err
+
+
+def test_sweep_system_c_at_tiny_delta(capsys):
+    # d = delta/c ~ 8e-17: the density gap is rounding noise at both ends
+    code, out, _ = run(["sweep", "--systems", "C", "--betas", "0.95",
+                        "--gsnr-db", "-332", "--points", "1", "--workers",
+                        "1"], capsys)
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert abs(float(row[6]) - 0.5) <= 1e-15
+
+
 @pytest.mark.parametrize("flags,config,env,source", [
     (["--workers", "-3"], None, None, "--workers"),
     (["--workers", "0"], None, None, "--workers"),
@@ -256,15 +282,54 @@ def test_validate_rejects_tiny_mc(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flags,env,source", [
+    (["--workers", "-3"], None, "--workers"),
+    (["--workers", "0"], None, "--workers"),
+    ([], "abc", cli.WORKERS_ENV),
+], ids=["flag-negative", "flag-zero", "env-text"])
+def test_validate_bad_worker_count_exits_2(flags, env, source, capsys,
+                                           monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+    code, out, err = run(["validate"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert source in err
+
+
+def test_validate_accepts_a_worker_count(capsys):
+    # the count is checked first and passes; --mc-samples then fails
+    code, out, err = run(["validate", "--workers", "2", "--mc-samples",
+                          "100"], capsys)
+    assert code == 2
+    assert "--mc-samples" in err and "--workers" not in err
+
+
 def test_import_cli_skips_validate_dependencies():
+    # sweeps and table1 need numpy and scipy.special only: neither the
+    # import nor a run loads the solver, quadrature or validate modules
     import os
     import subprocess
     import sys
-    code = ("import sys, mtchan.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.interpolate' in sys.modules)")
+    code = (
+        "import contextlib, io, sys, mtchan.cli\n"
+        "heavy = ('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
+        "'scipy.interpolate')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert mtchan.cli.main(['sweep', '--points', '4', "
+        "'--workers', '1']) == 0\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert mtchan.cli.main(['table1', '--workers', '1']) == 0\n"
+        "print(loaded())\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.splitlines() == ["[]", "[]", "[]"]

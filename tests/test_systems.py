@@ -6,6 +6,7 @@ import pytest
 from mtchan.power import System
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
+                            _bracket, _brent, _density_gap, _solve_gap,
                             ber_analytic, ber_monte_carlo, cond_pdf, detect,
                             llr, ml_threshold, scheme_for_gsnr,
                             simulate_transmission, system_c_component_scales)
@@ -254,6 +255,42 @@ def test_ber_monte_carlo_matches_analytic():
     assert stderr == pytest.approx(math.sqrt(mc * (1.0 - mc) / 200_000), rel=1e-12)
 
 
+def _ref_levy(rng, n, scale):
+    # reference sampler: scale / Z^2, and no draw at all for scale 0
+    if scale == 0.0:
+        return np.zeros(n)
+    z = rng.standard_normal(n)
+    return scale / (z * z)
+
+
+@pytest.mark.parametrize("system,beta,expected", [
+    ("A", 1.0, (0.1182, 0.0022828574199892557)),
+    ("B", 0.0, (0.2195, 0.002926770831479636)),
+    ("C", 1.0, (0.1182, 0.0022828574199892557)),
+])
+def test_monte_carlo_stream_unchanged(system, beta, expected):
+    # the observations, and so ber_mc, stay bitwise those of the reference
+    # sampler; C at beta = 1 draws nothing for its scale-0 delay
+    s = scheme_for_gsnr(System(system), 1.0, 3.0, beta)
+    sent, y = simulate_transmission(s, 20_000, 7)
+    rng = np.random.default_rng(7)
+    ref_sent = np.where(rng.integers(0, 2, 20_000) == 0, *s.symbols)
+    c = s.noise.c
+    if system == "A":
+        ref_y = ref_sent + _ref_levy(rng, 20_000, c)
+    elif system == "B":
+        t1 = _ref_levy(rng, 20_000, c / 4.0)
+        t2 = _ref_levy(rng, 20_000, c / 4.0)
+        ref_y = np.abs(ref_sent + t1 - t2)
+    else:
+        c_pos, c_neg = system_c_component_scales(c, beta)
+        t_pos = _ref_levy(rng, 20_000, c_pos)
+        ref_y = ref_sent + t_pos - _ref_levy(rng, 20_000, c_neg)
+    np.testing.assert_array_equal(sent, ref_sent)
+    np.testing.assert_array_equal(y, ref_y)
+    assert ber_monte_carlo(s, 20_000, 7) == expected
+
+
 def test_ber_monte_carlo_minimum_size():
     with pytest.raises(ValueError):
         ber_monte_carlo(make("A"), 9999, 0)
@@ -293,6 +330,9 @@ def test_threshold_high_gsnr_converges_to_tail_balance():
         assert all(a > b for a, b in zip(gaps, gaps[1:])), system
 
 
+BRENTQ_RTOL = 8.881784197001252e-16
+
+
 @pytest.mark.parametrize("system,beta", [
     ("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.999),
     ("C", -0.999), ("C", 0.95), ("C", -0.95), ("C", 0.5), ("C", -0.5),
@@ -300,7 +340,9 @@ def test_threshold_high_gsnr_converges_to_tail_balance():
 def test_threshold_bracket_scan(system, beta):
     # from -60 to 300 dB (past 297 dB, d + 1/3 rounds to d for system A)
     # the LLR flips across the threshold within the solver tolerance, and
-    # threshold/delta moves monotonically onto its tail-balance limit
+    # threshold/delta moves monotonically onto its tail-balance limit;
+    # the in-house Brent solve returns the very float scipy's brentq does
+    optimize = pytest.importorskip("scipy.optimize")
     if system == "B":
         limit = 0.59425
     elif abs(beta) == 1.0 or system == "A":
@@ -315,8 +357,50 @@ def test_threshold_bracket_scan(system, beta):
         th = ml_threshold(s).threshold
         c = s.noise.c
         d = s.delta / c
+        lo, hi = _bracket(s, d)
+        if lo != hi:
+            assert _solve_gap(s, lo, hi, d) == optimize.brentq(
+                lambda u: _density_gap(s, u, d), lo, hi,
+                xtol=1e-12 * max(d, 1.0), rtol=BRENTQ_RTOL), db
         h = 2.0 * c * 1e-12 * max(d, 1.0) + 8.0 * math.ulp(th)
         assert llr(s, th - h) > 0.0 > llr(s, th + h), db
         gaps.append(side * (th / s.delta - limit))
     assert all(g >= 0.0 for g in gaps), gaps
     assert all(a >= b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@pytest.mark.parametrize("f,lo,hi,xtol,error", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, ValueError),  # no sign change
+    (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, ValueError),
+    (lambda x: (x - 1e-3) ** 3, -1.0, 1.0, 5e-324, RuntimeError),  # 100 steps
+    (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 1e-12, None),  # f*f underflows
+    # the extrapolation's denominator underflows to 0: C divides, we bisect
+    (lambda x: 1e-200 * (x ** 3 - 0.1), -1.0, 2.0, 1e-12, None),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 2.0, 1e-14, None),
+    (lambda x: math.floor(10.0 * x) - 3.5, 0.0, 1.0, 1e-12, None),
+])
+def test_brent_port_matches_scipy_brentq_edge_cases(f, lo, hi, xtol, error):
+    optimize = pytest.importorskip("scipy.optimize")
+    if error is None:
+        assert _brent(f, lo, hi, xtol, BRENTQ_RTOL) == optimize.brentq(
+            f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
+        return
+    with pytest.raises(error) as oracle:
+        optimize.brentq(f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
+    with pytest.raises(error) as port:
+        _brent(f, lo, hi, xtol, BRENTQ_RTOL)
+    assert str(port.value) == str(oracle.value)
+
+
+def test_threshold_c_tiny_d_takes_the_midpoint():
+    # below d ~ 1e-16 C's gap is rounding noise; where its two ends have
+    # one sign the threshold is the symbols' midpoint, and the BER is 1/2
+    for beta in (0.95, 0.5, -0.5, 0.25):
+        for db in range(-340, -319):
+            s = scheme_for_gsnr(System.C, 1.0, 10.0 ** (db / 10.0), beta)
+            assert abs(ber_analytic(s) - 0.5) <= 1e-15, (beta, db)
+    s = scheme_for_gsnr(System.C, 1.0, 10.0 ** -33.2, 0.95)
+    d = s.delta / s.noise.c
+    lo, hi = _bracket(s, d)
+    assert _density_gap(s, lo, d) < 0.0 and _density_gap(s, hi, d) < 0.0
+    assert ml_threshold(s).threshold == 0.0

@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
-import itertools
 import json
 import math
 import os
+import re
 import shlex
 import sys
 
@@ -53,9 +54,10 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
-def _compute_record(task) -> BerRecord:
-    index, system, beta, delta, gsnr, mc_samples, master_seed = task
-    scheme = scheme_for_gsnr(System(system), delta, gsnr, beta)
+def _compute_record(index: int, point, mc_samples: int,
+                    master_seed: int) -> BerRecord:
+    system, beta, delta, gsnr = point
+    scheme = scheme_for_gsnr(system, delta, gsnr, beta)
     state = ml_threshold(scheme)
     analytic = ber_analytic(scheme, state)
     mc = stderr = samples = None
@@ -70,14 +72,19 @@ def _compute_record(task) -> BerRecord:
         ber_mc=mc, mc_stderr=stderr, samples=samples)
 
 
-def _compute_grid(tasks, workers: int) -> list[BerRecord]:
+def _compute_grid(points, mc_samples: int, seed: int,
+                  workers: int) -> list[BerRecord]:
+    """One record per (system, beta, delta, gsnr) point, in order."""
+    compute = functools.partial(_compute_record, mc_samples=mc_samples,
+                                master_seed=seed)
+    indices = range(len(points))
     # an analytic point costs less than starting a worker, so only Monte
     # Carlo grids go to the pool
-    if workers <= 1 or len(tasks) <= 1 or not any(t[5] for t in tasks):
-        return [_compute_record(t) for t in tasks]
+    if workers <= 1 or len(points) <= 1 or not mc_samples:
+        return list(map(compute, indices, points))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so output is scheduling-independent
-        return list(pool.map(_compute_record, tasks))
+        return list(pool.map(compute, indices, points))
 
 
 def _fmt(value) -> str:
@@ -145,10 +152,9 @@ def _float_list(text: str) -> list[float]:
 def cmd_table1(args) -> int:
     betas = _float_list(args.betas)
     deltas = _float_list(args.deltas)
-    tasks = [(i, "C", beta, delta, args.gsnr, args.mc_samples, args.seed)
-             for i, (beta, delta) in enumerate(
-                 (b, d) for b in betas for d in deltas)]
-    records = _compute_grid(tasks, _resolve_workers(args))
+    points = [(System.C, b, d, args.gsnr) for b in betas for d in deltas]
+    records = _compute_grid(points, args.mc_samples, args.seed,
+                            _resolve_workers(args))
 
     failed = False
     n_d = len(deltas)
@@ -199,10 +205,10 @@ def cmd_sweep(args) -> int:
     betas_c = _float_list(args.betas)
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
-    points = itertools.product(curves, gsnrs)
-    tasks = [(i, system.value, beta, args.delta, gsnr, args.mc_samples,
-              args.seed) for i, ((system, beta), gsnr) in enumerate(points)]
-    records = _compute_grid(tasks, _resolve_workers(args))
+    points = [(system, beta, args.delta, gsnr) for system, beta in curves
+              for gsnr in gsnrs]
+    records = _compute_grid(points, args.mc_samples, args.seed,
+                            _resolve_workers(args))
     _emit(records, args)
 
     if args.plot:
@@ -266,8 +272,17 @@ def _add_common(p: argparse.ArgumentParser,
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes a token after a flag for its value only if it is a plain
+    # negative number; no mtchan flag starts with '-' and a digit, so any
+    # such token is a value, e.g. the list in "--betas -0.5,0.5"
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtchan",
         description="Timing-channel BER experiments over stable noise")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
-from .stable import (StableParams, StandardStable, _standard_levy, std_cdf,
-                     std_pdf)
+from .stable import StableParams, _standard_levy, std_cdf, std_pdf
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -84,10 +83,6 @@ class BerRecord:
             raise ValueError("Monte Carlo fields must be present together")
 
 
-def _std(scheme: BinaryScheme) -> StandardStable:
-    return StandardStable(0.5, scheme.noise.beta)
-
-
 def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
     """Density of the observation given the transmitted symbol."""
     if symbol not in scheme.symbols:
@@ -99,11 +94,11 @@ def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
         if y == 0.0:
             if symbol == 0.0:
                 return 2.0 / (c * math.pi)
-            return std_pdf(_std(scheme), scheme.delta / c) / c
+            return std_pdf(scheme.noise.standard, scheme.delta / c) / c
         # folded output: contributions from +/-y
-        return (std_pdf(_std(scheme), (y - symbol) / c)
-                + std_pdf(_std(scheme), (-y - symbol) / c)) / c
-    return std_pdf(_std(scheme), (y - symbol) / c) / c
+        return (std_pdf(scheme.noise.standard, (y - symbol) / c)
+                + std_pdf(scheme.noise.standard, (-y - symbol) / c)) / c
+    return std_pdf(scheme.noise.standard, (y - symbol) / c) / c
 
 
 def llr(scheme: BinaryScheme, y: float) -> float:
@@ -122,7 +117,8 @@ def llr(scheme: BinaryScheme, y: float) -> float:
 
 def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     # f(y|low) - f(y|high) in standardized units u = y/c, d = delta/c
-    f = lambda x: std_pdf(_std(scheme), x)
+    law = scheme.noise.standard
+    f = lambda x: std_pdf(law, x)
     if scheme.system is System.B:
         return 2.0 * f(u) - f(u - d) - f(u + d)
     low, high = input_symbols(scheme.system, d)
@@ -133,16 +129,13 @@ def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
 BRENT_MAXITER = 100
 
 
-class _NoSignChange(ValueError):
-    """The function has one sign at both ends of a Brent bracket."""
-
-
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+           rtol: float) -> float:
     # scipy's brentq.c step for step (same float operations in the same
     # order, so roots are bitwise equal to scipy.optimize.brentq), without
-    # loading scipy.optimize; raises where brentq does
-    def call(x):
-        fx = f(x)
+    # loading scipy.optimize; fa = f(xa) and fb = f(xb) come from the caller,
+    # and it raises where brentq does
+    def checked(x, fx):
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -150,13 +143,13 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise _NoSignChange("f(a) and f(b) must have different signs")
+        raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(BRENT_MAXITER):
         if (fpre != 0.0 and fcur != 0.0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
@@ -193,28 +186,18 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
-def _solve_gap(scheme: BinaryScheme, lo: float, hi: float, d: float) -> float:
-    xtol = 1e-12 * max(d, 1.0)
-    return _brent(lambda u: _density_gap(scheme, u, d), lo, hi,
-                  xtol, 8.881784197001252e-16)
-
-
 def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
-    # closed-form (lo, hi) in u = y/c with the density gap > 0 at lo and
-    # < 0 at hi; (u, u) where u is the root to working precision
+    # closed-form (lo, hi) in u = y/c, evaluating no density: the density
+    # gap is > 0 at lo and < 0 at hi wherever it rises above rounding noise;
+    # (u, u) where u is the root to working precision
     beta = scheme.noise.beta
     low, high = input_symbols(scheme.system, d)
     if scheme.system is System.B:
-        lo = d / 2.0 * (1.0 + 1e-12)
-        hi = 1.5 * d + 1.0
-        # the B gap is second order in d and sinks below rounding once
-        # d < ~1e-7; then no observation favours either symbol and the
-        # symbols' midpoint is as good a threshold as any
-        return (lo, hi) if _density_gap(scheme, hi, d) < 0.0 else (lo, lo)
+        return d / 2.0 * (1.0 + 1e-12), 1.5 * d + 1.0
     # one-sided noise: the Levy density is exactly 0 at its support edge and
     # peaks 1/3 past it, so the gap f(u|low) - f(u|high) is > 0 at the high
     # symbol's edge or the low symbol's mode, whichever is later, and < 0 at
@@ -231,27 +214,30 @@ def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
 def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     """Maximum-likelihood decision threshold (root of the LLR).
 
-    One Brent solve of the density gap on a closed-form bracket in
-    u = y/c, d = delta/c: (d/2, 3d/2 + 1) for system B, (-(1+d), 1+d) for
-    system C with 0 < |beta| < 1, and for one-sided noise (A, and C at
-    beta = +/-1) the span between the support edge and the Levy mode at
-    1/3.  System C with beta = 0 returns exactly 0, and so does system C
-    with 0 < |beta| < 1 when its gap has one sign at both ends (d below
-    ~1e-16, where the gap is rounding noise).  A bracket that has shrunk to
-    one float (one-sided noise once d + 1/3 rounds to d) is returned as the
-    root.
+    One Brent solve of the density gap f(y|low) - f(y|high) on a
+    closed-form bracket in u = y/c, d = delta/c: (d/2, 3d/2 + 1) for system
+    B, (-(1+d), 1+d) for system C with 0 < |beta| < 1, and for one-sided
+    noise (A, and C at beta = +/-1) the span between the support edge and
+    the Levy mode at 1/3.  A bracket of one float (system C with beta = 0,
+    and one-sided noise once d + 1/3 rounds to d) is returned as the root.
+    Where the gap is not > 0 at the lower end and < 0 at the upper end, it
+    is rounding noise there (B below d ~ 1e-7, C with 0 < |beta| < 1 below
+    d ~ 1e-16): no observation favours either symbol, and the threshold is
+    the symbols' midpoint clipped into the bracket.  A NaN gap raises
+    ValueError.
     """
     c = scheme.noise.c
     d = scheme.delta / c
     lo, hi = _bracket(scheme, d)
-    try:
-        u = lo if lo == hi else _solve_gap(scheme, lo, hi, d)
-    except _NoSignChange:
-        if abs(scheme.noise.beta) == 1.0 or scheme.system is not System.C:
-            raise
-        # C's gap ~ 2d*f'(u) sinks below rounding once d < ~1e-16: as for
-        # B, no observation favours either symbol, so take their midpoint
-        u = 0.0
+    u = lo
+    if lo != hi:
+        gap = lambda x: _density_gap(scheme, x, d)
+        g_lo, g_hi = gap(lo), gap(hi)
+        if g_lo > 0.0 > g_hi or math.isnan(g_lo) or math.isnan(g_hi):
+            u = _brent(gap, lo, hi, g_lo, g_hi, 1e-12 * max(d, 1.0),
+                       8.881784197001252e-16)
+        else:
+            u = min(max(sum(input_symbols(scheme.system, d)) / 2.0, lo), hi)
     low, high = scheme.symbols
     return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)
 
@@ -268,7 +254,8 @@ def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> fl
     c = scheme.noise.c
     u = state.threshold / c
     d = scheme.delta / c
-    F = lambda x: std_cdf(_std(scheme), x)
+    law = scheme.noise.standard
+    F = lambda x: std_cdf(law, x)
     if scheme.system is System.B:
         # re-derived from Pr(|L| > th | 0) and Pr(|delta + L| <= th | delta)
         return 0.5 - F(u) + 0.5 * F(u - d) + 0.5 * F(u + d)

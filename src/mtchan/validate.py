@@ -30,24 +30,20 @@ class CheckResult:
     detail: str
 
 
-def make_std_cdf_vectorized(alpha: float, beta: float, n_grid: int = 600,
-                            edge: float = 1e4):
-    """Vectorized approximation of the standard CDF for KS-style use.
+def make_std_cdf_vectorized(beta: float):
+    """Vectorized approximation of the alpha = 1/2 standard CDF for KS use.
 
-    PCHIP interpolation of `std_cdf` on a grid that is uniform in
-    x/(1+|x|), with first-order power-law tails beyond +/-edge.  The
-    approximation error is orders of magnitude below KS critical values.
+    PCHIP interpolation of `std_cdf` on 600 points uniform in asinh(x) over
+    |x| <= 1e4, with first-order power-law tails beyond.  The approximation
+    error is orders of magnitude below KS critical values.
     """
-    s = StandardStable(alpha, beta)
-    u_edge = math.asinh(edge)
-    us = np.linspace(-u_edge, u_edge, n_grid)
-    xs = np.sinh(us)
-    if beta == 1.0 and alpha < 1.0:
-        xs = xs[xs > 0.0]
+    s = StandardStable(0.5, beta)
+    u_edge = math.asinh(1e4)
+    xs = np.sinh(np.linspace(-u_edge, u_edge, 600))
     fs = np.array([std_cdf(s, float(x)) for x in xs])
     # interpolate in asinh(x) so the grid stays dense out into the tails
     interp = interpolate.PchipInterpolator(np.arcsinh(xs), fs, extrapolate=False)
-    c_tail = tail_coefficient(alpha)
+    c_tail = tail_coefficient(0.5)
 
     def cdf_vec(x):
         x = np.asarray(x, dtype=float)
@@ -56,11 +52,8 @@ def make_std_cdf_vectorized(alpha: float, beta: float, n_grid: int = 600,
         hi = x > xs[-1]
         mid = ~(lo | hi)
         out[mid] = interp(np.arcsinh(x[mid]))
-        out[hi] = 1.0 - c_tail * (1.0 + beta) * x[hi] ** (-alpha)
-        if beta == 1.0 and alpha < 1.0:
-            out[lo] = 0.0
-        else:
-            out[lo] = c_tail * (1.0 - beta) * np.abs(x[lo]) ** (-alpha)
+        out[hi] = 1.0 - c_tail * (1.0 + beta) * x[hi] ** -0.5
+        out[lo] = c_tail * (1.0 - beta) * np.abs(x[lo]) ** -0.5
         return np.clip(out, 0.0, 1.0)
 
     return cdf_vec
@@ -124,7 +117,7 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     c_a = 1.0
     t1 = sample(StableParams(0.0, c_a, 0.5, 1.0), n, rng.integers(2 ** 63))
     t2 = sample(StableParams(0.0, c_a, 0.5, 1.0), n, rng.integers(2 ** 63))
-    sym_cdf = make_std_cdf_vectorized(0.5, 0.0)
+    sym_cdf = make_std_cdf_vectorized(0.0)
     results.append(_ks_result("Levy difference vs S(0, 4c, 1/2, 0)",
                               (t1 - t2) / (4.0 * c_a), sym_cdf))
 
@@ -134,7 +127,7 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
         c_pos, c_neg = systems.system_c_component_scales(c, beta)
         tp = sample(StableParams(0.0, c_pos, 0.5, 1.0), n, rng.integers(2 ** 63))
         tn = sample(StableParams(0.0, c_neg, 0.5, 1.0), n, rng.integers(2 ** 63))
-        skew_cdf = make_std_cdf_vectorized(0.5, beta)
+        skew_cdf = make_std_cdf_vectorized(beta)
         results.append(_ks_result(
             f"system C decomposition vs std_cdf (beta={beta})",
             (tp - tn) / c, skew_cdf))

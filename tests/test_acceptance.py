@@ -20,10 +20,9 @@ WORKERS = os.cpu_count() or 1
 
 
 def grid_ber(system, betas, deltas, gsnrs):
-    tasks = [(i, system, b, d, g, 0, 0)
-             for i, (b, g, d) in enumerate(
-                 (b, g, d) for b in betas for g in gsnrs for d in deltas)]
-    records = cli._compute_grid(tasks, WORKERS)
+    points = [(System(system), b, d, g)
+              for b in betas for g in gsnrs for d in deltas]
+    records = cli._compute_grid(points, 0, 0, WORKERS)
     out = {}
     i = 0
     for b in betas:
@@ -61,10 +60,9 @@ def test_criterion_3_sweep_qualitative():
     gsnrs = [10.0 ** (db / 10.0) for db in np.linspace(-10.0, 20.0, 31)]
     curves = [("B", 0.0), ("C", 0.0), ("C", 0.25), ("C", 0.5), ("C", 0.75),
               ("C", 0.95), ("A", 1.0)]
-    tasks = [(i, name, beta, 1.0, g, 0, 0)
-             for i, (name, beta, g) in enumerate(
-                 (n, b, g) for n, b in curves for g in gsnrs)]
-    records = cli._compute_grid(tasks, WORKERS)
+    points = [(System(name), beta, 1.0, g) for name, beta in curves
+              for g in gsnrs]
+    records = cli._compute_grid(points, 0, 0, WORKERS)
     n = len(gsnrs)
     by_curve = [[r.ber_analytic for r in records[k * n:(k + 1) * n]]
                 for k in range(len(curves))]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mtchan import cli
+from mtchan.power import System
 
 HEADER = "gsnr_db,system,beta,delta,c,threshold,ber_analytic,ber_mc,mc_stderr,samples"
 
@@ -201,12 +202,11 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed")
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
-    tasks = [(i, "C", 0.5, 1.0, g, 0, 0) for i, g in enumerate((1.0, 2.0, 4.0))]
-    assert [r.gsnr for r in cli._compute_grid(tasks, 4)] == [1.0, 2.0, 4.0]
+    points = [(System.C, 0.5, 1.0, g) for g in (1.0, 2.0, 4.0)]
+    assert [r.gsnr for r in cli._compute_grid(points, 0, 0, 4)] == [1.0, 2.0, 4.0]
     # Monte Carlo grids still go to the pool
-    mc_tasks = [t[:5] + (10_000, 0) for t in tasks]
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
-        cli._compute_grid(mc_tasks, 4)
+        cli._compute_grid(points, 10_000, 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,23 @@ def test_config_equals_form(tmp_path, capsys):
     code, out, _ = run(["sweep", f"--config={cfg}", "--workers", "1"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--systems", "C", "--gsnr-db", "0", "--points", "1"],
+    ["table1", "--deltas", "1"]], ids=["sweep", "table1"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_betas_list_starting_negative(command, form, tmp_path, capsys):
+    # argparse reads only a plain negative number after a flag as its value
+    if form == "flag":
+        extra = ["--betas", "-0.5,0.5"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("betas=-0.5,0.5\n")
+        extra = ["--config", str(cfg)]
+    code, out, _ = run(command + ["--workers", "1"] + extra, capsys)
+    assert code == 0
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["-0.5", "0.5"]
 
 
 @pytest.mark.parametrize("config_args,message", [

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mtchan import systems
 from mtchan.power import System
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
-                            _bracket, _brent, _density_gap, _solve_gap,
+                            _bracket, _brent, _density_gap,
                             ber_analytic, ber_monte_carlo, cond_pdf, detect,
                             llr, ml_threshold, scheme_for_gsnr,
                             simulate_transmission, system_c_component_scales)
@@ -358,8 +359,8 @@ def test_threshold_bracket_scan(system, beta):
         c = s.noise.c
         d = s.delta / c
         lo, hi = _bracket(s, d)
-        if lo != hi:
-            assert _solve_gap(s, lo, hi, d) == optimize.brentq(
+        if lo != hi and _density_gap(s, lo, d) > 0.0 > _density_gap(s, hi, d):
+            assert th == c * optimize.brentq(
                 lambda u: _density_gap(s, u, d), lo, hi,
                 xtol=1e-12 * max(d, 1.0), rtol=BRENTQ_RTOL), db
         h = 2.0 * c * 1e-12 * max(d, 1.0) + 8.0 * math.ulp(th)
@@ -381,14 +382,15 @@ def test_threshold_bracket_scan(system, beta):
 ])
 def test_brent_port_matches_scipy_brentq_edge_cases(f, lo, hi, xtol, error):
     optimize = pytest.importorskip("scipy.optimize")
+    # the port takes the end values from its caller; brentq computes them
     if error is None:
-        assert _brent(f, lo, hi, xtol, BRENTQ_RTOL) == optimize.brentq(
-            f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
+        assert _brent(f, lo, hi, f(lo), f(hi), xtol, BRENTQ_RTOL) == \
+            optimize.brentq(f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
         return
     with pytest.raises(error) as oracle:
         optimize.brentq(f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
     with pytest.raises(error) as port:
-        _brent(f, lo, hi, xtol, BRENTQ_RTOL)
+        _brent(f, lo, hi, f(lo), f(hi), xtol, BRENTQ_RTOL)
     assert str(port.value) == str(oracle.value)
 
 
@@ -404,3 +406,36 @@ def test_threshold_c_tiny_d_takes_the_midpoint():
     lo, hi = _bracket(s, d)
     assert _density_gap(s, lo, d) < 0.0 and _density_gap(s, hi, d) < 0.0
     assert ml_threshold(s).threshold == 0.0
+    # where the gap is exactly 0 at a bracket end, that end (u = +/-1, a
+    # threshold of +/-c) is no root either: the midpoint rule holds there too
+    for beta in (0.25, -0.25, 0.5, -0.5, 0.75, 0.95, -0.95, 0.999):
+        for db in np.linspace(-345.0, -300.0, 91):
+            s = scheme_for_gsnr(System.C, 1.0, 10.0 ** (db / 10.0), beta)
+            th = ml_threshold(s).threshold
+            assert abs(th) != s.noise.c, (beta, db)
+            assert abs(ber_analytic(s) - 0.5) <= 1e-13, (beta, db)
+
+
+@pytest.mark.parametrize("system,beta", [
+    ("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.5), ("C", 0.0)])
+def test_bracket_evaluates_no_density(system, beta, monkeypatch):
+    def no_density(*args):
+        raise AssertionError("density evaluated")
+    monkeypatch.setattr(systems, "std_pdf", no_density)
+    for db in (-340.0, -60.0, 0.0, 300.0):
+        s = scheme_for_gsnr(System(system), 1.0, 10.0 ** (db / 10.0), beta)
+        lo, hi = _bracket(s, s.delta / s.noise.c)
+        assert lo <= hi
+
+
+@pytest.mark.parametrize("ends", [(math.nan, math.nan), (math.nan, 1.0),
+                                  (-1.0, math.nan)])
+def test_threshold_nan_gap_raises(ends, monkeypatch):
+    # a NaN gap at either end must reach the solver and raise, never fall
+    # into the midpoint rule that takes two ends of one sign
+    for s in (make("A"), make("B"), make("C", beta=0.5)):
+        lo, hi = _bracket(s, s.delta / s.noise.c)
+        monkeypatch.setattr(systems, "_density_gap",
+                            lambda scheme, u, d: ends[0] if u == lo else ends[1])
+        with pytest.raises(ValueError, match="NaN"):
+            ml_threshold(s)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .power import System, geometric_power, noise_beta
 from .stable import StableParams, cdf, pdf
-from .systems import (BerRecord, ber_analytic, ber_monte_carlo, ml_threshold,
-                      scheme_for_gsnr)
+from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, ber_monte_carlo,
+                      ml_threshold, scheme_for_gsnr)
 from . import plotting
 
 #: env var overriding the worker-pool size
@@ -141,8 +141,29 @@ def _resolve_workers(args) -> int:
     return workers
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
+
+
+# (test, what it asks) for flag values; NaN fails every test
+_SKEW = (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_FINITE = (math.isfinite, "finite")
+_MC_BITS = (lambda n: n == 0 or n >= MC_MIN_BITS, f"0 or >= {MC_MIN_BITS}")
+
+
+def _require(flag: str, values, check) -> None:
+    # checked up front, so that bad input names the flag it came from
+    ok, need = check
+    for v in values:
+        if not ok(v):
+            raise ValueError(f"{flag} must be {need}, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +171,12 @@ def _float_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_table1(args) -> int:
-    betas = _float_list(args.betas)
-    deltas = _float_list(args.deltas)
+    betas = _float_list(args.betas, "--betas")
+    deltas = _float_list(args.deltas, "--deltas")
+    _require("--betas", betas, _SKEW)
+    _require("--deltas", deltas, _POSITIVE)
+    _require("--gsnr", [args.gsnr], _POSITIVE)
+    _require("--mc-samples", [args.mc_samples], _MC_BITS)
     points = [(System.C, b, d, args.gsnr) for b in betas for d in deltas]
     records = _compute_grid(points, args.mc_samples, args.seed,
                             _resolve_workers(args))
@@ -179,9 +204,12 @@ def cmd_table1(args) -> int:
 
 
 def _sweep_grid(args) -> list[float]:
-    if args.gsnr_list:
-        return _float_list(args.gsnr_list)
+    if args.gsnr_list is not None:
+        gsnrs = _float_list(args.gsnr_list, "--gsnr-list")
+        _require("--gsnr-list", gsnrs, _POSITIVE)
+        return gsnrs
     db = args.gsnr_db
+    _require("--gsnr-db", db, _FINITE)
     if len(db) > 2:
         raise ValueError(f"--gsnr-db takes one or two values, got {len(db)}")
     start, stop = db[0], db[-1]
@@ -193,16 +221,26 @@ def _sweep_grid(args) -> list[float]:
     else:
         dbs = list(np.linspace(start, stop, points))
     try:
-        return [10.0 ** (v / 10.0) for v in dbs]
+        gsnrs = [10.0 ** (v / 10.0) for v in dbs]
     except OverflowError:
         raise ValueError(f"--gsnr-db {max(dbs):g} exceeds the floating-point "
                          "range") from None
+    if gsnrs[0] == 0.0 or gsnrs[-1] == 0.0:
+        raise ValueError(f"--gsnr-db {min(dbs):g} is below the floating-point "
+                         "range")
+    return gsnrs
 
 
 def cmd_sweep(args) -> int:
     gsnrs = _sweep_grid(args)
-    systems_sel = [System(s.strip()) for s in args.systems.split(",") if s.strip()]
-    betas_c = _float_list(args.betas)
+    names = [s.strip() for s in args.systems.split(",") if s.strip()]
+    if not names or not set(names) <= set(System.__members__):
+        raise ValueError(f"--systems must be a list of A, B, C, got {args.systems!r}")
+    systems_sel = [System(name) for name in names]
+    betas_c = _float_list(args.betas, "--betas")
+    _require("--betas", betas_c, _SKEW)
+    _require("--delta", [args.delta], _POSITIVE)
+    _require("--mc-samples", [args.mc_samples], _MC_BITS)
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
     points = [(system, beta, args.delta, gsnr) for system, beta in curves
@@ -226,8 +264,8 @@ def cmd_validate(args) -> int:
     # imported here so sweeps skip scipy.stats and scipy.interpolate
     from . import validate
     _resolve_workers(args)  # checked as for sweeps; validate runs in-process
-    if args.mc_samples < 10_000:
-        raise ValueError("--mc-samples must be >= 10000")
+    if args.mc_samples < MC_MIN_BITS:
+        raise ValueError(f"--mc-samples must be >= {MC_MIN_BITS}")
     results = validate.run_all(mc_samples=args.mc_samples, seed=args.seed,
                                tol=args.tol)
     n_fail = 0

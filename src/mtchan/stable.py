@@ -14,12 +14,12 @@ every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
   * alpha = 1/2, |beta| = 1: the one-sided Levy law.
   * alpha = 1/2, |beta| < 1: substituting t = s^2 in the inversion integral
     gives f(x) = (1/pi) * Re[(1 - B*I0)/A] with A = j*x, B = 1 - j*beta and
-    I0 = sqrt(pi)/(2*sqrt(A)) * w(j*B/(2*sqrt(A))), w the Faddeeva function
-    (scipy.special.wofz; Weideman 1994).  A short expansion about x = 0
-    replaces it where it cancels.  The CDF is a fixed 64-node
-    Gauss-Legendre rule over that density: F(0) + x*Int_0^1 f(x*tau) dtau
-    for |x| < 1, and the tail mass Int_0^1 f(x/tau^2)*2|x|/tau^3 dtau, whose
-    integrand is smooth in tau, beyond.
+    I0 = sqrt(pi)/(2*sqrt(A)) * w(z), z = j*B/(2*sqrt(A)), w the Faddeeva
+    function; that is f(x) = Re(z*w(z))/(sqrt(pi)*x).  The CDF integrates it
+    in closed form: the mass beyond x is +/-(2/sqrt(pi)) * Re Int_0^z w.
+    w and its integral are computed here, from a Taylor series, Weideman's
+    (1994) rational form and the Laplace expansion, each on its own annulus
+    of |z|.
 
 Every other (alpha, beta) pair is handled by numerical inversion of the
 characteristic function (Nolan 1997), which also serves as the oracle for
@@ -34,21 +34,19 @@ the closed forms:
 Target absolute tolerance for both is 1e-10; failure to converge raises
 QuadratureError carrying the achieved error bound.
 
-Only numpy and scipy.special load with this module: the closed forms need
-nothing more, and scipy.integrate is imported on the first numerical
-inversion.
+Only numpy loads with this module: the closed forms need nothing more, and
+scipy.integrate is imported on the first numerical inversion.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 EULER_GAMMA = 0.5772156649015329
 #: exp(Euler's gamma), the constant underlying geometric power.
@@ -58,8 +56,7 @@ G_GAMMA = math.exp(EULER_GAMMA)
 NUMERIC_TOL = 1e-10
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# pi / (sqrt(pi)/2): folds I0's prefactor into the density's 1/pi
-_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 class QuadratureError(RuntimeError):
@@ -148,71 +145,174 @@ def _levy_std_pdf(x: float) -> float:
 def _levy_std_cdf(x: float) -> float:
     if x <= 0.0:
         return 0.0
-    return float(special.erfc(math.sqrt(0.5 / x)))
+    return math.erfc(math.sqrt(0.5 / x))
 
 
-#: below this |x| the alpha = 1/2 closed form loses digits to cancellation
-#: and its expansion about 0 takes over
-_HALF_SERIES_EDGE = 1e-3
-_HALF_SERIES_TERMS = 10
+# ---------------------------------------------------------------------------
+# Faddeeva function
+# ---------------------------------------------------------------------------
+# On Im z > 0 the alpha = 1/2 law needs z*w(z) for its density and the
+# integral W(z) = Int_0^z w for its CDF, w(z) = exp(-z^2)*erfc(-iz) the
+# Faddeeva function.  Three expansions cover that half plane, each exact to
+# working precision on its annulus of |z|, and each integrates in closed form:
+#
+#   |z| < 1       the Taylor series w = sum_n (iz)^n / Gamma(n/2 + 1), whose
+#                 even terms sum to exp(-z^2);
+#   1 <= |z| < 7  Weideman's (1994) rational form in Z = (L + iz)/(L - iz),
+#                 w = 2*p(Z)/(L - iz)^2 + 1/(sqrt(pi)*(L - iz)), 40 terms;
+#   |z| >= 7      the Laplace expansion, the series the Laplace continued
+#                 fraction (Poppe & Wijers 1990) sums,
+#                 z*w = (i/sqrt(pi)) * (1 + sum_{k>=1} (2k-1)!!/(2z^2)^k),
+#                 W = C + (i/sqrt(pi)) * (log z - sum_{k>=1} (2k-1)!!/(2k*(2z^2)^k))
+#                 with C = sqrt(pi)/2 + i*(gamma/2 + log 2)/sqrt(pi).  Its
+#                 k >= 1 part is summed apart from the leading term, so that
+#                 Re(z*w), which that term does not reach, never cancels.
+#
+# The series keep only the terms their |argument| needs, down to 2^-53: at
+# the default sweep's median |z| of 0.3, ten terms for z*w.
 
-#: 64-node Gauss-Legendre rule on (0, 1) for the alpha = 1/2 CDF
-_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(64)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_gl_nodes + 1.0), 0.5 * _gl_weights
-_GL_NODES_SQ = _GL_NODES ** 2
-_GL_TAIL_JACOBIAN = 2.0 * _GL_WEIGHTS / _GL_NODES ** 3
-
-
-@functools.lru_cache(maxsize=None)
-def _half_series(beta: float) -> tuple[float, ...]:
-    # f(x) = (2/pi) * Re sum_n (-j*x)^n * (2n+1)!/n! / B^(2n+2), an
-    # asymptotic series whose terms shrink by ~4n|x| each; highest power first
-    b = 1.0 - 1j * beta
-    coeffs = [(2.0 / math.pi)
-              * ((-1j) ** n * (math.factorial(2 * n + 1) / math.factorial(n))
-                 / b ** (2 * n + 2)).real
-              for n in range(_HALF_SERIES_TERMS)]
-    # f(0) exactly
-    coeffs[0] = (2.0 / math.pi) * (1.0 - beta * beta) / (1.0 + beta * beta) ** 2
-    return tuple(reversed(coeffs))
-
-
-def _half_closed(beta: float, x):
-    # (1/pi) Re[(1 - B*I0)/A] = -Im(B*I0)/(pi*x); x nonzero, scalar or array
-    b = 1.0 - 1j * beta
-    root = np.sqrt(1j * x)
-    return -(b * special.wofz(0.5j * b / root) / root).imag / (_TWO_SQRT_PI * x)
+#: |z| where each expansion hands over to the next
+_W_TAYLOR_EDGE, _W_LAPLACE_EDGE = 1.0, 7.0
 
 
-def _half_pdf(beta: float, x):
-    """Density of S(0, 1, 1/2, beta), |beta| < 1, at a float or an array."""
-    if np.ndim(x) == 0:
-        if abs(x) < _HALF_SERIES_EDGE:
-            return _horner(_half_series(beta), x)
-        return float(_half_closed(beta, x))
-    small = np.abs(x) < _HALF_SERIES_EDGE
-    if not small.any():
-        return _half_closed(beta, x)
-    return np.where(small, _horner(_half_series(beta), x),
-                    _half_closed(beta, np.where(small, 1.0, x)))
+def _truncated(coeffs):
+    # (radii, polys): polys[i] holds the fewest leading terms of
+    # sum coeffs[n]*t^n, highest power first, whose first dropped term is
+    # below 2^-53 for |t| <= radii[i]
+    radii, polys = [], []
+    for n in range(1, len(coeffs)):
+        radii.append((2.0 ** -53 / coeffs[n]) ** (1.0 / n))
+        polys.append(tuple(reversed(coeffs[:n])))
+    return radii, polys
+
+
+def _horner(coeffs, t: complex) -> complex:
+    # sum of coeffs[k] * t^(n-1-k)
+    acc = 0.0
+    for a in coeffs:
+        acc = acc * t + a
+    return acc
+
+
+def _series(truncated, t: complex) -> complex:
+    # the truncated series at t, with as many terms as |t| needs
+    radii, polys = truncated
+    return _horner(polys[bisect.bisect_left(radii, abs(t))], t)
+
+
+def _weideman_coeffs(n: int) -> tuple[float, tuple[float, ...]]:
+    # Weideman (1994), eq. (3.13) and his Matlab listing: the scale L and the
+    # n coefficients of p, highest power first
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, tuple(float(v) for v in a[n:0:-1])
+
+
+_W_SCALE, _W_WEIDEMAN = _weideman_coeffs(40)
+# dZ = 2iL dz/(L - iz)^2, so with P = Int_0^Z p (highest power first):
+# W(z) = (P(Z) - P(1))/(iL) + (i/sqrt(pi))*log((L - iz)/L)
+_W_WEIDEMAN_INT = tuple(a / (len(_W_WEIDEMAN) - k)
+                        for k, a in enumerate(_W_WEIDEMAN)) + (0.0,)
+_W_WEIDEMAN_INT_AT_1 = math.fsum(_W_WEIDEMAN_INT)
+
+# the odd Taylor terms: w = exp(u) + iz * sum_k u^k / Gamma(k + 3/2), u = -z^2
+_W_TAYLOR_ODD = _truncated([1.0 / math.gamma(k + 1.5) for k in range(20)])
+_W_TAYLOR_INT = _truncated([1.0 / (math.gamma(n / 2.0 + 1.0) * (n + 1))
+                            for n in range(40)])
+# (2k+1)!!, k = 0, 1, ...
+_DOUBLE_FACTORIALS = [float(math.prod(range(1, 2 * k + 2, 2))) for k in range(25)]
+_W_LAPLACE = _truncated(_DOUBLE_FACTORIALS)
+_W_LAPLACE_INT = _truncated([v / (2 * k + 2)
+                             for k, v in enumerate(_DOUBLE_FACTORIALS)])
+_W_LAPLACE_INT_CONST = complex(0.5 * _SQRT_PI,
+                               (0.5 * EULER_GAMMA + math.log(2.0)) / _SQRT_PI)
+
+
+def _zw_taylor(z: complex) -> complex:
+    u = -z * z
+    return z * cmath.exp(u) - 1j * u * _series(_W_TAYLOR_ODD, u)
+
+
+def _zw_weideman(z: complex) -> complex:
+    d = _W_SCALE - 1j * z
+    p = _horner(_W_WEIDEMAN, (_W_SCALE + 1j * z) / d)
+    return z * ((2.0 * p / d + 1.0 / _SQRT_PI) / d)
+
+
+def _zw_laplace(z: complex) -> complex:
+    s = 0.5 / (z * z)
+    return (1j / _SQRT_PI) * (1.0 + s * _series(_W_LAPLACE, s))
+
+
+def _int_taylor(z: complex) -> complex:
+    return z * _series(_W_TAYLOR_INT, 1j * z)
+
+
+def _int_weideman(z: complex) -> complex:
+    d = _W_SCALE - 1j * z
+    big_p = _horner(_W_WEIDEMAN_INT, (_W_SCALE + 1j * z) / d)
+    return ((big_p - _W_WEIDEMAN_INT_AT_1) / (1j * _W_SCALE)
+            + (1j / _SQRT_PI) * cmath.log(d / _W_SCALE))
+
+
+def _int_laplace(z: complex) -> complex:
+    s = 0.5 / (z * z)
+    return _W_LAPLACE_INT_CONST + (1j / _SQRT_PI) * (
+        cmath.log(z) - s * _series(_W_LAPLACE_INT, s))
+
+
+def _zw(z: complex) -> complex:
+    """z*w(z), w the Faddeeva function, for Im z > 0."""
+    r = abs(z)
+    if r < _W_TAYLOR_EDGE:
+        return _zw_taylor(z)
+    return _zw_weideman(z) if r < _W_LAPLACE_EDGE else _zw_laplace(z)
+
+
+def _w_integral(z: complex) -> complex:
+    """Int_0^z w, w the Faddeeva function, for Im z > 0."""
+    r = abs(z)
+    if r < _W_TAYLOR_EDGE:
+        return _int_taylor(z)
+    return _int_weideman(z) if r < _W_LAPLACE_EDGE else _int_laplace(z)
+
+
+# ---------------------------------------------------------------------------
+# alpha = 1/2, |beta| < 1: both closed forms in z = (i/2)*(1 - i*beta)/sqrt(i*x),
+# which has Im z > 0 for x != 0
+# ---------------------------------------------------------------------------
+
+#: the smallest normal float: below it z*z overflows, and f(x) and F(x)
+#: equal f(0) and F(0) to double precision
+_HALF_TINY = 2.0 ** -1022
+
+def _half_pdf(beta: float, x: float) -> float:
+    """Density of S(0, 1, 1/2, beta), |beta| < 1.
+
+    f(x) = Re(z*w(z)) / (sqrt(pi)*x) for x != 0, and
+    f(0) = (2/pi)*(1 - beta^2)/(1 + beta^2)^2 exactly.
+    """
+    if abs(x) < _HALF_TINY:
+        return (2.0 / math.pi) * (1.0 - beta * beta) / (1.0 + beta * beta) ** 2
+    z = 0.5j * (1.0 - 1j * beta) / cmath.sqrt(1j * x)
+    return _zw(z).real / (_SQRT_PI * x)
 
 
 def _half_cdf(beta: float, x: float) -> float:
-    if abs(x) < 1.0:
-        f0 = 0.5 - (2.0 / math.pi) * math.atan(beta)
-        value = f0 + x * float(_GL_WEIGHTS @ _half_pdf(beta, x * _GL_NODES))
-    else:
-        # mass beyond x, with t = x/tau^2
-        mass = abs(x) * float(_GL_TAIL_JACOBIAN @ _half_pdf(beta, x / _GL_NODES_SQ))
-        value = 1.0 - mass if x > 0.0 else mass
-    return min(max(value, 0.0), 1.0)
+    """CDF of S(0, 1, 1/2, beta), |beta| < 1.
 
-
-def _horner(coeffs, x):
-    acc = 0.0
-    for a in coeffs:
-        acc = acc * x + a
-    return acc
+    As t runs from x to +/-inf, z runs from z(x) to 0 and
+    f(t) dt = -(2/sqrt(pi)) * Re(w(z) dz), so the mass beyond x on its side
+    is +/-(2/sqrt(pi)) * Re W(z(x)); F(0) = 1/2 - (2/pi)*atan(beta).
+    """
+    if abs(x) < _HALF_TINY:
+        return 0.5 - (2.0 / math.pi) * math.atan(beta)
+    z = 0.5j * (1.0 - 1j * beta) / cmath.sqrt(1j * x)
+    mass = (2.0 / _SQRT_PI) * _w_integral(z).real
+    return min(max(1.0 - mass if x > 0.0 else -mass, 0.0), 1.0)
 
 
 def _gauss_std_pdf(x: float) -> float:
@@ -221,7 +321,7 @@ def _gauss_std_pdf(x: float) -> float:
 
 
 def _gauss_std_cdf(x: float) -> float:
-    return 0.5 * float(special.erfc(-0.5 * x))
+    return 0.5 * math.erfc(-0.5 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +503,8 @@ def _standard_levy(rng: np.random.Generator, n: int,
     if scale == 0.0:
         return np.zeros(n)
     z = rng.standard_normal(n)
-    return scale / (z * z)
+    np.multiply(z, z, out=z)
+    return np.divide(scale, z, out=z)
 
 
 def _standard_sample(alpha: float, beta: float, n: int,

@@ -274,6 +274,29 @@ def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
     return (root * (1.0 + beta) / 2.0) ** 2, (root * (1.0 - beta) / 2.0) ** 2
 
 
+def _transmit(scheme: BinaryScheme, n_bits: int,
+              seed) -> tuple[np.ndarray, np.ndarray]:
+    # (bits, observations); the draws come in a fixed order, the bits and
+    # then each Levy delay, and y = sent + t1 - t2 is summed in place
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, n_bits)
+    c = scheme.noise.c
+    if scheme.system is System.A:
+        first, second = c, None
+    elif scheme.system is System.B:
+        # two indistinguishable first arrivals, each Levy with c_B/4
+        first = second = c / 4.0
+    else:
+        first, second = system_c_component_scales(c, scheme.noise.beta)
+    y = _standard_levy(rng, n_bits, first)
+    y += np.take(scheme.symbols, bits)
+    if second is not None:
+        y -= _standard_levy(rng, n_bits, second)
+    if scheme.system is System.B:
+        np.abs(y, out=y)
+    return bits, y
+
+
 def simulate_transmission(scheme: BinaryScheme, n_bits: int,
                           seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw equiprobable symbols and push them through the physical channel.
@@ -282,33 +305,22 @@ def simulate_transmission(scheme: BinaryScheme, n_bits: int,
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    rng = np.random.default_rng(seed)
-    low, high = scheme.symbols
-    sent = np.where(rng.integers(0, 2, n_bits) == 0, low, high)
-    c = scheme.noise.c
-    if scheme.system is System.A:
-        y = sent + _standard_levy(rng, n_bits, c)
-    elif scheme.system is System.B:
-        # two indistinguishable first arrivals, each Levy with c_B/4
-        t1 = _standard_levy(rng, n_bits, c / 4.0)
-        t2 = _standard_levy(rng, n_bits, c / 4.0)
-        y = np.abs(sent + t1 - t2)
-    else:
-        c_pos, c_neg = system_c_component_scales(c, scheme.noise.beta)
-        t_pos = _standard_levy(rng, n_bits, c_pos)
-        t_neg = _standard_levy(rng, n_bits, c_neg)
-        y = sent + t_pos - t_neg
-    return sent, y
+    bits, y = _transmit(scheme, n_bits, seed)
+    return np.take(scheme.symbols, bits), y
+
+
+#: fewest bits ber_monte_carlo draws
+MC_MIN_BITS = 10_000
 
 
 def ber_monte_carlo(scheme: BinaryScheme, n_bits: int, seed,
                     state: DetectorState | None = None) -> tuple[float, float]:
     """Empirical BER and its binomial standard error."""
-    if n_bits < 10_000:
-        raise ValueError(f"n_bits must be >= 10^4, got {n_bits}")
+    if n_bits < MC_MIN_BITS:
+        raise ValueError(f"n_bits must be >= {MC_MIN_BITS}, got {n_bits}")
     if state is None:
         state = ml_threshold(scheme)
-    sent, y = simulate_transmission(scheme, n_bits, seed)
-    decided = np.where(y <= state.threshold, state.low_symbol, state.high_symbol)
-    p = float(np.mean(decided != sent))
+    bits, y = _transmit(scheme, n_bits, seed)
+    # an error decides low (y <= threshold) where high was sent, or the reverse
+    p = int(np.count_nonzero((y <= state.threshold) != (bits == 0))) / n_bits
     return p, math.sqrt(p * (1.0 - p) / n_bits)

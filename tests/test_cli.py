@@ -165,6 +165,36 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     assert "--gsnr-db takes one or two values, got 3" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--gsnr-db", "nan", "--points", "1"], "--gsnr-db must be finite"),
+    (["sweep", "--gsnr-db", "inf", "--points", "1"], "--gsnr-db must be finite"),
+    (["sweep", "--gsnr-db=-4000", "--points", "1"],
+     "--gsnr-db -4000 is below the floating-point range"),
+    (["sweep", "--gsnr-list", "nan"], "--gsnr-list must be finite and > 0"),
+    (["sweep", "--gsnr-list", "inf"], "--gsnr-list must be finite and > 0"),
+    (["sweep", "--gsnr-list", "1,0"], "--gsnr-list must be finite and > 0"),
+    (["sweep", "--gsnr-list", ","], "--gsnr-list needs at least one value"),
+    (["sweep", "--delta", "nan", "--points", "1"], "--delta must be finite and > 0"),
+    (["sweep", "--delta", "0", "--points", "1"], "--delta must be finite and > 0"),
+    (["sweep", "--betas", "nan", "--points", "1"], "--betas must be in [-1, 1]"),
+    (["sweep", "--betas", "0,x", "--points", "1"], "--betas takes comma-separated"),
+    (["sweep", "--mc-samples", "5", "--points", "1"],
+     "--mc-samples must be 0 or >= 10000"),
+    (["sweep", "--systems", ","], "--systems must be a list of A, B, C"),
+    (["sweep", "--systems", "A,D"], "--systems must be a list of A, B, C"),
+    (["table1", "--gsnr", "nan"], "--gsnr must be finite and > 0"),
+    (["table1", "--deltas", "5,inf"], "--deltas must be finite and > 0"),
+    (["table1", "--betas", ","], "--betas needs at least one value"),
+    (["table1", "--mc-samples", "5"], "--mc-samples must be 0 or >= 10000"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_grid_input_names_its_flag(argv, message, capsys):
+    # checked before any point is computed: exit 2, nothing on stdout
+    code, out, err = run(argv + ["--workers", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_system_c_at_tiny_delta(capsys):
     # d = delta/c ~ 8e-17: the density gap is rounding noise at both ends
     code, out, _ = run(["sweep", "--systems", "C", "--betas", "0.95",
@@ -324,29 +354,35 @@ def test_validate_accepts_a_worker_count(capsys):
 
 
 def test_import_cli_skips_validate_dependencies():
-    # sweeps and table1 need numpy and scipy.special only: neither the
-    # import nor a run loads the solver, quadrature or validate modules
+    # sweeps, table1, and dist and geopower at alpha 1/2, 1 and 2 need
+    # numpy alone: neither the import nor a run loads any part of scipy
     import os
     import subprocess
     import sys
+    runs = [["sweep", "--points", "4", "--workers", "1"],
+            ["table1", "--workers", "1"],
+            ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "0.7"],
+            ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "-2",
+             "--what", "cdf"],
+            ["dist", "--alpha", "0.5", "--beta", "1", "--x", "0.7"],
+            ["dist", "--alpha", "1", "--beta", "0", "--x", "0.7"],
+            ["dist", "--alpha", "2", "--beta", "0", "--x", "0.7",
+             "--what", "cdf"],
+            ["geopower", "--alpha", "0.5", "--beta", "0.3"],
+            ["geopower", "--alpha", "2", "--beta", "0"]]
     code = (
         "import contextlib, io, sys, mtchan.cli\n"
-        "heavy = ('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
-        "'scipy.interpolate')\n"
-        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "loaded = lambda: [m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert mtchan.cli.main(['sweep', '--points', '4', "
-        "'--workers', '1']) == 0\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert mtchan.cli.main(['table1', '--workers', '1']) == 0\n"
-        "print(loaded())\n")
+        "        assert mtchan.cli.main(argv) == 0, argv\n"
+        "    print(loaded())\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "[]", "[]"]
+    assert out.splitlines() == ["[]"] * (1 + len(runs))

@@ -6,9 +6,11 @@ import pytest
 from scipy import integrate
 
 from mtchan.stable import (G_GAMMA, NUMERIC_TOL, StableParams, StandardStable,
-                           _cdf_numeric, _levy_std_cdf, _levy_std_pdf,
-                           _pdf_numeric, cdf, char_fn, pdf, sample, std_cdf,
-                           std_pdf, tail_coefficient)
+                           _W_LAPLACE_EDGE, _W_TAYLOR_EDGE, _cdf_numeric,
+                           _int_laplace, _int_taylor, _int_weideman,
+                           _levy_std_cdf, _levy_std_pdf, _pdf_numeric, _zw,
+                           _zw_laplace, _zw_taylor, _zw_weideman, cdf, char_fn,
+                           pdf, sample, std_cdf, std_pdf, tail_coefficient)
 
 LEVY = StandardStable(0.5, 1.0)
 SYM_HALF = StandardStable(0.5, 0.0)
@@ -79,9 +81,10 @@ def test_levy_support():
 
 
 def test_levy_cdf_example():
-    from scipy.special import erfc
-    assert std_cdf(LEVY, 1.0) == pytest.approx(float(erfc(math.sqrt(0.5))),
+    assert std_cdf(LEVY, 1.0) == pytest.approx(math.erfc(math.sqrt(0.5)),
                                                abs=1e-15)
+    for x in (1e-3, 0.2, 7.0, 1e6):
+        assert std_cdf(LEVY, x) == math.erfc(math.sqrt(0.5 / x))
 
 
 def test_negative_levy_reflection():
@@ -98,6 +101,8 @@ def test_cauchy_and_gauss():
     assert std_pdf(GAUSS, 0.0) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)),
                                                 abs=1e-15)
     assert std_cdf(GAUSS, 0.0) == pytest.approx(0.5, abs=1e-15)
+    for x in (-9.0, -1.5, 0.3, 4.0):
+        assert std_cdf(GAUSS, x) == 0.5 * math.erfc(-0.5 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,14 @@ def test_numeric_cdf_matches_levy():
 
 def test_symmetric_pdf_at_zero():
     assert std_pdf(SYM_HALF, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("x", (5e-324, -5e-324, 1e-310, -2.0 ** -1023))
+def test_half_closed_forms_at_subnormal_x(x):
+    # f and F move by ~|x| from their values at 0, far below double precision
+    s = StandardStable(0.5, 0.3)
+    assert std_pdf(s, x) == std_pdf(s, 0.0)
+    assert std_cdf(s, x) == std_cdf(s, 0.0)
 
 
 def test_pdf_reflection_numeric():
@@ -329,11 +342,33 @@ def test_half_pdf_far_tail_vs_mpmath(mp, beta, x):
     assert std_pdf(StandardStable(0.5, beta), x) == pytest.approx(ref, rel=1e-10)
 
 
-def test_half_pdf_scalar_and_array_agree():
-    from mtchan.stable import _half_pdf
-    xs = np.array([-3e4, -2.0, -1e-3, -5e-4, 0.0, 2e-4, 0.999e-3, 0.7, 1e5])
-    for beta in (0.0, 0.6, -0.9):
-        vec = _half_pdf(beta, xs)
-        assert vec == pytest.approx([_half_pdf(beta, float(x)) for x in xs],
-                                    rel=1e-15)
+# ---------------------------------------------------------------------------
+# the Faddeeva function behind the alpha = 1/2 closed forms
+# ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("beta", HALF_BETAS + (0.999, -0.999))
+def test_faddeeva_matches_wofz(beta):
+    # w on the density's arguments z = b/sqrt(i*x), b = (i/2)*(1 - i*beta),
+    # with x just either side of every branch edge |z| = e, x = (|b|/e)^2
+    from scipy.special import wofz  # a test-time oracle only
+    b = 0.5j * (1.0 - 1j * beta)
+    edges = [(abs(b) / (e * f)) ** 2 for e in (_W_TAYLOR_EDGE, _W_LAPLACE_EDGE)
+             for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    xs = np.concatenate([np.logspace(-9.0, 6.0, 301), edges])
+    for x in np.concatenate([xs, -xs]):
+        z = b / cmath.sqrt(1j * x)
+        assert _zw(z) / z == pytest.approx(complex(wofz(z)), rel=1e-13), x
+
+
+@pytest.mark.parametrize("edge,inner,outer", [
+    (_W_TAYLOR_EDGE, (_zw_taylor, _int_taylor), (_zw_weideman, _int_weideman)),
+    (_W_LAPLACE_EDGE, (_zw_weideman, _int_weideman), (_zw_laplace, _int_laplace)),
+], ids=["taylor-weideman", "weideman-laplace"])
+def test_faddeeva_branches_agree_at_their_edges(edge, inner, outer):
+    # both expansions are exact on the edge between them, near the real axis
+    # too: z*w (the density) and Int_0^z w (the CDF, whose Laplace branch
+    # carries a constant of integration) hand over without a step
+    for phase in np.linspace(1e-3, math.pi - 1e-3, 61):
+        z = edge * cmath.exp(1j * phase)
+        assert inner[0](z) == pytest.approx(outer[0](z), rel=1e-14, abs=0.0)
+        assert inner[1](z) == pytest.approx(outer[1](z), rel=0.0, abs=1e-15)

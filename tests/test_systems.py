@@ -292,6 +292,21 @@ def test_monte_carlo_stream_unchanged(system, beta, expected):
     assert ber_monte_carlo(s, 20_000, 7) == expected
 
 
+@pytest.mark.parametrize("system,beta", [("A", 1.0), ("B", 0.0), ("C", 0.5),
+                                         ("C", -1.0)])
+def test_ber_monte_carlo_matches_the_reference_decisions(system, beta):
+    # the error count equals the reference's decided != sent, and both
+    # results are Python floats, whose repr the CSV prints
+    s = scheme_for_gsnr(System(system), 1.0, 3.0, beta)
+    state = ml_threshold(s)
+    sent, y = simulate_transmission(s, 30_000, 11)
+    decided = np.where(y <= state.threshold, state.low_symbol, state.high_symbol)
+    p_ref = float(np.mean(decided != sent))
+    p, stderr = ber_monte_carlo(s, 30_000, 11, state)
+    assert (p, stderr) == (p_ref, math.sqrt(p_ref * (1.0 - p_ref) / 30_000))
+    assert type(p) is float and type(stderr) is float
+
+
 def test_ber_monte_carlo_minimum_size():
     with pytest.raises(ValueError):
         ber_monte_carlo(make("A"), 9999, 0)
@@ -401,11 +416,18 @@ def test_threshold_c_tiny_d_takes_the_midpoint():
         for db in range(-340, -319):
             s = scheme_for_gsnr(System.C, 1.0, 10.0 ** (db / 10.0), beta)
             assert abs(ber_analytic(s) - 0.5) <= 1e-15, (beta, db)
-    s = scheme_for_gsnr(System.C, 1.0, 10.0 ** -33.2, 0.95)
-    d = s.delta / s.noise.c
-    lo, hi = _bracket(s, d)
-    assert _density_gap(s, lo, d) < 0.0 and _density_gap(s, hi, d) < 0.0
-    assert ml_threshold(s).threshold == 0.0
+    # which points have both ends of one sign is down to rounding, so every
+    # such point on a fine grid is checked, and there must be some
+    shared = 0
+    for beta in (0.95, 0.75, -0.95):
+        for db in np.arange(-340.0, -300.0, 0.1):
+            s = scheme_for_gsnr(System.C, 1.0, 10.0 ** (db / 10.0), beta)
+            d = s.delta / s.noise.c
+            g_lo, g_hi = (_density_gap(s, u, d) for u in _bracket(s, d))
+            if g_lo * g_hi > 0.0:
+                shared += 1
+                assert ml_threshold(s).threshold == 0.0, (beta, db)
+    assert shared > 0
     # where the gap is exactly 0 at a bracket end, that end (u = +/-1, a
     # threshold of +/-c) is no root either: the midpoint rule holds there too
     for beta in (0.25, -0.25, 0.5, -0.5, 0.75, 0.95, -0.95, 0.999):

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .power import System, geometric_power, noise_beta
-from .stable import StableParams, cdf, pdf
+from .stable import QuadratureError, StableParams, cdf, pdf
 from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, ber_monte_carlo,
                       ml_threshold, scheme_for_gsnr)
 from . import plotting
@@ -304,19 +304,23 @@ _WORKERS_HELP = (f"worker processes (default: {WORKERS_ENV} env var or "
 def _add_common(p: argparse.ArgumentParser,
                 workers_help: str = _WORKERS_HELP) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=None, help=workers_help)
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", help="output file (default: stdout)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse takes a token after a flag for its value only if it is a plain
-    # negative number; no mtchan flag starts with '-' and a digit, so any
-    # such token is a value, e.g. the list in "--betas -0.5,0.5"
+    # negative number; no mtchan flag starts with '-' and a digit or is -inf,
+    # -infinity or -nan, so any such token is a value: "--betas -0.5,0.5"
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="constant-BER table at fixed G-SNR")
     _add_common(p)
+    _add_output(p)
     p.add_argument("--gsnr", type=float, default=TABLE1_GSNR,
                    help="linear G-SNR held constant across the grid "
                         f"(default {TABLE1_GSNR:g}, the reference-table calibration)")
@@ -338,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="BER vs G-SNR sweep")
     _add_common(p)
+    _add_output(p)
     p.add_argument("--systems", default="A,B,C")
     p.add_argument("--betas", default="0,0.25,0.5,0.75,0.95",
                    help="system C skew values")
@@ -402,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

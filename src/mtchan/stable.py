@@ -21,21 +21,17 @@ every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
     (1994) rational form and the Laplace expansion, each on its own annulus
     of |z|.
 
-Every other (alpha, beta) pair is handled by numerical inversion of the
-characteristic function (Nolan 1997), which also serves as the oracle for
-the closed forms:
-
-  * PDF: f(x) = (1/pi) * Int_0^inf exp(-t^alpha) * cos(beta*k*t^alpha - t*x) dt
-    with k = tan(pi*alpha/2), split into cos/sin components so scipy's
-    oscillatory-weight quadrature stays accurate for large |x|.
-  * CDF: Gil-Pelaez inversion,
-    F(x) = 1/2 - (1/pi) * Int_0^inf Im[exp(-j*t*x)*phi(t)] / t dt.
-
-Target absolute tolerance for both is 1e-10; failure to converge raises
-QuadratureError carrying the achieved error bound.
+Every other (alpha, beta) pair is handled by numerical inversion, which also
+serves as the oracle for the closed forms: Nolan's (1997) integral form, one
+finite, non-oscillatory integral over theta in (-theta0, pi/2) for each of
+the density and the mass beyond x, evaluated with scipy's adaptive quadrature
+in a variable that resolves either end of that range down to 1e-300.  Its
+target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
+power-law tails keep their digits; failure to reach it raises QuadratureError
+carrying the achieved relative error bound.
 
 Only numpy loads with this module: the closed forms need nothing more, and
-scipy.integrate is imported on the first numerical inversion.
+scipy.integrate and scipy.optimize load on the first numerical inversion.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ EULER_GAMMA = 0.5772156649015329
 #: exp(Euler's gamma), the constant underlying geometric power.
 G_GAMMA = math.exp(EULER_GAMMA)
 
-#: target absolute tolerance of the numerical inversion routines
+#: target relative error of the numerical inversion
 NUMERIC_TOL = 1e-10
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -63,11 +59,12 @@ class QuadratureError(RuntimeError):
     """Numerical inversion did not reach the requested accuracy.
 
     Attributes:
-        achieved: the error bound the quadrature actually reached.
+        achieved: the relative error bound the quadrature actually reached.
     """
 
     def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error bound {achieved:.3e})")
+        super().__init__(f"{message} (achieved relative error bound "
+                         f"{achieved:.3e})")
         self.achieved = achieved
 
 
@@ -325,8 +322,24 @@ def _gauss_std_cdf(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numerical inversion
+# numerical inversion: Nolan's (1997) integral over theta
 # ---------------------------------------------------------------------------
+# For x > 0 and alpha != 1, with zeta = beta*tan(pi*alpha/2) and theta0 =
+# atan(zeta)/alpha, Nolan's S0 form at x + zeta is our S1 form at x:
+#   g(theta) = x^(alpha/(alpha-1)) * cos(alpha*theta0)^(1/(alpha-1))
+#              * (cos(theta)/sin(alpha*(theta0+theta)))^(alpha/(alpha-1))
+#              * cos(alpha*theta0 + (alpha-1)*theta)/cos(theta),
+#   f(x) = alpha/(pi*|alpha-1|*x) * Int g*exp(-g),  1 - F(x) = (1/pi) * Int
+#   exp(-g) (alpha > 1) or Int -expm1(-g) (alpha < 1), over -theta0..pi/2.
+# g is monotone from 0 (or a floor, at a light tail) to infinity; the
+# integrands peak near g = 1 (or twice the floor), for large or small x within
+# a hair of an end.  So theta is carried as its distance d = width/(1 + e^|u|)
+# to the nearer end, u its logit, and each factor of g as the sine of an angle
+# that vanishes only there: g keeps its precision down to d ~ 1e-300, and its
+# end power laws become exponentials in u, folded by u = u_peak + sinh(w).
+
+_U_MAX = 700.0  # e^-|u| stays a normal float
+
 
 def _quad(*args, **kwargs):
     # scipy.integrate loads here, on the first numerical inversion, so the
@@ -338,109 +351,89 @@ def _quad(*args, **kwargs):
         return integrate.quad(*args, **kwargs)
 
 
-def _inversion_cutoff(alpha: float) -> float:
-    # |phi(t)| = exp(-t^alpha) < 1e-16 beyond this point
-    return (16.0 * math.log(10.0)) ** (1.0 / alpha)
-
-
-def _pdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
-    k = math.tan(math.pi * alpha / 2.0)
-    upper = _inversion_cutoff(alpha)
-    # far in the tails the oscillatory rule is roundoff-limited; the
-    # guaranteed absolute tolerance degrades linearly with |x| there
-    tol = tol * max(1.0, abs(x) / 10.0)
-
-    if abs(x) * upper <= 30.0:
-        # few oscillations: one plain adaptive pass
-        def integrand(t):
-            ta = t ** alpha
-            return math.exp(-ta) * math.cos(beta * k * ta - t * x)
-
-        val, err = _quad(integrand, 0.0, upper,
-                         epsabs=0.1 * tol, epsrel=1e-13, limit=400)
+def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
+    """f(x) if density, else the mass 1 - F(x) above x; x >= 0, alpha != 1."""
+    if alpha < 1.0 and beta == -1.0:
+        return 0.0  # the support is x <= 0
+    t = -math.tan(math.pi * (1.0 - 0.5 * alpha))  # tan(pi*alpha/2), 0 at alpha = 2
+    # width = pi/2 + theta0 of the range, and the angles lam = pi - width and
+    # kappa = pi - alpha*width, each exactly 0 where the law has a light tail
+    if alpha < 1.0:
+        lam = math.atan2((1.0 - beta) * t, 1.0 + beta * t * t) / alpha
+        width = math.pi - lam
+        kappa = math.pi - alpha * width
     else:
-        # cos(b*k*t^a - t*x) = cos(b*k*t^a)cos(w*t) + s*sin(b*k*t^a)sin(w*t)
-        # with w = |x|, s = sgn(x); the oscillatory factors go to the
-        # infinite-interval Fourier rule, which stays honest where the
-        # finite-interval oscillatory rule silently loses accuracy
-        w, sgn = abs(x), math.copysign(1.0, x)
+        kappa = math.atan2(-(1.0 + beta) * t, 1.0 - beta * t * t)
+        width = (math.pi - kappa) / alpha
+        lam = math.pi - width
+    if x == 0.0:
+        if density:
+            return (math.gamma(1.0 + 1.0 / alpha) * math.sin(lam)
+                    / (math.pi * (1.0 + (beta * t) ** 2) ** (0.5 / alpha)))
+        return width / math.pi
+    r = 1.0 / (alpha - 1.0)
+    c0 = alpha * r * math.log(x) - 0.5 * r * math.log1p((beta * t) ** 2)
 
-        def g_cos(t):
-            ta = t ** alpha
-            return math.exp(-ta) * math.cos(beta * k * ta)
-
-        def g_sin(t):
-            ta = t ** alpha
-            return math.exp(-ta) * math.sin(beta * k * ta)
-
-        v1, e1 = _quad(g_cos, 0.0, np.inf, weight="cos", wvar=w,
-                       epsabs=0.05 * tol, limit=400)
-        if beta != 0.0:
-            v2, e2 = _quad(g_sin, 0.0, np.inf, weight="sin", wvar=w,
-                           epsabs=0.05 * tol, limit=400)
+    def log_g(u):
+        # (log g, dtheta/du) at the theta whose logit is u, |u| <= _U_MAX
+        q = math.exp(-min(abs(u), _U_MAX))
+        d = width * q / (1.0 + q)
+        if u < 0.0:
+            cos_t, sin_a = math.sin(lam + d), math.sin(alpha * d)
+            cos_b = math.sin(lam + (1.0 - alpha) * d)
         else:
-            v2, e2 = 0.0, 0.0
-        val, err = v1 + sgn * v2, e1 + e2
+            cos_t, sin_a = math.sin(d), math.sin(kappa + alpha * d)
+            cos_b = math.sin(kappa + (alpha - 1.0) * d)
+        return (c0 + alpha * r * math.log(cos_t / sin_a)
+                + math.log(cos_b / cos_t), d / (1.0 + q))
 
-    if err / math.pi > tol:
-        raise QuadratureError("PDF inversion did not converge", err / math.pi)
-    return max(val / math.pi, 0.0)
-
-
-def _cdf_numeric(alpha: float, beta: float, x: float, tol: float) -> float:
-    k = math.tan(math.pi * alpha / 2.0)
-    upper = _inversion_cutoff(alpha)
-    tol = tol * max(1.0, abs(x) / 10.0)
-
-    # Im[exp(-j*t*x)*phi(t)] / t = exp(-t^alpha) * sin(beta*k*t^alpha - t*x) / t
-    def integrand(t):
-        ta = t ** alpha
-        return math.exp(-ta) * math.sin(beta * k * ta - t * x) / t
-
-    if abs(x) * upper <= 30.0:
-        v1, e1 = _quad(integrand, 0.0, 1.0,
-                       epsabs=0.1 * tol, epsrel=1e-13, limit=400)
-        v2, e2 = _quad(integrand, 1.0, upper,
-                       epsabs=0.1 * tol, epsrel=1e-13, limit=400)
-        val, err = v1 + v2, e1 + e2
+    from scipy.optimize import brentq
+    # the peak: g = 1, or twice g's floor at its small end (a light tail)
+    target = max(log_g(math.copysign(_U_MAX, alpha - 1.0))[0] + math.log(2.0), 0.0)
+    try:
+        peak = brentq(lambda u: log_g(u)[0] - target, -_U_MAX, _U_MAX, xtol=1e-3)
+    except ValueError:  # x so near 0 or so large that the peak is out of range
+        peak = 0.0
+    if density:
+        kernel = lambda g: g * math.exp(-g)
     else:
-        # plain quadrature absorbs the integrable t^(alpha-1) endpoint over
-        # a segment short enough to hold few oscillations; the remainder
-        # splits as sin(A - t*x) = sin(A)cos(w*t) - s*cos(A)sin(w*t) with
-        # w = |x|, s = sgn(x), the oscillatory factors handled by the
-        # infinite-interval Fourier rule
-        split = min(1.0, 2.0 / abs(x))
-        w, sgn = abs(x), math.copysign(1.0, x)
+        # of exp(-g) and -expm1(-g), which sum to 1, integrate the one that
+        # vanishes at u = 0, where dtheta/du peaks, so its mass is all near
+        # the peak; the other is width minus it
+        use_exp = log_g(0.0)[0] >= 0.0
+        kernel = (lambda g: math.exp(-g)) if use_exp else (lambda g: -math.expm1(-g))
 
-        def h_sin(t):
-            ta = t ** alpha
-            return math.exp(-ta) * math.sin(beta * k * ta) / t
+    def integrand(w):
+        log_gu, jac = log_g(peak + math.sinh(w))  # exp(-g) is 0 past g = e^709
+        return kernel(math.exp(min(log_gu, 709.0))) * jac * math.cosh(w)
 
-        def h_cos(t):
-            ta = t ** alpha
-            return math.exp(-ta) * math.cos(beta * k * ta) / t
+    # away from the peak, w = 0, the integrand falls at least as fast as
+    # exp(-min(1, alpha/(1-alpha))*|u - peak|): reach covers it to 2^-52
+    reach = math.asinh(36.0 * max(1.0, 1.0 / alpha - 1.0))
+    val, err = _quad(integrand, -reach, reach, points=(0.0,), epsabs=0.0,
+                     epsrel=NUMERIC_TOL, limit=200)
+    if err > NUMERIC_TOL * val:
+        raise QuadratureError(f"{'PDF' if density else 'CDF'} inversion did not "
+                              "converge", err / val if val else math.inf)
+    if density:
+        return abs(alpha * r) * val / (math.pi * x)
+    return (val if use_exp == (alpha > 1.0) else width - val) / math.pi
 
-        v0, e0 = _quad(integrand, 0.0, split,
-                       epsabs=0.05 * tol, epsrel=1e-13, limit=400)
-        if beta != 0.0:
-            v1, e1 = _quad(h_sin, split, np.inf, weight="cos",
-                           wvar=w, epsabs=0.05 * tol, limit=400)
-        else:
-            v1, e1 = 0.0, 0.0
-        v2, e2 = _quad(h_cos, split, np.inf, weight="sin", wvar=w,
-                       epsabs=0.05 * tol, limit=400)
-        val, err = v0 + v1 - sgn * v2, e0 + e1 + e2
 
-    if err / math.pi > tol:
-        raise QuadratureError("CDF inversion did not converge", err / math.pi)
-    return min(max(0.5 - val / math.pi, 0.0), 1.0)
+def _pdf_numeric(alpha: float, beta: float, x: float) -> float:
+    return _nolan(alpha, -beta if x < 0.0 else beta, abs(x), True)
+
+
+def _cdf_numeric(alpha: float, beta: float, x: float) -> float:
+    return (_nolan(alpha, -beta, -x, False) if x < 0.0
+            else 1.0 - _nolan(alpha, beta, x, False))
 
 
 # ---------------------------------------------------------------------------
 # public density / CDF entry points
 # ---------------------------------------------------------------------------
 
-def std_pdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
+def std_pdf(s: StandardStable, x: float) -> float:
     """Density of the standard stable law (mu = 0, c = 1) at x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -454,10 +447,10 @@ def std_pdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
         return _levy_std_pdf(-x)
     if s.alpha == 0.5:
         return _half_pdf(s.beta, x)
-    return _pdf_numeric(s.alpha, s.beta, x, tol)
+    return _pdf_numeric(s.alpha, s.beta, x)
 
 
-def std_cdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
+def std_cdf(s: StandardStable, x: float) -> float:
     """CDF of the standard stable law at x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -471,21 +464,21 @@ def std_cdf(s: StandardStable, x: float, tol: float = NUMERIC_TOL) -> float:
         return 1.0 - _levy_std_cdf(-x)
     if s.alpha == 0.5:
         return _half_cdf(s.beta, x)
-    return _cdf_numeric(s.alpha, s.beta, x, tol)
+    return _cdf_numeric(s.alpha, s.beta, x)
 
 
-def pdf(params: StableParams, x: float, tol: float = NUMERIC_TOL) -> float:
+def pdf(params: StableParams, x: float) -> float:
     """Density of the general stable law; rescales the standard density."""
     if params.c == 0.0:
         raise ValueError("c = 0 is a degenerate point mass; density undefined")
-    return std_pdf(params.standard, (x - params.mu) / params.c, tol) / params.c
+    return std_pdf(params.standard, (x - params.mu) / params.c) / params.c
 
 
-def cdf(params: StableParams, x: float, tol: float = NUMERIC_TOL) -> float:
+def cdf(params: StableParams, x: float) -> float:
     """CDF of the general stable law."""
     if params.c == 0.0:
         raise ValueError("c = 0 is a degenerate point mass; CDF undefined")
-    return std_cdf(params.standard, (x - params.mu) / params.c, tol)
+    return std_cdf(params.standard, (x - params.mu) / params.c)
 
 
 def tail_coefficient(alpha: float) -> float:

@@ -69,12 +69,12 @@ def _ks_result(name: str, samples: np.ndarray, cdf_callable) -> CheckResult:
 def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     """Numerical inversion vs the closed forms: the Levy law on x in
     [0.05, 50], and alpha = 1/2 at beta in {0, 0.5, -0.75} on +/-x in
-    [0.05, 50], where the inversion is accurate to ~1e-11."""
+    [0.05, 50], where the inversion agrees with them to ~1e-14."""
     from .stable import _cdf_numeric, _pdf_numeric
     xs = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 50.0, 40)])
-    dev_pdf = max(abs(_pdf_numeric(0.5, 1.0, float(x), 1e-10) - _levy_std_pdf(float(x)))
+    dev_pdf = max(abs(_pdf_numeric(0.5, 1.0, float(x)) - _levy_std_pdf(float(x)))
                   for x in xs)
-    dev_cdf = max(abs(_cdf_numeric(0.5, 1.0, float(x), 1e-10) - _levy_std_cdf(float(x)))
+    dev_cdf = max(abs(_cdf_numeric(0.5, 1.0, float(x)) - _levy_std_cdf(float(x)))
                   for x in xs)
     at_zero = abs(std_pdf(StandardStable(0.5, 0.0), 0.0) - 2.0 / math.pi)
     results = [
@@ -91,7 +91,7 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
         s = StandardStable(0.5, beta)
         for what, closed, numeric in (("pdf", std_pdf, _pdf_numeric),
                                       ("cdf", std_cdf, _cdf_numeric)):
-            dev = max(abs(closed(s, x) - numeric(0.5, beta, x, 1e-10)) for x in xs)
+            dev = max(abs(closed(s, x) - numeric(0.5, beta, x)) for x in xs)
             results.append(CheckResult(
                 f"{what} numeric vs alpha=1/2 closed form (beta={beta})",
                 dev <= tol, f"max |dev| = {dev:.3e} (tol {tol:.1e})"))

@@ -47,6 +47,17 @@ def test_dist_general_alpha_numeric_inversion(capsys):
     assert float(out) == pytest.approx(0.16235873175932355, abs=1e-9)
 
 
+def test_dist_quadrature_failure_exits_1(capsys, monkeypatch):
+    # a check failure with a message, not a traceback
+    from mtchan import stable
+    monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: (1.0, 1.0))
+    code, out, err = run(["dist", "--alpha", "0.7", "--beta", "0", "--x", "1"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PDF inversion did not converge")
+
+
 def test_geopower(capsys):
     code, out, _ = run(["geopower", "--alpha", "0.5", "--beta", "1"], capsys)
     assert code == 0
@@ -168,6 +179,13 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "--gsnr-db", "nan", "--points", "1"], "--gsnr-db must be finite"),
     (["sweep", "--gsnr-db", "inf", "--points", "1"], "--gsnr-db must be finite"),
+    (["sweep", "--gsnr-db", "-inf", "--points", "1"], "--gsnr-db must be finite"),
+    (["sweep", "--gsnr-db", "-NaN", "--points", "1"], "--gsnr-db must be finite"),
+    (["sweep", "--gsnr-db", "0", "-Infinity", "--points", "2"],
+     "--gsnr-db must be finite"),
+    (["sweep", "--delta", "-inf", "--points", "1"], "--delta must be finite and > 0"),
+    (["sweep", "--betas", "-nan", "--points", "1"], "--betas must be in [-1, 1]"),
+    (["table1", "--gsnr", "-INF"], "--gsnr must be finite and > 0"),
     (["sweep", "--gsnr-db=-4000", "--points", "1"],
      "--gsnr-db -4000 is below the floating-point range"),
     (["sweep", "--gsnr-list", "nan"], "--gsnr-list must be finite and > 0"),
@@ -321,6 +339,19 @@ def test_validate_impossible_tolerance_fails(capsys):
                         "--tol", "1e-30"], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flags", [["--output", "{out}"], ["--format", "json"]],
+                         ids=["output", "format"])
+def test_validate_has_no_output_flags(flags, tmp_path, capsys):
+    # validate prints its report; it takes no file or format to ignore
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--mc-samples", "10000"]
+                 + [f.format(out=out) for f in flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_rejects_tiny_mc(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mtchan.stable import (G_GAMMA, NUMERIC_TOL, StableParams, StandardStable,
+from mtchan.stable import (G_GAMMA, StableParams, StandardStable,
                            _W_LAPLACE_EDGE, _W_TAYLOR_EDGE, _cdf_numeric,
                            _int_laplace, _int_taylor, _int_weideman,
                            _levy_std_cdf, _levy_std_pdf, _pdf_numeric, _zw,
@@ -111,13 +111,13 @@ def test_cauchy_and_gauss():
 
 def test_numeric_pdf_matches_levy():
     for x in (0.05, 0.2, 1.0 / 3.0, 1.0, 5.0, 50.0):
-        assert _pdf_numeric(0.5, 1.0, x, NUMERIC_TOL) == pytest.approx(
+        assert _pdf_numeric(0.5, 1.0, x) == pytest.approx(
             _levy_std_pdf(x), abs=1e-8)
 
 
 def test_numeric_cdf_matches_levy():
     for x in (0.05, 0.2, 1.0, 5.0, 50.0):
-        assert _cdf_numeric(0.5, 1.0, x, NUMERIC_TOL) == pytest.approx(
+        assert _cdf_numeric(0.5, 1.0, x) == pytest.approx(
             _levy_std_cdf(x), abs=1e-8)
 
 
@@ -372,3 +372,49 @@ def test_faddeeva_branches_agree_at_their_edges(edge, inner, outer):
         z = edge * cmath.exp(1j * phase)
         assert inner[0](z) == pytest.approx(outer[0](z), rel=1e-14, abs=0.0)
         assert inner[1](z) == pytest.approx(outer[1](z), rel=0.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the numerical inversion, judged in relative terms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", HALF_BETAS + (1.0, -1.0))
+def test_numeric_pdf_matches_half_closed_forms_relative(beta):
+    # Nolan's integral against the alpha = 1/2 closed forms (Levy at +-1) out
+    # to |x| = 1e8, wherever the density is not negligibly small
+    s = StandardStable(0.5, beta)
+    half = np.logspace(-2.0, 8.0, 41)
+    for x in np.concatenate([-half, half]):
+        ref = std_pdf(s, float(x))
+        if ref >= 1e-12:
+            assert _pdf_numeric(0.5, beta, float(x)) == pytest.approx(
+                ref, rel=1e-10, abs=0.0), x
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.7, -1.0))
+def test_numeric_inversion_at_alpha_2_is_gaussian(beta):
+    # alpha = 2 is N(0, 2) whatever beta; the numeric route knows no shortcut
+    for x in (0.0, 0.1, 1.0, 3.0, 10.0, 30.0):
+        for v in (x, -x):
+            assert _pdf_numeric(2.0, beta, v) == pytest.approx(
+                std_pdf(GAUSS, v), rel=1e-10, abs=0.0), v
+        assert _cdf_numeric(2.0, beta, -x) == pytest.approx(
+            std_cdf(GAUSS, -x), rel=1e-10, abs=0.0), -x
+        assert _cdf_numeric(2.0, beta, x) == pytest.approx(
+            std_cdf(GAUSS, x), rel=0.0, abs=1e-15), x
+
+
+@pytest.mark.parametrize("alpha", (0.7, 0.9, 1.1, 1.5, 1.9))
+@pytest.mark.parametrize("beta", (0.0, 0.5))
+def test_numeric_tails_follow_the_leading_power_law(alpha, beta):
+    # f ~ alpha*C*(1 +- beta)*|x|^(-1-alpha) and the mass beyond x
+    # ~ C*(1 +- beta)*|x|^(-alpha), the next terms ~|x|^-alpha smaller
+    c = tail_coefficient(alpha)
+    for x in (1e5, -1e5, 1e8, -1e8):
+        weight = c * (1.0 + math.copysign(beta, x))
+        assert _pdf_numeric(alpha, beta, x) == pytest.approx(
+            alpha * weight * abs(x) ** (-1.0 - alpha), rel=1e-3), x
+        if abs(x) < 1e6:
+            cdf_x = _cdf_numeric(alpha, beta, x)
+            mass = 1.0 - cdf_x if x > 0.0 else cdf_x
+            assert mass == pytest.approx(weight * abs(x) ** -alpha, rel=1e-3), x

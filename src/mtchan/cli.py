@@ -72,19 +72,22 @@ def _compute_record(index: int, point, mc_samples: int,
         ber_mc=mc, mc_stderr=stderr, samples=samples)
 
 
+def _run_tasks(tasks: list, workers: int) -> list:
+    """Task results in task order: run here at one worker, else on a pool."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [task() for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+        return [f.result() for f in [pool.submit(task) for task in tasks]]
+
+
 def _compute_grid(points, mc_samples: int, seed: int,
                   workers: int) -> list[BerRecord]:
     """One record per (system, beta, delta, gsnr) point, in order."""
-    compute = functools.partial(_compute_record, mc_samples=mc_samples,
-                                master_seed=seed)
-    indices = range(len(points))
+    tasks = [functools.partial(_compute_record, i, point, mc_samples, seed)
+             for i, point in enumerate(points)]
     # an analytic point costs less than starting a worker, so only Monte
     # Carlo grids go to the pool
-    if workers <= 1 or len(points) <= 1 or not mc_samples:
-        return list(map(compute, indices, points))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves task order, so output is scheduling-independent
-        return list(pool.map(compute, indices, points))
+    return _run_tasks(tasks, workers if mc_samples else 1)
 
 
 def _fmt(value) -> str:
@@ -261,21 +264,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here so sweeps skip scipy.stats and scipy.interpolate
-    from . import validate
-    _resolve_workers(args)  # checked as for sweeps; validate runs in-process
+    from . import validate  # here, so that the other commands skip its import
+    workers = _resolve_workers(args)
     if args.mc_samples < MC_MIN_BITS:
         raise ValueError(f"--mc-samples must be >= {MC_MIN_BITS}")
-    results = validate.run_all(mc_samples=args.mc_samples, seed=args.seed,
-                               tol=args.tol)
-    n_fail = 0
+    groups = validate.suite(args.mc_samples, args.seed, args.tol)
+    results = [r for rs in _run_tasks(groups, workers) for r in rs]
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            n_fail += 1
-        print(f"[{status}] {r.name}: {r.detail}")
-    print(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return 1 if n_fail else 0
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} checks passed")
+    return 0 if n_pass == len(results) else 1
 
 
 def cmd_dist(args) -> int:
@@ -297,14 +296,11 @@ def cmd_geopower(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-_WORKERS_HELP = (f"worker processes (default: {WORKERS_ENV} env var or "
-                 "available parallelism)")
-
-
-def _add_common(p: argparse.ArgumentParser,
-                workers_help: str = _WORKERS_HELP) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--workers", type=int, default=None, help=workers_help)
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"worker processes (default: {WORKERS_ENV} env var "
+                        "or available parallelism)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -357,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the oracle/cross-check suite")
-    _add_common(p, "validate runs in one process; the value (or "
-                   f"{WORKERS_ENV}) is only checked, as for sweep")
+    _add_common(p)
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="closed-form vs numeric tolerance")

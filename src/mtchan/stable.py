@@ -63,9 +63,12 @@ class QuadratureError(RuntimeError):
     """
 
     def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved relative error bound "
-                         f"{achieved:.3e})")
+        # both in args, so that the error unpickles from a pool worker
+        super().__init__(message, achieved)
         self.achieved = achieved
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (achieved relative error bound {self.achieved:.3e})"
 
 
 def _check_shape(alpha: float, beta: float) -> None:

@@ -384,12 +384,25 @@ def test_validate_accepts_a_worker_count(capsys):
     assert "--mc-samples" in err and "--workers" not in err
 
 
-def test_import_cli_skips_validate_dependencies():
-    # sweeps, table1, and dist and geopower at alpha 1/2, 1 and 2 need
-    # numpy alone: neither the import nor a run loads any part of scipy
+def _python(code, *argv):
+    # stdout of `python -c code argv...`, run on this checkout's sources
     import os
     import subprocess
     import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+_LOADED_SCIPY = ("loaded = lambda: sorted(m for m in sys.modules\n"
+                 "                        if m == 'scipy' or m.startswith('scipy.'))\n")
+
+
+def test_import_cli_skips_validate_dependencies():
+    # sweeps, table1, and dist and geopower at alpha 1/2, 1 and 2 need
+    # numpy alone: neither the import nor a run loads any part of scipy
     runs = [["sweep", "--points", "4", "--workers", "1"],
             ["table1", "--workers", "1"],
             ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "0.7"],
@@ -402,18 +415,41 @@ def test_import_cli_skips_validate_dependencies():
             ["geopower", "--alpha", "0.5", "--beta", "0.3"],
             ["geopower", "--alpha", "2", "--beta", "0"]]
     code = (
-        "import contextlib, io, sys, mtchan.cli\n"
-        "loaded = lambda: [m for m in sys.modules\n"
-        "                  if m == 'scipy' or m.startswith('scipy.')]\n"
+        "import contextlib, io, sys, mtchan.cli\n" + _LOADED_SCIPY +
         "print(loaded())\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert mtchan.cli.main(argv) == 0, argv\n"
         "    print(loaded())\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]"] * (1 + len(runs))
+    assert _python(code).splitlines() == ["[]"] * (1 + len(runs))
+
+
+def test_validate_loads_no_scipy_stats_or_interpolate():
+    # the KS p-value, the CDF tables and the Levy CDF are in-house; only the
+    # numerical inversion loads scipy.integrate, in the process that runs it
+    code = (
+        "import contextlib, io, sys\n" + _LOADED_SCIPY +
+        "import mtchan.validate\n"
+        "print(loaded())\n"
+        "import mtchan.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    mtchan.cli.main(sys.argv[1:])\n"
+        "print(loaded())\n")
+    argv = ["validate", "--mc-samples", "10000", "--workers"]
+    imported, ran = _python(code, *argv, "1").splitlines()
+    assert imported == "[]"
+    assert "'scipy.integrate'" in ran
+    assert "scipy.stats" not in ran and "scipy.interpolate" not in ran
+    # with a pool, the workers run every check group: the parent loads no scipy
+    assert _python(code, *argv, "2").splitlines() == ["[]", "[]"]
+
+
+def test_validate_output_independent_of_worker_count(capsys, monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    args = ["validate", "--seed", "3", "--mc-samples", "100000"]
+    outs = [run(args + ["--workers", w], capsys)[1] for w in ("1", "2", "3")]
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    outs.append(run(args, capsys)[1])
+    assert outs[0].endswith("26/26 checks passed\n")
+    assert outs[1:] == [outs[0]] * 3

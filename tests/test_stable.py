@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mtchan.stable import (G_GAMMA, StableParams, StandardStable,
-                           _W_LAPLACE_EDGE, _W_TAYLOR_EDGE, _cdf_numeric,
-                           _int_laplace, _int_taylor, _int_weideman,
-                           _levy_std_cdf, _levy_std_pdf, _pdf_numeric, _zw,
-                           _zw_laplace, _zw_taylor, _zw_weideman, cdf, char_fn,
-                           pdf, sample, std_cdf, std_pdf, tail_coefficient)
+from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
+                           StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
+                           _cdf_numeric, _int_laplace, _int_taylor,
+                           _int_weideman, _levy_std_cdf, _levy_std_pdf,
+                           _pdf_numeric, _zw, _zw_laplace, _zw_taylor,
+                           _zw_weideman, cdf, char_fn, pdf, sample, std_cdf,
+                           std_pdf, tail_coefficient)
 
 LEVY = StandardStable(0.5, 1.0)
 SYM_HALF = StandardStable(0.5, 0.0)
@@ -143,7 +144,9 @@ def test_pdf_reflection_numeric():
 
 
 def test_pdf_integrates_to_cdf():
-    # independent consistency: cos-integral pdf vs Gil-Pelaez sin-integral cdf
+    # independent consistency: the pdf integrated by quadrature vs cdf
+    # differences; off alpha = 1/2 Nolan's inversion gives each of the two
+    # from its own integral over theta
     for alpha, beta in [(0.5, 0.0), (0.5, 0.6), (0.9, -0.3), (1.5, 0.5)]:
         s = StandardStable(alpha, beta)
         for a, b in [(-4.0, -1.0), (-1.0, 1.0), (1.0, 6.0)]:
@@ -336,8 +339,8 @@ def test_half_cdf_absolute_error_vs_mpmath(mp, beta):
 @pytest.mark.parametrize("beta", (0.0, 0.5))
 @pytest.mark.parametrize("x", (1e4, -1e4, 1e5, -1e5))
 def test_half_pdf_far_tail_vs_mpmath(mp, beta, x):
-    # the numerical inversion's absolute tolerance grows as |x|/10 while f
-    # falls as |x|^(-3/2); the closed form must stay right in relative terms
+    # f falls as |x|^(-3/2), so error is judged relative: the closed form
+    # must match mpmath as Nolan's inversion does, to a relative 1e-10
     ref = float(_mp_half_pdf(mp, beta, x))
     assert std_pdf(StandardStable(0.5, beta), x) == pytest.approx(ref, rel=1e-10)
 
@@ -418,3 +421,14 @@ def test_numeric_tails_follow_the_leading_power_law(alpha, beta):
             cdf_x = _cdf_numeric(alpha, beta, x)
             mass = 1.0 - cdf_x if x > 0.0 else cdf_x
             assert mass == pytest.approx(weight * abs(x) ** -alpha, rel=1e-3), x
+
+
+def test_quadrature_error_survives_pickling():
+    # a pool worker's error reaches the parent pickled, where the CLI turns
+    # it into "error: ..." and exit 1
+    import pickle
+    err = pickle.loads(pickle.dumps(
+        QuadratureError("CDF inversion did not converge", 2.5e-9)))
+    assert isinstance(err, QuadratureError) and err.achieved == 2.5e-9
+    assert str(err) == ("CDF inversion did not converge "
+                        "(achieved relative error bound 2.500e-09)")

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from mtchan import stable, validate
 
 
@@ -17,3 +20,47 @@ def test_closed_form_oracle_flags_a_wrong_density(monkeypatch):
                         lambda s, x: 1.001 * stable.std_pdf(s, x))
     for r in _alpha_half(validate.check_levy_closed_vs_numeric(tol=1e-8)):
         assert r.passed == r.name.startswith("cdf"), r.name
+
+
+# ---------------------------------------------------------------------------
+# the in-house KS test and CDF table against scipy, a test-time oracle only
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_ks_statistic_matches_scipy(n):
+    from scipy import stats
+    levy = stable.sample(stable.StableParams(0.0, 1.0, 0.5, 1.0), n, n)
+    uniform = np.random.default_rng(n).uniform(size=n)
+    for samples, cdf in [(levy, np.vectorize(stable._levy_std_cdf)),
+                         (uniform, lambda x: x ** 1.01)]:
+        d, _ = validate._ks_test(samples, cdf)
+        assert d == pytest.approx(stats.kstest(samples, cdf).statistic,
+                                  rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_ks_pvalue_matches_the_exact_law(n):
+    # uniform samples against F(x) = x^(1 + eps): D grows with eps, so the
+    # p-values sweep from near 1 down past the 1e-3 gate.  Stephens' term
+    # keeps p within 0.7% of the exact law here; Kolmogorov's law alone is
+    # 1.5% off at n = 1e4
+    from scipy import stats
+    uniform = np.random.default_rng(n + 1).uniform(size=n)
+    refs = []
+    for k in range(14):
+        d, p = validate._ks_test(uniform, lambda x: x ** (1.0 + 0.5 * k / n ** 0.5))
+        ref = stats.kstwo.sf(d, n)
+        if 1e-4 <= ref <= 1.0:
+            assert p == pytest.approx(ref, rel=0.01), (k, d)
+            refs.append(ref)
+    assert min(refs) < 1e-3 and max(refs) > 0.5
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.75])
+def test_cdf_table_vs_std_cdf(beta):
+    # 20k points with |x| out to ~6e5: the table and its power-law tails
+    s = stable.StandardStable(0.5, beta)
+    xs = np.sinh(np.random.default_rng(5).uniform(-14.0, 14.0, 20_000))
+    ref = np.array([stable.std_cdf(s, float(x)) for x in xs])
+    err = np.abs(validate.make_std_cdf_vectorized(beta)(xs) - ref)
+    assert err.max() <= 1e-4

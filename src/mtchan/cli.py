@@ -268,8 +268,9 @@ def cmd_validate(args) -> int:
     workers = _resolve_workers(args)
     if args.mc_samples < MC_MIN_BITS:
         raise ValueError(f"--mc-samples must be >= {MC_MIN_BITS}")
-    groups = validate.suite(args.mc_samples, args.seed, args.tol)
-    results = [r for rs in _run_tasks(groups, workers) for r in rs]
+    _require("--tol", [args.tol], _POSITIVE)
+    tasks = validate.suite(args.mc_samples, args.seed, args.tol)
+    results = [r for rs in _run_tasks(tasks, workers) for r in rs]
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     n_pass = sum(r.passed for r in results)

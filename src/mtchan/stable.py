@@ -24,14 +24,14 @@ every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
 Every other (alpha, beta) pair is handled by numerical inversion, which also
 serves as the oracle for the closed forms: Nolan's (1997) integral form, one
 finite, non-oscillatory integral over theta in (-theta0, pi/2) for each of
-the density and the mass beyond x, evaluated with scipy's adaptive quadrature
-in a variable that resolves either end of that range down to 1e-300.  Its
-target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
+the density and the mass beyond x, evaluated by an adaptive 10/21-point
+Gauss-Kronrod rule (QUADPACK's qk21) in a variable that resolves either end
+of that range down to 1e-300, after a Brent solve for the integrand's peak.
+Its target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
 power-law tails keep their digits; failure to reach it raises QuadratureError
 carrying the achieved relative error bound.
 
-Only numpy loads with this module: the closed forms need nothing more, and
-scipy.integrate and scipy.optimize load on the first numerical inversion.
+Only numpy loads with this module, and no evaluation loads more.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,15 +343,139 @@ def _gauss_std_cdf(x: float) -> float:
 
 _U_MAX = 700.0  # e^-|u| stays a normal float
 
+# QUADPACK's qk21 (Piessens et al. 1983): the positive nodes of the
+# 21-point Kronrod rule on [-1, 1], outermost first, with their weights;
+# every other node is one of the 10-point Gauss rule's, whose weights
+# follow.  The centre node has Kronrod weight _GK21_WK_CENTRE and no Gauss
+# weight.
+_GK21_X = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+           0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+           0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+           0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+           0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_GK21_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+            0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+            0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+            0.123491976262065851077208980576370, 0.134709217311473325928054001771707,
+            0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_GK21_WK_CENTRE = 0.149445554002916905664936468389821
+_GK21_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+#: subintervals the adaptive rule may hold, as scipy's quad(limit=200)
+QUAD_LIMIT = 200
 
-def _quad(*args, **kwargs):
-    # scipy.integrate loads here, on the first numerical inversion, so the
-    # alpha = 1/2 closed forms never pay for it; convergence is checked
-    # against the returned error bound, so its warnings are silenced
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(*args, **kwargs)
+
+def _gk21(f, a: float, b: float) -> tuple[float, float, float]:
+    """QUADPACK's qk21 on [a, b]: the Kronrod value, the error estimate
+    resasc * min(1, (200*|K - G|/resasc)^1.5) floored at 50 eps * resabs,
+    and resasc, the integral of |f - mean|."""
+    half = 0.5 * (b - a)
+    centre = 0.5 * (a + b)
+    fc = f(centre)
+    pairs = [(f(centre - half * x), f(centre + half * x)) for x in _GK21_X]
+    kronrod = _GK21_WK_CENTRE * fc + sum(w * (f1 + f2)
+                                         for w, (f1, f2) in zip(_GK21_WK, pairs))
+    gauss = sum(w * (f1 + f2) for w, (f1, f2) in zip(_GK21_WG, pairs[1::2]))
+    mean = 0.5 * kronrod
+    resabs = _GK21_WK_CENTRE * abs(fc) + sum(
+        w * (abs(f1) + abs(f2)) for w, (f1, f2) in zip(_GK21_WK, pairs))
+    resasc = _GK21_WK_CENTRE * abs(fc - mean) + sum(
+        w * (abs(f1 - mean) + abs(f2 - mean)) for w, (f1, f2) in zip(_GK21_WK, pairs))
+    scale = abs(half)
+    err, resasc = abs(kronrod - gauss) * scale, resasc * scale
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return (kronrod * half,
+            max(err, 50.0 * sys.float_info.epsilon * resabs * scale), resasc)
+
+
+def _quad(f, edges) -> tuple[float, float]:
+    """(Int f over edges[0]..edges[-1], its error bound), as QUADPACK's qagp
+    without its extrapolation: the GK21 rule on each span between edges, the
+    span with the largest error bisected until the bound is <= NUMERIC_TOL
+    of the value or QUAD_LIMIT spans are held.  A first span whose estimate
+    saturates at resasc, which a peak between its nodes can cause, starts
+    with the error of all of them, so that it is bisected."""
+    first = [(a, b) + _gk21(f, a, b) for a, b in zip(edges, edges[1:])]
+    total = sum(err for _, _, _, err, _ in first)
+    spans = [(a, b, val, total if err == resasc != 0.0 else err)
+             for a, b, val, err, resasc in first]
+    while True:
+        val = math.fsum(s[2] for s in spans)
+        err = math.fsum(s[3] for s in spans)
+        if err <= NUMERIC_TOL * abs(val) or len(spans) >= QUAD_LIMIT:
+            return val, err
+        lo, hi, _, _ = spans.pop(max(range(len(spans)), key=lambda i: spans[i][3]))
+        mid = 0.5 * (lo + hi)
+        spans += [(a, b) + _gk21(f, a, b)[:2] for a, b in ((lo, mid), (mid, hi))]
+
+
+#: iteration cap of the Brent solve (scipy.optimize.brentq's default)
+BRENT_MAXITER = 100
+#: relative x tolerance of the Brent solve (brentq's default, 4 eps)
+BRENT_RTOL = 8.881784197001252e-16
+
+
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+           rtol: float) -> float:
+    # scipy's brentq.c step for step (same float operations in the same
+    # order, so roots are bitwise equal to scipy.optimize.brentq), without
+    # loading scipy.optimize; fa = f(xa) and fb = f(xb) come from the caller,
+    # and it raises where brentq does
+    def checked(x, fx):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf  # C yields inf or nan here: bisect
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = checked(xcur, f(xcur))
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
 def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
@@ -390,11 +514,11 @@ def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
         return (c0 + alpha * r * math.log(cos_t / sin_a)
                 + math.log(cos_b / cos_t), d / (1.0 + q))
 
-    from scipy.optimize import brentq
     # the peak: g = 1, or twice g's floor at its small end (a light tail)
     target = max(log_g(math.copysign(_U_MAX, alpha - 1.0))[0] + math.log(2.0), 0.0)
+    h = lambda u: log_g(u)[0] - target
     try:
-        peak = brentq(lambda u: log_g(u)[0] - target, -_U_MAX, _U_MAX, xtol=1e-3)
+        peak = _brent(h, -_U_MAX, _U_MAX, h(-_U_MAX), h(_U_MAX), 1e-3, BRENT_RTOL)
     except ValueError:  # x so near 0 or so large that the peak is out of range
         peak = 0.0
     if density:
@@ -413,8 +537,7 @@ def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
     # away from the peak, w = 0, the integrand falls at least as fast as
     # exp(-min(1, alpha/(1-alpha))*|u - peak|): reach covers it to 2^-52
     reach = math.asinh(36.0 * max(1.0, 1.0 / alpha - 1.0))
-    val, err = _quad(integrand, -reach, reach, points=(0.0,), epsabs=0.0,
-                     epsrel=NUMERIC_TOL, limit=200)
+    val, err = _quad(integrand, (-reach, 0.0, reach))
     if err > NUMERIC_TOL * val:
         raise QuadratureError(f"{'PDF' if density else 'CDF'} inversion did not "
                               "converge", err / val if val else math.inf)

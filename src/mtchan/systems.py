@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
-from .stable import StableParams, _standard_levy, std_cdf, std_pdf
+from .stable import (BRENT_RTOL, StableParams, _brent, _standard_levy, std_cdf,
+                     std_pdf)
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -125,71 +126,6 @@ def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     return f(u - low) - f(u - high)
 
 
-#: iteration cap of the Brent solve (scipy.optimize.brentq's default)
-BRENT_MAXITER = 100
-
-
-def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
-           rtol: float) -> float:
-    # scipy's brentq.c step for step (same float operations in the same
-    # order, so roots are bitwise equal to scipy.optimize.brentq), without
-    # loading scipy.optimize; fa = f(xa) and fb = f(xb) come from the caller,
-    # and it raises where brentq does
-    def checked(x, fx):
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENT_MAXITER):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                stry = math.inf  # C yields inf or nan here: bisect
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = checked(xcur, f(xcur))
-    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
-
-
 def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
     # closed-form (lo, hi) in u = y/c, evaluating no density: the density
     # gap is > 0 at lo and < 0 at hi wherever it rises above rounding noise;
@@ -234,8 +170,7 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
         gap = lambda x: _density_gap(scheme, x, d)
         g_lo, g_hi = gap(lo), gap(hi)
         if g_lo > 0.0 > g_hi or math.isnan(g_lo) or math.isnan(g_hi):
-            u = _brent(gap, lo, hi, g_lo, g_hi, 1e-12 * max(d, 1.0),
-                       8.881784197001252e-16)
+            u = _brent(gap, lo, hi, g_lo, g_hi, 1e-12 * max(d, 1.0), BRENT_RTOL)
         else:
             u = min(max(sum(input_symbols(scheme.system, d)) / 2.0, lo), hi)
     low, high = scheme.symbols

@@ -3,8 +3,8 @@ vs numerical inversion, sampler vs CDF by Kolmogorov-Smirnov, geometric
 power vs a Monte Carlo log-moment oracle, and analytic vs simulated BER.
 
 Each check returns a CheckResult; the CLI `validate` command prints one
-line per check and the test suite asserts on the same objects.  Importing
-this module loads no part of scipy.
+line per check and the test suite asserts on the same objects.  Neither
+importing this module nor running its checks loads any part of scipy.
 """
 
 from __future__ import annotations
@@ -131,53 +131,89 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     return results
 
 
+#: the laws of the geometric-power check, (alpha, beta), each on its own seed
+GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
+#: ... and its relative tolerance
+GEOMETRIC_POWER_REL_TOL = 0.02
+#: the (system, beta) curves of the BER check, each G-SNR on its own seed
+BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
+#: ... and its G-SNRs
+BER_GSNRS = (0.25, 1.0, 4.0)
+
+
+def _geometric_power_law(alpha: float, beta: float, n: int, seed: int,
+                         rel_tol: float) -> list[CheckResult]:
+    params = StableParams(0.0, 1.0, alpha, beta)
+    xs = sample(params, n, seed)
+    mc = math.exp(float(np.mean(np.log(np.abs(xs)))))
+    ref = geometric_power(params)
+    rel = abs(mc - ref) / ref
+    return [CheckResult(
+        f"geometric power MC oracle (alpha={alpha}, beta={beta})",
+        rel <= rel_tol, f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}")]
+
+
+def _geometric_power_cases(n: int, seed: int,
+                           rel_tol: float) -> list[functools.partial]:
+    return [functools.partial(_geometric_power_law, alpha, beta, n, seed + i,
+                              rel_tol)
+            for i, (alpha, beta) in enumerate(GEOMETRIC_POWER_LAWS)]
+
+
 def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7,
-                             rel_tol: float = 0.02) -> list[CheckResult]:
+                             rel_tol: float = GEOMETRIC_POWER_REL_TOL
+                             ) -> list[CheckResult]:
     """exp(mean(log|X|)) over n variates vs the closed-form geometric power."""
-    results = []
-    for i, (alpha, beta) in enumerate([(0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0)]):
-        params = StableParams(0.0, 1.0, alpha, beta)
-        xs = sample(params, n, seed + i)
-        mc = math.exp(float(np.mean(np.log(np.abs(xs)))))
-        ref = geometric_power(params)
-        rel = abs(mc - ref) / ref
-        results.append(CheckResult(
-            f"geometric power MC oracle (alpha={alpha}, beta={beta})",
-            rel <= rel_tol, f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}"))
-    return results
+    return [r for case in _geometric_power_cases(n, seed, rel_tol) for r in case()]
+
+
+def _ber_point(system: System, beta: float, gsnr: float, n_bits: int,
+               seed: int) -> list[CheckResult]:
+    scheme = systems.scheme_for_gsnr(system, 1.0, gsnr, beta)
+    state = systems.ml_threshold(scheme)
+    analytic = systems.ber_analytic(scheme, state)
+    mc, stderr = systems.ber_monte_carlo(scheme, n_bits, seed, state)
+    z = abs(analytic - mc) / stderr
+    return [CheckResult(
+        f"BER analytic vs MC ({system.value}, beta={beta}, gsnr={gsnr})",
+        z <= 3.0, f"analytic={analytic:.6f} mc={mc:.6f} z={z:.2f}")]
+
+
+def _ber_cases(n_bits: int, seed: int, gsnrs) -> list[functools.partial]:
+    return [functools.partial(_ber_point, system, beta, gsnr, n_bits,
+                              seed + 100 * i + j)
+            for i, (system, beta) in enumerate(BER_CASES)
+            for j, gsnr in enumerate(gsnrs)]
 
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000, seed: int = 11,
-                             gsnrs=(0.25, 1.0, 4.0)) -> list[CheckResult]:
+                             gsnrs=BER_GSNRS) -> list[CheckResult]:
     """Analytic BER vs Monte Carlo within 3 binomial standard errors."""
-    results = []
-    cases = [(System.A, 1.0), (System.B, 0.0), (System.C, 0.5)]
-    for i, (system, beta) in enumerate(cases):
-        for j, gsnr in enumerate(gsnrs):
-            scheme = systems.scheme_for_gsnr(system, 1.0, gsnr, beta)
-            state = systems.ml_threshold(scheme)
-            analytic = systems.ber_analytic(scheme, state)
-            mc, stderr = systems.ber_monte_carlo(
-                scheme, n_bits, seed + 100 * i + j, state)
-            z = abs(analytic - mc) / stderr
-            results.append(CheckResult(
-                f"BER analytic vs MC ({system.value}, beta={beta}, gsnr={gsnr})",
-                z <= 3.0, f"analytic={analytic:.6f} mc={mc:.6f} z={z:.2f}"))
-    return results
+    return [r for case in _ber_cases(n_bits, seed, gsnrs) for r in case()]
+
+
+def _ks_samples(mc_samples: int) -> int:
+    return max(mc_samples // 10, 10_000)
 
 
 def suite(mc_samples: int, seed: int, tol: float) -> list[functools.partial]:
-    """The check groups, in report order, as calls that take no arguments.
-    Each seeds its own streams, so the groups can run in any process; on a
-    pool, the first pays the scipy.integrate import while the others run."""
-    n_ks = max(mc_samples // 10, 10_000)
-    return [functools.partial(check_levy_closed_vs_numeric, tol),
-            functools.partial(check_sampling_ks, n_ks, seed + 1),
-            functools.partial(check_geometric_power_mc, mc_samples, seed + 2),
-            functools.partial(check_ber_analytic_vs_mc, mc_samples, seed + 3)]
+    """The suite in report order, as calls that take no arguments and each
+    return a list of results: the closed-form and KS groups whole, then one
+    call per geometric-power law and per BER point, each on the seed run_all
+    gives it, so that the calls can run in any process."""
+    return ([functools.partial(check_levy_closed_vs_numeric, tol),
+             functools.partial(check_sampling_ks, _ks_samples(mc_samples),
+                               seed + 1)]
+            + _geometric_power_cases(mc_samples, seed + 2,
+                                     GEOMETRIC_POWER_REL_TOL)
+            + _ber_cases(mc_samples, seed + 3, BER_GSNRS))
 
 
 def run_all(mc_samples: int = 1_000_000, seed: int = 0,
             tol: float = 1e-8) -> list[CheckResult]:
-    """The whole suite, serially in this process; deterministic output."""
-    return [r for group in suite(mc_samples, seed, tol) for r in group()]
+    """The whole suite, serially in this process, one check_* call per group
+    (looked up when called); its results are those of suite(), in order."""
+    return (check_levy_closed_vs_numeric(tol)
+            + check_sampling_ks(_ks_samples(mc_samples), seed + 1)
+            + check_geometric_power_mc(mc_samples, seed + 2)
+            + check_ber_analytic_vs_mc(mc_samples, seed + 3))

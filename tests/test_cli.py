@@ -40,7 +40,8 @@ def test_dist_invalid_combination_exits_2(capsys):
 
 
 def test_dist_general_alpha_numeric_inversion(capsys):
-    # general alpha goes through scipy.integrate, loaded on first use
+    # general alpha goes through Nolan's integral and the in-house
+    # Gauss-Kronrod rule
     code, out, _ = run(["dist", "--alpha", "1.5", "--beta", "0.3",
                         "--x", "1"], capsys)
     assert code == 0
@@ -341,6 +342,18 @@ def test_validate_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_validate_bad_tolerance_exits_2(tol, capsys, monkeypatch):
+    # refused up front: no check runs, so no report line is printed
+    from mtchan import validate
+    monkeypatch.setattr(validate, "suite", lambda *args: pytest.fail("ran"))
+    code, out, err = run(["validate", "--mc-samples", "10000", "--tol", tol],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be finite and > 0" in err
+
+
 @pytest.mark.parametrize("flags", [["--output", "{out}"], ["--format", "json"]],
                          ids=["output", "format"])
 def test_validate_has_no_output_flags(flags, tmp_path, capsys):
@@ -384,14 +397,15 @@ def test_validate_accepts_a_worker_count(capsys):
     assert "--mc-samples" in err and "--workers" not in err
 
 
-def _python(code, *argv):
+def _python(code, *argv, path=None):
     # stdout of `python -c code argv...`, run on this checkout's sources
+    # (after the directory path, if given)
     import os
     import subprocess
     import sys
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        str(p) for p in (path, src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           check=True, capture_output=True, text=True).stdout
 
@@ -401,8 +415,8 @@ _LOADED_SCIPY = ("loaded = lambda: sorted(m for m in sys.modules\n"
 
 
 def test_import_cli_skips_validate_dependencies():
-    # sweeps, table1, and dist and geopower at alpha 1/2, 1 and 2 need
-    # numpy alone: neither the import nor a run loads any part of scipy
+    # sweeps, table1, and dist and geopower at any alpha need numpy alone:
+    # neither the import nor a run loads any part of scipy
     runs = [["sweep", "--points", "4", "--workers", "1"],
             ["table1", "--workers", "1"],
             ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "0.7"],
@@ -411,6 +425,9 @@ def test_import_cli_skips_validate_dependencies():
             ["dist", "--alpha", "0.5", "--beta", "1", "--x", "0.7"],
             ["dist", "--alpha", "1", "--beta", "0", "--x", "0.7"],
             ["dist", "--alpha", "2", "--beta", "0", "--x", "0.7",
+             "--what", "cdf"],
+            ["dist", "--alpha", "1.5", "--beta", "0.3", "--x", "1"],
+            ["dist", "--alpha", "0.7", "--beta", "-0.5", "--x", "3",
              "--what", "cdf"],
             ["geopower", "--alpha", "0.5", "--beta", "0.3"],
             ["geopower", "--alpha", "2", "--beta", "0"]]
@@ -425,24 +442,26 @@ def test_import_cli_skips_validate_dependencies():
     assert _python(code).splitlines() == ["[]"] * (1 + len(runs))
 
 
-def test_validate_loads_no_scipy_stats_or_interpolate():
-    # the KS p-value, the CDF tables and the Levy CDF are in-house; only the
-    # numerical inversion loads scipy.integrate, in the process that runs it
+def test_validate_loads_no_scipy(tmp_path):
+    # the KS p-value, the CDF tables, the Levy CDF and the numerical
+    # inversion are in-house.  A scipy that refuses to load, first on the
+    # path, fails whichever process of a run imports it: the parent or a
+    # pool worker
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text(
+        'raise ImportError("scipy loaded")\n')
     code = (
         "import contextlib, io, sys\n" + _LOADED_SCIPY +
         "import mtchan.validate\n"
         "print(loaded())\n"
         "import mtchan.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    mtchan.cli.main(sys.argv[1:])\n"
-        "print(loaded())\n")
+        "print(out.getvalue().endswith('checks passed\\n'), loaded())\n")
     argv = ["validate", "--mc-samples", "10000", "--workers"]
-    imported, ran = _python(code, *argv, "1").splitlines()
-    assert imported == "[]"
-    assert "'scipy.integrate'" in ran
-    assert "scipy.stats" not in ran and "scipy.interpolate" not in ran
-    # with a pool, the workers run every check group: the parent loads no scipy
-    assert _python(code, *argv, "2").splitlines() == ["[]", "[]"]
+    for workers in ("1", "2"):
+        assert _python(code, *argv, workers, path=tmp_path).splitlines() == \
+            ["[]", "True []"]
 
 
 def test_validate_output_independent_of_worker_count(capsys, monkeypatch):

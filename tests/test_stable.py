@@ -1,10 +1,13 @@
 import cmath
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from mtchan import stable
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _cdf_numeric, _int_laplace, _int_taylor,
@@ -432,3 +435,72 @@ def test_quadrature_error_survives_pickling():
     assert isinstance(err, QuadratureError) and err.achieved == 2.5e-9
     assert str(err) == ("CDF inversion did not converge "
                         "(achieved relative error bound 2.500e-09)")
+
+
+# ---------------------------------------------------------------------------
+# the in-house Gauss-Kronrod rule, and scipy's QUADPACK as a test-time oracle
+# ---------------------------------------------------------------------------
+
+def test_gk21_is_exact_to_degree_31():
+    # 21 Kronrod nodes integrate polynomials up to degree 3*10 + 1 exactly
+    for k in range(32):
+        value, _, _ = stable._gk21(lambda x: x ** k, 0.0, 1.0)
+        assert value == pytest.approx(1.0 / (k + 1), rel=0.0, abs=1e-15), k
+
+
+def test_adaptive_rule_on_smooth_integrals():
+    for f, edges, exact in [(math.sin, (0.0, math.pi), 2.0),
+                            (lambda x: math.exp(-x * x), (-10.0, 0.0, 10.0),
+                             math.sqrt(math.pi)),
+                            (lambda x: 1.0 / (1.0 + x * x), (0.0, 1.0),
+                             math.pi / 4.0)]:
+        value, err = stable._quad(f, edges)
+        assert err <= stable.NUMERIC_TOL * value
+        assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_adaptive_rule_finds_a_peak_its_first_nodes_miss():
+    # g*exp(-g), g = e^(3000 w), is a spike of width 1/3000 at the break
+    # w = 0, with mass 1/3000, e^-1 of it on w > 0.  The first span right of
+    # the break sees ~1e-297 at its nodes, where its error estimate
+    # saturates; so it starts with the error of both spans and is bisected,
+    # as in QUADPACK's qagp, rather than kept at ~1e-292
+    def spike(w):
+        g = math.exp(min(3000.0 * w, 700.0))
+        return g * math.exp(-g)
+
+    value, err = stable._quad(spike, (-1.0, 0.0, 1.0))
+    assert err <= stable.NUMERIC_TOL * value
+    assert value == pytest.approx(1.0 / 3000.0, rel=1e-12, abs=0.0)
+
+
+def _quadpack(f, edges):
+    # the same integral by scipy's QUADPACK, to the same relative target
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(f, edges[0], edges[-1], points=edges[1:-1],
+                              epsabs=0.0, epsrel=stable.NUMERIC_TOL,
+                              limit=stable.QUAD_LIMIT)[:2]
+
+
+@pytest.mark.parametrize("alpha", (0.2, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5,
+                                   1.7, 1.9))
+def test_numeric_inversion_matches_quadpack(alpha, monkeypatch):
+    half = np.logspace(-3.0, 8.0, 23)
+    xs = [float(x) for x in np.concatenate([-half[::-1], half])]
+    cases = [(fn, beta, x) for fn in (_pdf_numeric, _cdf_numeric)
+             for beta in (-1.0, -0.5, 0.0, 0.5, 1.0) for x in xs]
+    with monkeypatch.context() as m:
+        m.setattr(stable, "_quad", _quadpack)
+        refs = [fn(alpha, beta, x) for fn, beta, x in cases]
+    for (fn, beta, x), ref in zip(cases, refs):
+        assert fn(alpha, beta, x) == pytest.approx(ref, rel=1e-13, abs=0.0), \
+            (fn.__name__, beta, x)
+
+
+def test_inversion_refuses_where_rounding_swamps_the_integrand():
+    # alpha/(alpha - 1) = -999 multiplies the rounding of log g: the error
+    # bound cannot reach NUMERIC_TOL, and the inversion says so
+    with pytest.raises(QuadratureError) as exc:
+        _pdf_numeric(0.999, -0.999, 10.0)
+    assert exc.value.achieved > stable.NUMERIC_TOL

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtchan import stable, validate
+from mtchan import cli, stable, validate
 
 
 def _alpha_half(results):
@@ -64,3 +64,12 @@ def test_cdf_table_vs_std_cdf(beta):
     ref = np.array([stable.std_cdf(s, float(x)) for x in xs])
     err = np.abs(validate.make_std_cdf_vectorized(beta)(xs) - ref)
     assert err.max() <= 1e-4
+
+
+def test_pooled_suite_reports_what_run_all_does():
+    # one pool task per seeded case, each on the seed run_all gives it
+    tasks = validate.suite(20_000, 5, 1e-8)
+    assert len(tasks) == 2 + len(validate.GEOMETRIC_POWER_LAWS) + len(
+        validate.BER_CASES) * len(validate.BER_GSNRS)
+    pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
+    assert pooled == validate.run_all(20_000, 5, 1e-8)

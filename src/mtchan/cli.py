@@ -48,6 +48,10 @@ CSV_HEADER = ["gsnr_db", "system", "beta", "delta", "c", "threshold",
 TABLE1_REFERENCE = {0.0: 0.1458, 0.2: 0.1428, 0.5: 0.1287, 0.8: 0.1069, 1.0: 0.0857}
 TABLE1_GSNR = 10.0
 
+#: the default sweep: SWEEP_POINTS G-SNRs evenly spaced in dB between these
+SWEEP_GSNR_DB = (-10.0, 20.0)
+SWEEP_POINTS = 31
+
 
 def point_seed(master_seed: int, index: int) -> int:
     """Mix (master seed, grid index) into an independent per-point seed."""
@@ -208,21 +212,26 @@ def cmd_table1(args) -> int:
 
 def _sweep_grid(args) -> list[float]:
     if args.gsnr_list is not None:
+        for flag, value in (("--gsnr-db", args.gsnr_db), ("--points", args.points)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --gsnr-list")
         gsnrs = _float_list(args.gsnr_list, "--gsnr-list")
         _require("--gsnr-list", gsnrs, _POSITIVE)
         return gsnrs
-    db = args.gsnr_db
+    db = SWEEP_GSNR_DB if args.gsnr_db is None else args.gsnr_db
     _require("--gsnr-db", db, _FINITE)
     if len(db) > 2:
         raise ValueError(f"--gsnr-db takes one or two values, got {len(db)}")
-    start, stop = db[0], db[-1]
     points = args.points
-    if points < 1:
-        raise ValueError("--points must be >= 1")
-    if points == 1:
-        dbs = [start]
+    if len(db) == 1:
+        if points not in (None, 1):
+            raise ValueError(f"--points must be 1 with one --gsnr-db value, got {points}")
+        dbs = db
     else:
-        dbs = list(np.linspace(start, stop, points))
+        points = SWEEP_POINTS if points is None else points
+        if points < 1:
+            raise ValueError("--points must be >= 1")
+        dbs = [db[0]] if points == 1 else list(np.linspace(db[0], db[1], points))
     try:
         gsnrs = [10.0 ** (v / 10.0) for v in dbs]
     except OverflowError:
@@ -345,10 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", default="0,0.25,0.5,0.75,0.95",
                    help="system C skew values")
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--gsnr-db", type=float, nargs="+", default=[-10.0, 20.0],
-                   help="dB grid endpoints (one value = single point)")
-    p.add_argument("--points", type=int, default=31)
-    p.add_argument("--gsnr-list", help="explicit comma-separated linear G-SNRs")
+    p.add_argument("--gsnr-db", type=float, nargs="+",
+                   help="dB grid endpoints (one value = single point; default "
+                        f"{SWEEP_GSNR_DB[0]:g} {SWEEP_GSNR_DB[1]:g})")
+    p.add_argument("--points", type=int,
+                   help=f"points between two --gsnr-db endpoints (default {SWEEP_POINTS})")
+    p.add_argument("--gsnr-list", help="explicit comma-separated linear G-SNRs "
+                                       "(instead of --gsnr-db and --points)")
     p.add_argument("--mc-samples", type=int, default=0)
     p.add_argument("--plot", help="write an SVG figure to this path")
     p.set_defaults(func=cmd_sweep)

@@ -40,8 +40,7 @@ def test_dist_invalid_combination_exits_2(capsys):
 
 
 def test_dist_general_alpha_numeric_inversion(capsys):
-    # general alpha goes through Nolan's integral and the in-house
-    # Gauss-Kronrod rule
+    # general alpha goes through Nolan's integral and the trapezoid rule
     code, out, _ = run(["dist", "--alpha", "1.5", "--beta", "0.3",
                         "--x", "1"], capsys)
     assert code == 0
@@ -156,6 +155,15 @@ def test_sweep_plot(tmp_path, capsys):
     assert "polyline" in text and "BER" in text
 
 
+def test_sweep_one_gsnr_db_value_is_one_point(capsys):
+    code, out, _ = run(["sweep", "--systems", "A,C", "--betas", "0,0.5",
+                        "--gsnr-db", "5", "--workers", "1"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [
+        ["5.0", "A", "1.0"], ["5.0", "C", "0.0"], ["5.0", "C", "0.5"]]
+
+
 def test_sweep_invalid_points_exits_2(capsys):
     code, _, err = run(["sweep", "--points", "0", "--workers", "1"], capsys)
     assert code == 2
@@ -193,6 +201,14 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["sweep", "--gsnr-list", "inf"], "--gsnr-list must be finite and > 0"),
     (["sweep", "--gsnr-list", "1,0"], "--gsnr-list must be finite and > 0"),
     (["sweep", "--gsnr-list", ","], "--gsnr-list needs at least one value"),
+    (["sweep", "--gsnr-db", "5", "--points", "3"],
+     "--points must be 1 with one --gsnr-db value"),
+    (["sweep", "--gsnr-db", "5", "--points", "0"],
+     "--points must be 1 with one --gsnr-db value"),
+    (["sweep", "--gsnr-list", "1,4", "--points", "2"],
+     "--points cannot be combined with --gsnr-list"),
+    (["sweep", "--gsnr-list", "1,4", "--gsnr-db", "0", "10"],
+     "--gsnr-db cannot be combined with --gsnr-list"),
     (["sweep", "--delta", "nan", "--points", "1"], "--delta must be finite and > 0"),
     (["sweep", "--delta", "0", "--points", "1"], "--delta must be finite and > 0"),
     (["sweep", "--betas", "nan", "--points", "1"], "--betas must be in [-1, 1]"),
@@ -264,7 +280,7 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# comment\npoints=2\ngsnr-db=0\nsystems=A\n")
+    cfg.write_text("# comment\npoints=2\ngsnr-db=0 10\nsystems=A\n")
     code, out, _ = run(["sweep", "--config", str(cfg), "--workers", "1"],
                        capsys)
     assert code == 0

@@ -13,23 +13,24 @@ from .power import (ChannelSpec, GsnrQuery, GsnrValue, System, g_snr,
                     geometric_power, geometric_power_alpha_half,
                     physics_to_channel, scale_for_gsnr, system_gsnr)
 from .stable import (G_GAMMA, NUMERIC_TOL, QuadratureError, StableParams,
-                     StandardStable, cdf, char_fn, pdf, sample, std_cdf,
-                     std_pdf, tail_coefficient)
+                     StandardStable, cdf, pdf, sample, std_cdf, std_pdf,
+                     tail_coefficient)
 from .systems import (BerRecord, BinaryScheme, DetectorState, ber_analytic,
-                      ber_monte_carlo, cond_pdf, detect, llr, ml_threshold,
-                      scheme_for_gsnr, simulate_transmission,
-                      system_c_component_scales)
+                      ber_monte_carlo, ber_monte_carlo_curve, cond_pdf, detect,
+                      llr, ml_threshold, scheme_for_gsnr,
+                      simulate_transmission, system_c_component_scales)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "G_GAMMA", "NUMERIC_TOL", "QuadratureError", "StableParams",
-    "StandardStable", "cdf", "char_fn", "pdf", "sample", "std_cdf",
-    "std_pdf", "tail_coefficient",
+    "StandardStable", "cdf", "pdf", "sample", "std_cdf", "std_pdf",
+    "tail_coefficient",
     "ChannelSpec", "GsnrQuery", "GsnrValue", "System", "g_snr",
     "geometric_power", "geometric_power_alpha_half", "physics_to_channel",
     "scale_for_gsnr", "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
-    "ber_monte_carlo", "cond_pdf", "detect", "llr", "ml_threshold",
-    "scheme_for_gsnr", "simulate_transmission", "system_c_component_scales",
+    "ber_monte_carlo", "ber_monte_carlo_curve", "cond_pdf", "detect", "llr",
+    "ml_threshold", "scheme_for_gsnr", "simulate_transmission",
+    "system_c_component_scales",
 ]

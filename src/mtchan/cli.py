@@ -31,8 +31,8 @@ import numpy as np
 
 from .power import System, geometric_power, noise_beta
 from .stable import QuadratureError, StableParams, cdf, pdf
-from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, ber_monte_carlo,
-                      ml_threshold, scheme_for_gsnr)
+from .systems import (MC_MIN_BITS, BerRecord, ber_analytic,
+                      ber_monte_carlo_curve, ml_threshold, scheme_for_gsnr)
 from . import plotting
 
 #: env var overriding the worker-pool size
@@ -53,27 +53,39 @@ SWEEP_GSNR_DB = (-10.0, 20.0)
 SWEEP_POINTS = 31
 
 
+def _stream_seed(master_seed: int, stream: int) -> int:
+    # mix (master seed, stream number) into an independent seed
+    return int(np.random.SeedSequence((master_seed, stream)).generate_state(1)[0])
+
+
 def point_seed(master_seed: int, index: int) -> int:
-    """Mix (master seed, grid index) into an independent per-point seed."""
-    return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
+    """Seed of the Monte Carlo draw behind point `index` of a sweep.
+
+    A grid of one delta, as every sweep is, counts all its points on one
+    draw of bits and noise, so the seed is the same for every index: the
+    Monte Carlo columns of point `index` are `ber_monte_carlo` on that point
+    with this seed.  `index` is taken so that a caller recomputing a sweep
+    point by point, as `bench/traced.py` does, gets each point's draw.
+    """
+    return _stream_seed(master_seed, 0)
 
 
-def _compute_record(index: int, point, mc_samples: int,
-                    master_seed: int) -> BerRecord:
-    system, beta, delta, gsnr = point
-    scheme = scheme_for_gsnr(system, delta, gsnr, beta)
-    state = ml_threshold(scheme)
-    analytic = ber_analytic(scheme, state)
-    mc = stderr = samples = None
-    if mc_samples:
-        mc, stderr = ber_monte_carlo(scheme, mc_samples,
-                                     point_seed(master_seed, index), state)
-        samples = mc_samples
-    return BerRecord(
+def _compute_curve(points, mc_samples: int, seed) -> list[BerRecord]:
+    """One record per (system, beta, delta, gsnr) point, in order.  Monte
+    Carlo columns, if mc_samples > 0, come from one draw of that many bits
+    for all the points, which must then share system, beta and delta."""
+    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
+               for system, beta, delta, gsnr in points]
+    states = [ml_threshold(s) for s in schemes]
+    mcs = (ber_monte_carlo_curve(schemes, states, mc_samples, seed)
+           if mc_samples else [(None, None)] * len(points))
+    return [BerRecord(
         gsnr=gsnr, gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
         beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
-        threshold=state.threshold, ber_analytic=analytic,
-        ber_mc=mc, mc_stderr=stderr, samples=samples)
+        threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
+        ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
+        for (_, _, delta, gsnr), scheme, state, (mc, stderr)
+        in zip(points, schemes, states, mcs)]
 
 
 def _run_tasks(tasks: list, workers: int) -> list:
@@ -87,11 +99,24 @@ def _run_tasks(tasks: list, workers: int) -> list:
 def _compute_grid(points, mc_samples: int, seed: int,
                   workers: int) -> list[BerRecord]:
     """One record per (system, beta, delta, gsnr) point, in order."""
-    tasks = [functools.partial(_compute_record, i, point, mc_samples, seed)
-             for i, point in enumerate(points)]
-    # an analytic point costs less than starting a worker, so only Monte
-    # Carlo grids go to the pool
-    return _run_tasks(tasks, workers if mc_samples else 1)
+    if not mc_samples:
+        # an analytic point costs less than starting a worker: no pool
+        return _compute_curve(points, 0, None)
+    # one pool task per (system, beta, delta) curve.  The curves of one delta
+    # share a draw and each delta has its own: at one G-SNR every delta gives
+    # the same d, so a draw shared across deltas would repeat one value.
+    curves: dict[tuple, list[int]] = {}
+    for i, (system, beta, delta, _) in enumerate(points):
+        curves.setdefault((system, beta, delta), []).append(i)
+    deltas = list(dict.fromkeys(delta for _, _, delta in curves))
+    tasks = [functools.partial(_compute_curve, [points[i] for i in members],
+                               mc_samples, _stream_seed(seed, deltas.index(delta)))
+             for (_, _, delta), members in curves.items()]
+    records = [None] * len(points)
+    for members, curve in zip(curves.values(), _run_tasks(tasks, workers)):
+        for i, record in zip(members, curve):
+            records[i] = record
+    return records
 
 
 def _fmt(value) -> str:

@@ -111,22 +111,6 @@ class StableParams:
         return StandardStable(self.alpha, self.beta)
 
 
-def char_fn(params: StableParams, t: float) -> complex:
-    """Characteristic function phi(t) of the stable law."""
-    if t == 0.0:
-        return 1.0 + 0.0j
-    if params.alpha == 1.0:
-        phi_factor = -(2.0 / math.pi) * math.log(abs(t))
-    else:
-        phi_factor = math.tan(math.pi * params.alpha / 2.0)
-    exponent = (
-        1j * params.mu * t
-        - abs(params.c * t) ** params.alpha
-        * (1.0 - 1j * params.beta * math.copysign(1.0, t) * phi_factor)
-    )
-    return cmath.exp(exponent)
-
-
 # ---------------------------------------------------------------------------
 # closed-form subfamilies
 # ---------------------------------------------------------------------------
@@ -575,14 +559,11 @@ def tail_coefficient(alpha: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _standard_levy(rng: np.random.Generator, n: int,
-                   scale: float = 1.0) -> np.ndarray:
-    # Levy(0, scale) as scale / Z^2; scale 0 draws nothing from rng
-    if scale == 0.0:
-        return np.zeros(n)
+def _standard_levy(rng: np.random.Generator, n: int) -> np.ndarray:
+    # standard Levy as 1 / Z^2
     z = rng.standard_normal(n)
     np.multiply(z, z, out=z)
-    return np.divide(scale, z, out=z)
+    return np.divide(1.0, z, out=z)
 
 
 def _standard_sample(alpha: float, beta: float, n: int,

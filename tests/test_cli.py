@@ -4,6 +4,7 @@ import pytest
 
 from mtchan import cli
 from mtchan.power import System
+from mtchan.systems import MC_CHUNK, ber_monte_carlo, scheme_for_gsnr
 
 HEADER = "gsnr_db,system,beta,delta,c,threshold,ber_analytic,ber_mc,mc_stderr,samples"
 
@@ -116,13 +117,75 @@ def test_sweep_schema_and_optional_columns(tmp_path, capsys):
     assert lines[1].endswith(",,,")
 
 
+def _outputs_by_workers(args, tmp_path, capsys) -> list[bytes]:
+    outputs = []
+    for workers in ("1", "2", "3"):
+        f = tmp_path / f"w{workers}.csv"
+        assert run(args + ["--workers", workers, "--output", str(f)],
+                   capsys)[0] == 0
+        outputs.append(f.read_bytes())
+    return outputs
+
+
 def test_sweep_deterministic_across_workers(tmp_path, capsys):
     args = ["sweep", "--systems", "A,C", "--betas", "0.5", "--gsnr-db", "0",
             "10", "--points", "3", "--mc-samples", "10000", "--seed", "7"]
-    f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert run(args + ["--workers", "1", "--output", str(f1)], capsys)[0] == 0
-    assert run(args + ["--workers", "3", "--output", str(f2)], capsys)[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    first, *others = _outputs_by_workers(args, tmp_path, capsys)
+    assert others == [first, first]
+
+
+def test_table1_mc_draws_differ_across_deltas(tmp_path, capsys):
+    # the cells of one delta share a draw and each delta has its own: at one
+    # G-SNR all deltas give the same d, so a shared draw would repeat one
+    # Monte Carlo value down each beta's row
+    betas, deltas = (0.5, 0.9), (1.0, 2.0, 4.0)
+    args = ["table1", "--betas", "0.5,0.9", "--deltas", "1,2,4",
+            "--mc-samples", "10000", "--seed", "3"]
+    first, *others = _outputs_by_workers(args, tmp_path, capsys)
+    assert others == [first, first]
+    rows = [line.split(",") for line in first.decode().splitlines()[1:]]
+    mcs = [float(row[7]) for row in rows]
+    assert len(set(mcs[:3])) == len(set(mcs[3:])) == 3
+    cells = [(b, d) for b in betas for d in deltas]
+    for mc, (beta, delta) in zip(mcs, cells, strict=True):
+        scheme = scheme_for_gsnr(System.C, delta, cli.TABLE1_GSNR, beta)
+        seed = cli._stream_seed(3, deltas.index(delta))
+        assert mc == ber_monte_carlo(scheme, 10_000, seed)[0]
+
+
+def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
+    # every point of a sweep is counted on the draw of point_seed, whatever
+    # its index, so it can be recomputed alone
+    code, out, _ = run(["sweep", "--systems", "A,C", "--betas", "-1,0.5",
+                        "--gsnr-db", "0", "10", "--points", "2",
+                        "--mc-samples", "10000", "--seed", "5",
+                        "--workers", "2"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    points = [(system, beta, gsnr) for system, beta in
+              ((System.A, 1.0), (System.C, -1.0), (System.C, 0.5))
+              for gsnr in (1.0, 10.0)]
+    for index, (row, (system, beta, gsnr)) in enumerate(
+            zip(rows, points, strict=True)):
+        scheme = scheme_for_gsnr(system, 1.0, gsnr, beta)
+        mc, stderr = ber_monte_carlo(scheme, 10_000, cli.point_seed(5, index))
+        assert (float(row[7]), float(row[8])) == (mc, stderr)
+
+
+def test_sweep_mc_rows_within_four_stderr(capsys):
+    # each curve's points share one draw of a little over one chunk, so a
+    # partial last chunk is counted too
+    n = MC_CHUNK + 12345
+    code, out, _ = run(["sweep", "--betas", "-1,0.5,1", "--gsnr-db", "-10",
+                        "20", "--points", "3", "--mc-samples", str(n),
+                        "--workers", "2"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ["A"] * 3 + ["B"] * 3 + ["C"] * 9
+    for row in rows:
+        analytic, mc, stderr, samples = map(float, row[6:])
+        assert samples == n
+        assert abs(mc - analytic) <= 4.0 * stderr, row
 
 
 def test_sweep_workers_env_override(tmp_path, capsys, monkeypatch):
@@ -267,9 +330,9 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed")
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
-    points = [(System.C, 0.5, 1.0, g) for g in (1.0, 2.0, 4.0)]
-    assert [r.gsnr for r in cli._compute_grid(points, 0, 0, 4)] == [1.0, 2.0, 4.0]
-    # Monte Carlo grids still go to the pool
+    points = [(System.C, b, 1.0, g) for b in (0.5, 0.9) for g in (1.0, 2.0)]
+    assert [r.gsnr for r in cli._compute_grid(points, 0, 0, 4)] == [1.0, 2.0] * 2
+    # Monte Carlo grids of two or more curves still go to the pool
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
         cli._compute_grid(points, 10_000, 0, 4)
 

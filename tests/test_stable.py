@@ -13,53 +13,13 @@ from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            _cdf_numeric, _int_laplace, _int_taylor,
                            _int_weideman, _levy_std_cdf, _levy_std_pdf,
                            _pdf_numeric, _zw, _zw_laplace, _zw_taylor,
-                           _zw_weideman, cdf, char_fn, pdf, sample, std_cdf,
-                           std_pdf, tail_coefficient)
+                           _zw_weideman, cdf, pdf, sample, std_cdf, std_pdf,
+                           tail_coefficient)
 
 LEVY = StandardStable(0.5, 1.0)
 SYM_HALF = StandardStable(0.5, 0.0)
 CAUCHY = StandardStable(1.0, 0.0)
 GAUSS = StandardStable(2.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# characteristic function
-# ---------------------------------------------------------------------------
-
-def test_char_fn_levy_at_one():
-    # alpha=1/2, beta=1, t=1: exponent -(1 - j*tan(pi/4)) = -1 + j
-    val = char_fn(StableParams(0.0, 1.0, 0.5, 1.0), 1.0)
-    assert val == pytest.approx(cmath.exp(-1.0 + 1.0j), abs=1e-15)
-
-
-def test_char_fn_at_zero_and_cauchy():
-    assert char_fn(StableParams(3.0, 2.0, 0.7, -0.4), 0.0) == 1.0
-    assert char_fn(StableParams(0.0, 1.0, 1.0, 0.0), 2.0) == pytest.approx(
-        math.exp(-2.0), abs=1e-15)
-
-
-def test_char_fn_location_shift_and_conjugacy():
-    base = StableParams(0.0, 1.5, 0.8, 0.3)
-    shifted = StableParams(2.0, 1.5, 0.8, 0.3)
-    for t in (0.3, -1.2, 4.0):
-        assert char_fn(shifted, t) == pytest.approx(
-            cmath.exp(1j * 2.0 * t) * char_fn(base, t), abs=1e-14)
-        # real laws: phi(-t) = conj(phi(t)), |phi| <= 1
-        assert char_fn(base, -t) == pytest.approx(
-            char_fn(base, t).conjugate(), abs=1e-14)
-        assert abs(char_fn(base, t)) <= 1.0 + 1e-15
-
-
-def test_char_fn_stability_under_addition():
-    # independent sum: phi_{c1} * phi_{c2} = phi_c with c^alpha = c1^a + c2^a
-    alpha, beta = 0.5, 0.6
-    c1, c2 = 1.0, 2.5
-    c_sum = (c1 ** alpha + c2 ** alpha) ** (1.0 / alpha)
-    for t in (0.1, 0.9, -2.3, 7.0):
-        lhs = (char_fn(StableParams(0.0, c1, alpha, beta), t)
-               * char_fn(StableParams(0.0, c2, alpha, beta), t))
-        rhs = char_fn(StableParams(0.0, c_sum, alpha, beta), t)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from mtchan.power import System
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
                             _bracket, _brent, _density_gap,
-                            ber_analytic, ber_monte_carlo, cond_pdf, detect,
-                            llr, ml_threshold, scheme_for_gsnr,
+                            ber_analytic, ber_monte_carlo,
+                            ber_monte_carlo_curve, cond_pdf, detect, llr,
+                            ml_threshold, scheme_for_gsnr,
                             simulate_transmission, system_c_component_scales)
 
 
@@ -305,6 +306,77 @@ def test_ber_monte_carlo_matches_the_reference_decisions(system, beta):
     p, stderr = ber_monte_carlo(s, 30_000, 11, state)
     assert (p, stderr) == (p_ref, math.sqrt(p_ref * (1.0 - p_ref) / 30_000))
     assert type(p) is float and type(stderr) is float
+
+
+CURVES = [("A", 1.0), ("B", 0.0), ("C", 0.5), ("C", -1.0), ("C", 1.0)]
+
+
+def _curve(system, beta, gsnrs=(0.3, 3.0, 30.0)):
+    schemes = [scheme_for_gsnr(System(system), 1.0, g, beta) for g in gsnrs]
+    return schemes, [ml_threshold(s) for s in schemes]
+
+
+@pytest.mark.parametrize("system,beta", CURVES)
+def test_curve_points_are_one_point_calls_on_shared_draws(system, beta):
+    # up to MC_CHUNK bits, each point's result on the shared draw is, bit for
+    # bit, ber_monte_carlo's on that point alone with the same seed
+    schemes, states = _curve(system, beta)
+    results = ber_monte_carlo_curve(schemes, states, 20_000, 5)
+    assert results == [ber_monte_carlo(s, 20_000, 5, st)
+                       for s, st in zip(schemes, states)]
+    assert len(set(results)) == len(results)
+
+
+def _ref_scales(s):
+    # scales of the delays added and subtracted; 0 for none
+    c = s.noise.c
+    if s.system is System.A:
+        return c, 0.0
+    if s.system is System.B:
+        return c / 4.0, c / 4.0
+    return system_c_component_scales(c, s.noise.beta)
+
+
+@pytest.mark.parametrize("system,beta", CURVES)
+def test_curve_counts_every_chunk(system, beta, monkeypatch):
+    # the reference: per chunk, the bits and then each nonzero-scale delay
+    # from one generator, errors summed over the chunks; 10,000 bits in
+    # chunks of 4096 leave a partial last chunk
+    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
+    schemes, states = _curve(system, beta)
+    n = 10_000
+    rng = np.random.default_rng(9)
+    errors = [0] * len(schemes)
+    for start in range(0, n, 4096):
+        m = min(4096, n - start)
+        bits = rng.integers(0, 2, m)
+        z = [rng.standard_normal(m) if scale else None
+             for scale in _ref_scales(schemes[0])]
+        for k, (s, st) in enumerate(zip(schemes, states)):
+            sent = np.where(bits == 0, *s.symbols)
+            first, second = _ref_scales(s)
+            y = sent + (first / (z[0] * z[0]) if first else 0.0)
+            y = y - (second / (z[1] * z[1]) if second else 0.0)
+            if system == "B":
+                y = np.abs(y)
+            decided = np.where(y <= st.threshold, st.low_symbol, st.high_symbol)
+            errors[k] += int(np.count_nonzero(decided != sent))
+    expected = [(e / n, math.sqrt(e / n * (1.0 - e / n) / n)) for e in errors]
+    assert ber_monte_carlo_curve(schemes, states, n, 9) == expected
+
+
+def test_curve_needs_one_system_and_delta_and_a_state_per_scheme():
+    a, b = make("A"), make("B")
+    with pytest.raises(ValueError, match="one system and delta"):
+        ber_monte_carlo_curve([a, b], [ml_threshold(a), ml_threshold(b)],
+                              10_000, 0)
+    with pytest.raises(ValueError, match="one system and delta"):
+        ber_monte_carlo_curve([a, make("A", delta=2.0)], [ml_threshold(a)] * 2,
+                              10_000, 0)
+    with pytest.raises(ValueError, match="one detector state per scheme"):
+        ber_monte_carlo_curve([a, a], [ml_threshold(a)], 10_000, 0)
+    with pytest.raises(ValueError, match=">= 10000"):
+        ber_monte_carlo_curve([a], [ml_threshold(a)], 9999, 0)
 
 
 def test_ber_monte_carlo_minimum_size():

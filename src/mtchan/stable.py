@@ -40,6 +40,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class StableParams:
             raise ValueError(f"c must be finite and >= 0, got {self.c}")
         _check_shape(self.alpha, self.beta)
 
-    @property
+    @cached_property  # the detector reads it at every density evaluation
     def standard(self) -> StandardStable:
         return StandardStable(self.alpha, self.beta)
 
@@ -526,11 +527,14 @@ def std_cdf(s: StandardStable, x: float) -> float:
     if s.alpha == 2.0:
         return _gauss_std_cdf(x)
     if s.alpha == 1.0:
+        if x < 0.0:
+            return math.atan2(1.0, -x) / math.pi  # 1/2 + atan(x)/pi cancels here
         return 0.5 + math.atan(x) / math.pi
     if s.alpha == 0.5 and s.beta == 1.0:
         return _levy_std_cdf(x)
     if s.alpha == 0.5 and s.beta == -1.0:
-        return 1.0 - _levy_std_cdf(-x)
+        # P(L >= -x), L Levy, as an erf: 1 - erfc would cancel in the tail
+        return math.erf(math.sqrt(-0.5 / x)) if x < 0.0 else 1.0
     if s.alpha == 0.5:
         return _half_cdf(s.beta, x)
     return _cdf_numeric(s.alpha, s.beta, x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
-from .stable import BRENT_RTOL, StableParams, _brent, std_cdf, std_pdf
+from .stable import BRENT_RTOL, StableParams, StandardStable, _brent, std_cdf, std_pdf
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -83,22 +83,30 @@ class BerRecord:
             raise ValueError("Monte Carlo fields must be present together")
 
 
+def _law(scheme: BinaryScheme, s: float, u: float, kind: str) -> float:
+    # the law of U = y/c given the standardized symbol s, U = s + N or |s + N|
+    # for B: density ("pdf"), P(U <= u) ("cdf") or P(U > u) ("sf"), no 1 - F
+    law = scheme.noise.standard
+    if scheme.system is System.B:  # N symmetric: P(N > x) = F(-x)
+        if u < 0.0:
+            return 1.0 if kind == "sf" else 0.0
+        if kind == "pdf":
+            return std_pdf(law, u - s) + std_pdf(law, -u - s)
+        if kind == "cdf":
+            return std_cdf(law, u - s) - std_cdf(law, -u - s)
+        return std_cdf(law, s - u) + std_cdf(law, -u - s)
+    if kind == "sf":  # P(N > x) is the CDF of -N ~ S(1/2, -beta) at -x
+        return std_cdf(StandardStable(0.5, -law.beta), s - u)
+    return (std_pdf if kind == "pdf" else std_cdf)(law, u - s)
+
+
 def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
-    """Density of the observation given the transmitted symbol."""
+    """Density of the observation given the transmitted symbol s: f(y - s),
+    f the noise density, or for B the folded f(y - s) + f(-y - s) on y >= 0."""
     if symbol not in scheme.symbols:
         raise ValueError(f"symbol {symbol} not in alphabet {scheme.symbols}")
     c = scheme.noise.c
-    if scheme.system is System.B:
-        if y < 0.0:
-            return 0.0
-        if y == 0.0:
-            if symbol == 0.0:
-                return 2.0 / (c * math.pi)
-            return std_pdf(scheme.noise.standard, scheme.delta / c) / c
-        # folded output: contributions from +/-y
-        return (std_pdf(scheme.noise.standard, (y - symbol) / c)
-                + std_pdf(scheme.noise.standard, (-y - symbol) / c)) / c
-    return std_pdf(scheme.noise.standard, (y - symbol) / c) / c
+    return _law(scheme, symbol / c, y / c, "pdf") / c
 
 
 def llr(scheme: BinaryScheme, y: float) -> float:
@@ -117,12 +125,8 @@ def llr(scheme: BinaryScheme, y: float) -> float:
 
 def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     # f(y|low) - f(y|high) in standardized units u = y/c, d = delta/c
-    law = scheme.noise.standard
-    f = lambda x: std_pdf(law, x)
-    if scheme.system is System.B:
-        return 2.0 * f(u) - f(u - d) - f(u + d)
     low, high = input_symbols(scheme.system, d)
-    return f(u - low) - f(u - high)
+    return _law(scheme, low, u, "pdf") - _law(scheme, high, u, "pdf")
 
 
 def _bracket(scheme: BinaryScheme, d: float) -> tuple[float, float]:
@@ -182,19 +186,15 @@ def detect(state: DetectorState, scheme: BinaryScheme, y: float) -> float:
 
 
 def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> float:
-    """Error probability of the threshold detector (equiprobable symbols)."""
+    """Error probability of the threshold detector (equiprobable symbols),
+    (P(y > threshold | low) + P(y <= threshold | high))/2, each term a tail
+    of the noise law, so it keeps its relative precision at any G-SNR."""
     if state is None:
         state = ml_threshold(scheme)
     c = scheme.noise.c
     u = state.threshold / c
-    d = scheme.delta / c
-    law = scheme.noise.standard
-    F = lambda x: std_cdf(law, x)
-    if scheme.system is System.B:
-        # re-derived from Pr(|L| > th | 0) and Pr(|delta + L| <= th | delta)
-        return 0.5 - F(u) + 0.5 * F(u - d) + 0.5 * F(u + d)
-    low, high = input_symbols(scheme.system, d)
-    return 0.5 * (1.0 - F(u - low) + F(u - high))
+    low, high = input_symbols(scheme.system, scheme.delta / c)
+    return 0.5 * (_law(scheme, low, u, "sf") + _law(scheme, high, u, "cdf"))
 
 
 def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:

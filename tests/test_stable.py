@@ -69,6 +69,23 @@ def test_cauchy_and_gauss():
         assert std_cdf(GAUSS, x) == 0.5 * math.erfc(-0.5 * x)
 
 
+LOWER_TAIL_XS = (-1.0, -1e8, -1e20, -1e40, -1e150, -1e300)
+
+
+@pytest.mark.parametrize("x", LOWER_TAIL_XS)
+def test_closed_form_lower_tails_vs_mpmath(mp, x):
+    # the lower tails of the mirrored Levy and Cauchy CDFs are read directly,
+    # not as one minus the upper mass, so they keep their relative digits
+    neg = StandardStable(0.5, -1.0)
+    assert std_cdf(neg, x) == pytest.approx(
+        float(mp.erf(mp.sqrt(-0.5 / mp.mpf(x)))), rel=1e-14, abs=0.0)
+    assert std_cdf(CAUCHY, x) == pytest.approx(
+        float(mp.acot(-mp.mpf(x)) / mp.pi), rel=1e-14, abs=0.0)
+    assert std_cdf(neg, -x) == 1.0
+    assert std_cdf(CAUCHY, -x) == pytest.approx(
+        float(1 - mp.acot(-mp.mpf(x)) / mp.pi), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # numerical inversion vs closed forms / internal consistency
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtchan import systems
-from mtchan.power import System
+from mtchan.power import System, input_symbols
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
                             _bracket, _brent, _density_gap,
@@ -12,6 +12,7 @@ from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
                             ber_monte_carlo_curve, cond_pdf, detect, llr,
                             ml_threshold, scheme_for_gsnr,
                             simulate_transmission, system_c_component_scales)
+from mtchan.validate import _ks_test
 
 
 def make(system: str, delta: float = 1.0, c: float = 1.0,
@@ -68,7 +69,10 @@ def test_cond_pdf_system_a():
 def test_cond_pdf_system_b_boundary_and_fold():
     s = make("B", c=1.0)
     assert cond_pdf(s, 0.0, -1.0) == 0.0
-    assert cond_pdf(s, 0.0, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
+    # at y = 0 the folded density is its limit from above, f(-s) + f(-s)
+    assert cond_pdf(s, 0.0, 0.0) == pytest.approx(4.0 / math.pi, abs=1e-10)
+    assert cond_pdf(s, s.delta, 0.0) == pytest.approx(
+        cond_pdf(s, s.delta, 1e-12), rel=1e-12)
     sym = StandardStable(0.5, 0.0)
     # folded density: contributions from +y and -y
     assert cond_pdf(s, 1.0, 0.4) == pytest.approx(
@@ -152,6 +156,35 @@ def test_threshold_grid_scan_oracle():
         for t in np.linspace(state.threshold - span, state.threshold + span, 401):
             alt = DetectorState(float(t), *s.symbols)
             assert ber_analytic(s, alt) >= best - 1e-12
+
+
+def _tail_limit(system: str, beta: float) -> float:
+    # K in BER * sqrt(d) -> K as d = delta/c grows, from the balance of the
+    # noise's x^(-3/2) tails at the threshold; K_A is the Levy tail coefficient
+    k_a = 1.0 / math.sqrt(2.0 * math.pi)
+    if system == "A":
+        return k_a
+    if system == "B":
+        # u/d -> r, the root of 2 r^(-3/2) = (1-r)^(-3/2) + (1+r)^(-3/2)
+        r = 0.5942509204666528
+        return k_a * (r ** -0.5 + ((1.0 - r) ** -0.5 - (1.0 + r) ** -0.5) / 2.0)
+    k = ((1.0 + beta) / (1.0 - beta)) ** (2.0 / 3.0)
+    kappa = (k - 1.0) / (k + 1.0)
+    return k_a / 2.0 * ((1.0 + beta) * (1.0 + kappa) ** -0.5
+                        + (1.0 - beta) * (1.0 - kappa) ** -0.5)
+
+
+@pytest.mark.parametrize("system,beta", [
+    ("A", 1.0), ("B", 0.0), ("C", 0.0), ("C", 0.5), ("C", -0.95)])
+@pytest.mark.parametrize("db", (600.0, 1000.0, 2000.0, 3000.0))
+def test_ber_high_gsnr_tail_limit(system, beta, db):
+    # up to the top of the CLI's G-SNR range the BER is a tail mass far below
+    # 1e-16, and it must keep its relative digits: BER * sqrt(d) = K to
+    # within the O(d^(-1/2)) correction, below 1e-15 here
+    s = scheme_for_gsnr(System(system), 1.0, 10.0 ** (db / 10.0), beta)
+    d = s.delta / s.noise.c
+    ratio = ber_analytic(s) * math.sqrt(d) / _tail_limit(system, beta)
+    assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_detect_tie_goes_low():
@@ -238,6 +271,37 @@ def test_simulate_supports():
     assert np.all(y_a > sent_a)  # strictly positive delay
     _, y_b = simulate_transmission(make("B"), 5000, 2)
     assert np.all(y_b >= 0.0)  # folded output
+
+
+LAW_CASES = [("A", 1.0), ("B", 0.0), ("C", -1.0), ("C", 0.5), ("C", 1.0)]
+
+
+@pytest.mark.parametrize("system,beta", LAW_CASES)
+def test_law_matches_the_channel(system, beta):
+    # the analytic law of y given a symbol (B's fold included) is the law
+    # of the observations the channel simulation produces for it
+    scheme = scheme_for_gsnr(System(system), 1.0, 10.0, beta)
+    c = scheme.noise.c
+    sent, y = simulate_transmission(scheme, 20_000, 5)
+    for symbol in scheme.symbols:
+        cdf = lambda v: np.array([systems._law(scheme, symbol / c, x / c, "cdf")
+                                  for x in v])
+        _, p = _ks_test(y[sent == symbol], cdf)
+        assert p >= 1e-3, (symbol, p)
+
+
+@pytest.mark.parametrize("system,beta", LAW_CASES)
+def test_law_masses_and_density_agree(system, beta):
+    scheme = scheme_for_gsnr(System(system), 1.0, 10.0, beta)
+    d = scheme.delta / scheme.noise.c
+    law = lambda s, u, kind: systems._law(scheme, s, u, kind)
+    h = 1e-5
+    for s in input_symbols(scheme.system, d):
+        for u in (s + x for x in (-5.0, -1.0, -0.3, 0.3, 1.0, 5.0, 40.0)):
+            assert law(s, u, "cdf") + law(s, u, "sf") == pytest.approx(
+                1.0, abs=1e-15), (s, u)
+            slope = (law(s, u + h, "cdf") - law(s, u - h, "cdf")) / (2.0 * h)
+            assert law(s, u, "pdf") == pytest.approx(slope, rel=1e-6, abs=0.0), (s, u)
 
 
 def test_system_c_component_scales():

@@ -300,8 +300,8 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     from . import validate  # here, so that the other commands skip its import
     workers = _resolve_workers(args)
-    if args.mc_samples < MC_MIN_BITS:
-        raise ValueError(f"--mc-samples must be >= {MC_MIN_BITS}")
+    _require("--mc-samples", [args.mc_samples],
+             (lambda n: n >= MC_MIN_BITS, f">= {MC_MIN_BITS}"))
     _require("--tol", [args.tol], _POSITIVE)
     tasks = validate.suite(args.mc_samples, args.seed, args.tol)
     results = [r for rs in _run_tasks(tasks, workers) for r in rs]

@@ -3,7 +3,9 @@ ML thresholds, analytic BER and a Monte Carlo transmission oracle.
 
 All detector math is done in standardized coordinates u = y/c with
 separation delta_std = delta/c, so results at a fixed G-SNR are invariant
-under joint rescaling of (delta, c) down to floating-point roundoff.
+under joint rescaling of (delta, c) down to floating-point roundoff.  The
+Monte Carlo works there too: it draws the standardized noise N and counts
+errors of U = s + N (|s + N| for B), the observation whose law _law gives.
 """
 
 from __future__ import annotations
@@ -209,66 +211,54 @@ def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
 
 
 def _delay_scales(scheme: BinaryScheme) -> tuple[float, float]:
-    # scales of the Levy delays t1, t2 in y = sent + t1 - t2; 0 for none
-    c = scheme.noise.c
+    # scales (a1, a2) at c = 1 of the Levy delays in N = a1/Z1^2 - a2/Z2^2,
+    # the standardized noise; 0 for no delay
     if scheme.system is System.A:
-        return c, 0.0
+        return 1.0, 0.0
     if scheme.system is System.B:
         # two indistinguishable first arrivals, each Levy with c_B/4
-        return c / 4.0, c / 4.0
-    return system_c_component_scales(c, scheme.noise.beta)
+        return 0.25, 0.25
+    return system_c_component_scales(1.0, scheme.noise.beta)
 
 
-def _draw(rng: np.random.Generator, n: int, symbols: tuple[float, float],
-          scales: list[tuple[float, float]]) -> tuple[np.ndarray, list]:
-    # (sent, [Z1^2, Z2^2]) for n bits: the draws come in a fixed order, the
-    # bits and then Z^2 for each delay that some point's scales have (None
-    # for a delay of scale 0 everywhere: it draws nothing); the bits are
-    # freed before the delays are drawn
-    sent = np.take(symbols, rng.integers(0, 2, n))
-    squares = [rng.standard_normal(n) if any(s[i] for s in scales) else None
-               for i in (0, 1)]
-    return sent, [z if z is None else np.multiply(z, z, out=z) for z in squares]
+def _draw(rng: np.random.Generator, n: int,
+          scales: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    # (low, N) for n bits: the mask of bits that sent the low symbol, and the
+    # standardized noise N = a1/Z1^2 + (-a2)/Z2^2 built in the Z buffers.  The
+    # draws come in a fixed order: the bits, then Z for each delay of nonzero
+    # scale (a delay of scale 0 draws nothing)
+    low = rng.integers(0, 2, n) == 0
+    noise = None
+    for a in (scales[0], -scales[1]):
+        if a:
+            z = rng.standard_normal(n)
+            z = np.divide(a, np.multiply(z, z, out=z), out=z)
+            noise = z if noise is None else np.add(noise, z, out=noise)
+    return low, noise
 
 
-def _observe(scheme: BinaryScheme, scales: tuple[float, float],
-             sent: np.ndarray, squares: list, y: np.ndarray,
-             t2: np.ndarray) -> np.ndarray:
-    # the channel, y = (sent + t1) - t2 with each delay t = scale / Z^2 and
-    # no term for scale 0, and |y| for B, computed in the buffers y and t2
-    (first, second), (zz1, zz2) = scales, squares
-    if first:
-        np.add(sent, np.divide(first, zz1, out=y), out=y)
-    else:
-        np.copyto(y, sent)
-    if second:
-        y -= np.divide(second, zz2, out=t2)
-    if scheme.system is System.B:
-        np.abs(y, out=y)
-    return y
-
-
-def _observe_in_place(scheme: BinaryScheme, scales: tuple[float, float],
-                      sent: np.ndarray, squares: list) -> np.ndarray:
-    # _observe into the draws: y takes Z1^2's memory, t2 Z2^2's
-    zz1, zz2 = squares
-    y = np.empty(len(sent)) if zz1 is None else zz1
-    return _observe(scheme, scales, sent, squares, y, zz2)
+def _observe(scheme: BinaryScheme, low: np.ndarray,
+             noise: np.ndarray) -> np.ndarray:
+    # the observations in u = y/c: U = s + N for the standardized symbol s,
+    # or |s + N| for B, the variable whose law _law gives
+    u = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
+    u += noise
+    return np.abs(u, out=u) if scheme.system is System.B else u
 
 
 def simulate_transmission(scheme: BinaryScheme, n_bits: int,
                           seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw equiprobable symbols and push them through the physical channel.
 
-    Returns (sent symbols, observations); deterministic for a given seed.
-    Up to MC_CHUNK bits, these are the draws ber_monte_carlo counts.
+    Returns (sent symbols, observations y = c*U); deterministic for a given
+    seed.  Up to MC_CHUNK bits, these are the draws ber_monte_carlo counts.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    scales = _delay_scales(scheme)
-    sent, squares = _draw(np.random.default_rng(seed), n_bits, scheme.symbols,
-                          [scales])
-    return sent, _observe_in_place(scheme, scales, sent, squares)
+    low, noise = _draw(np.random.default_rng(seed), n_bits,
+                       _delay_scales(scheme))
+    return (np.where(low, *scheme.symbols),
+            scheme.noise.c * _observe(scheme, low, noise))
 
 
 #: fewest bits ber_monte_carlo draws
@@ -277,62 +267,37 @@ MC_MIN_BITS = 10_000
 MC_CHUNK = 2 ** 20
 
 
-def _chunk_errors(rng: np.random.Generator, n: int, schemes, states, scales,
-                  spare) -> list[int]:
-    # error counts of each point on one draw of n bits; the draw is freed on
-    # return, before the next one
-    symbols = schemes[0].symbols
-    sent, squares = _draw(rng, n, symbols, scales)
-    counts = []
-    for k, (scheme, state) in enumerate(zip(schemes, states)):
-        if k < len(schemes) - 1:
-            y = _observe(scheme, scales[k], sent, squares, spare[0][:n],
-                         spare[1][:n])
-        else:
-            # the last point overwrites the draws and frees Z2^2 before
-            # counting, so one point holds no more memory than its draws
-            y = _observe_in_place(scheme, scales[k], sent, squares)
-            squares = None
-        # an error decides low (y <= threshold) where high was sent, or the
-        # reverse
-        wrong = y <= state.threshold
-        counts.append(int(np.count_nonzero(
-            np.not_equal(wrong, sent == symbols[0], out=wrong))))
-    return counts
-
-
 def ber_monte_carlo_curve(schemes: list[BinaryScheme],
                           states: list[DetectorState], n_bits: int,
                           seed) -> list[tuple[float, float]]:
     """Empirical BER and its binomial standard error at each point of one
-    curve: schemes of one system and delta, with their detectors.
+    curve: schemes of one system, delta and noise beta, with their detectors.
 
-    One generator draws the bits and the noise once for all points, in
-    chunks of MC_CHUNK bits; each point rebuilds its observations from the
-    shared draws with its own noise scales and counts its errors.  Each
-    point's estimate thus has the law of an independent run, while the
-    errors of points on one curve are correlated.
+    One generator draws the bits and the standardized noise N once for all
+    points, in chunks of MC_CHUNK bits; each point counts its errors on
+    U = s + N (|s + N| for B) against its threshold over c, in the
+    coordinates of ber_analytic.  Each point's estimate thus has the law of
+    an independent run, while the errors of points on one curve are
+    correlated.
     """
     if n_bits < MC_MIN_BITS:
         raise ValueError(f"n_bits must be >= {MC_MIN_BITS}, got {n_bits}")
-    if len({(s.system, s.delta) for s in schemes}) != 1:
-        raise ValueError("a curve needs schemes of one system and delta")
+    if len({(s.system, s.delta, s.noise.beta) for s in schemes}) != 1:
+        raise ValueError(
+            "a curve needs schemes of one system and delta and one noise beta")
     if len(states) != len(schemes):
         raise ValueError("a curve needs one detector state per scheme")
-    scales = [_delay_scales(s) for s in schemes]
-    # all points but the last rebuild y in two chunk-sized buffers: new
-    # arrays for each point and chunk made a 28-point sweep of 4e6 bits 5%
-    # slower and 7 MB larger (2 vCPU)
-    spare = None
-    if len(schemes) > 1:
-        spare = [np.empty(min(n_bits, MC_CHUNK)) for _ in range(2)]
     rng = np.random.default_rng(seed)
+    scales = _delay_scales(schemes[0])
     errors = [0] * len(schemes)
     for start in range(0, n_bits, MC_CHUNK):
-        n = min(MC_CHUNK, n_bits - start)
-        for k, e in enumerate(_chunk_errors(rng, n, schemes, states, scales,
-                                            spare)):
-            errors[k] += e
+        low, noise = _draw(rng, min(MC_CHUNK, n_bits - start), scales)
+        for k, (scheme, state) in enumerate(zip(schemes, states)):
+            # an error decides low (U <= u) where high was sent, or the reverse
+            u = state.threshold / scheme.noise.c
+            errors[k] += int(np.count_nonzero(
+                (_observe(scheme, low, noise) <= u) != low))
+        del low, noise  # free this chunk before the next is drawn
     return [(p, math.sqrt(p * (1.0 - p) / n_bits))
             for p in (e / n_bits for e in errors)]
 

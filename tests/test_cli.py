@@ -449,7 +449,7 @@ def test_validate_has_no_output_flags(flags, tmp_path, capsys):
 def test_validate_rejects_tiny_mc(capsys):
     code, _, err = run(["validate", "--mc-samples", "100"], capsys)
     assert code == 2
-    assert "error" in err
+    assert "--mc-samples must be >= 10000, got 100" in err
 
 
 @pytest.mark.parametrize("flags,env,source", [

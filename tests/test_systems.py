@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mtchan import systems
 from mtchan.power import System, input_symbols
 from mtchan.stable import StableParams, StandardStable, std_pdf
-from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
+from mtchan.systems import (MC_CHUNK, BerRecord, BinaryScheme, DetectorState,
                             _bracket, _brent, _density_gap,
                             ber_analytic, ber_monte_carlo,
                             ber_monte_carlo_curve, cond_pdf, detect, llr,
@@ -335,23 +336,23 @@ def _ref_levy(rng, n, scale):
     ("C", 1.0, (0.1182, 0.0022828574199892557)),
 ])
 def test_monte_carlo_stream_unchanged(system, beta, expected):
-    # the observations, and so ber_mc, stay bitwise those of the reference
-    # sampler; C at beta = 1 draws nothing for its scale-0 delay
+    # the observations stay bitwise c*(s + a1/Z1^2 - a2/Z2^2), |.| for B, on
+    # the reference sampler's draws at c = 1, and ber_mc stays as pinned; C at
+    # beta = 1 draws nothing for its scale-0 delay
     s = scheme_for_gsnr(System(system), 1.0, 3.0, beta)
     sent, y = simulate_transmission(s, 20_000, 7)
     rng = np.random.default_rng(7)
     ref_sent = np.where(rng.integers(0, 2, 20_000) == 0, *s.symbols)
     c = s.noise.c
     if system == "A":
-        ref_y = ref_sent + _ref_levy(rng, 20_000, c)
+        noise = _ref_levy(rng, 20_000, 1.0)
     elif system == "B":
-        t1 = _ref_levy(rng, 20_000, c / 4.0)
-        t2 = _ref_levy(rng, 20_000, c / 4.0)
-        ref_y = np.abs(ref_sent + t1 - t2)
+        noise = _ref_levy(rng, 20_000, 0.25) - _ref_levy(rng, 20_000, 0.25)
     else:
-        c_pos, c_neg = system_c_component_scales(c, beta)
-        t_pos = _ref_levy(rng, 20_000, c_pos)
-        ref_y = ref_sent + t_pos - _ref_levy(rng, 20_000, c_neg)
+        a_pos, a_neg = system_c_component_scales(1.0, beta)
+        noise = _ref_levy(rng, 20_000, a_pos) - _ref_levy(rng, 20_000, a_neg)
+    ref_u = ref_sent / c + noise
+    ref_y = c * (np.abs(ref_u) if system == "B" else ref_u)
     np.testing.assert_array_equal(sent, ref_sent)
     np.testing.assert_array_equal(y, ref_y)
     assert ber_monte_carlo(s, 20_000, 7) == expected
@@ -429,6 +430,26 @@ def test_curve_counts_every_chunk(system, beta, monkeypatch):
     assert ber_monte_carlo_curve(schemes, states, n, 9) == expected
 
 
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("system,beta", [("A", 1.0), ("B", 0.0), ("C", 0.5)])
+def test_curve_memory_is_one_point_memory(system, beta):
+    # a curve holds one chunk's draw and one point's observations at a time:
+    # four points over three chunks peak about where one point over one does
+    schemes, states = _curve(system, beta, (0.3, 3.0, 30.0, 300.0))
+    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], MC_CHUNK, 3, states[0]))
+    curve = _peak_bytes(lambda: ber_monte_carlo_curve(schemes, states,
+                                                      2 * MC_CHUNK + 1, 3))
+    assert curve <= 1.25 * one, (curve, one)
+
+
 def test_curve_needs_one_system_and_delta_and_a_state_per_scheme():
     a, b = make("A"), make("B")
     with pytest.raises(ValueError, match="one system and delta"):
@@ -436,6 +457,10 @@ def test_curve_needs_one_system_and_delta_and_a_state_per_scheme():
                               10_000, 0)
     with pytest.raises(ValueError, match="one system and delta"):
         ber_monte_carlo_curve([a, make("A", delta=2.0)], [ml_threshold(a)] * 2,
+                              10_000, 0)
+    c1, c2 = make("C", beta=0.5), make("C", beta=-0.5)
+    with pytest.raises(ValueError, match="one system and delta"):
+        ber_monte_carlo_curve([c1, c2], [ml_threshold(c1), ml_threshold(c2)],
                               10_000, 0)
     with pytest.raises(ValueError, match="one detector state per scheme"):
         ber_monte_carlo_curve([a, a], [ml_threshold(a)], 10_000, 0)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .power import System, geometric_power, noise_beta
 from .stable import QuadratureError, StableParams, cdf, pdf
-from .systems import (MC_MIN_BITS, BerRecord, ber_analytic,
-                      ber_monte_carlo_curve, ml_threshold, scheme_for_gsnr)
+from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, chunk_errors,
+                      chunk_sizes, mc_estimate, ml_threshold, scheme_for_gsnr)
 from . import plotting
 
 #: env var overriding the worker-pool size
@@ -62,30 +62,36 @@ def point_seed(master_seed: int, index: int) -> int:
     """Seed of the Monte Carlo draw behind point `index` of a sweep.
 
     A grid of one delta, as every sweep is, counts all its points on one
-    draw of bits and noise, so the seed is the same for every index: the
-    Monte Carlo columns of point `index` are `ber_monte_carlo` on that point
-    with this seed.  `index` is taken so that a caller recomputing a sweep
-    point by point, as `bench/traced.py` does, gets each point's draw.
+    draw of bits and noise, so the seed is the same for every index.  A
+    point's count depends on the seed and the bit count alone, whatever the
+    other points (see `systems.chunk_errors`), so the Monte Carlo columns of
+    point `index` are `ber_monte_carlo` on that point with this seed, at any
+    bit count.  `index` is taken so that a caller recomputing a sweep point
+    by point, as `bench/traced.py` does, gets each point's draw.
     """
     return _stream_seed(master_seed, 0)
 
 
-def _compute_curve(points, mc_samples: int, seed) -> list[BerRecord]:
-    """One record per (system, beta, delta, gsnr) point, in order.  Monte
-    Carlo columns, if mc_samples > 0, come from one draw of that many bits
-    for all the points, which must then share system, beta and delta."""
-    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
-               for system, beta, delta, gsnr in points]
-    states = [ml_threshold(s) for s in schemes]
-    mcs = (ber_monte_carlo_curve(schemes, states, mc_samples, seed)
-           if mc_samples else [(None, None)] * len(points))
-    return [BerRecord(
-        gsnr=gsnr, gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
-        beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
-        threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
-        ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
-        for (_, _, delta, gsnr), scheme, state, (mc, stderr)
-        in zip(points, schemes, states, mcs)]
+def _monte_carlo(schemes, states, n_bits: int, seed: int,
+                 workers: int) -> list[tuple[float, float]]:
+    """(ber_mc, stderr) of each point.  The points of one delta are counted
+    on one draw and each delta has its own: at one G-SNR every delta gives
+    the same d, so a draw shared across deltas would repeat one value.  A
+    pool task is one chunk of one delta's draw and counts all its points;
+    the integer counts are summed here, whatever the worker count."""
+    deltas: dict[float, list[int]] = {}
+    for i, scheme in enumerate(schemes):
+        deltas.setdefault(scheme.delta, []).append(i)
+    tasks = [(members, functools.partial(
+                 chunk_errors, [schemes[i] for i in members],
+                 [states[i] for i in members], _stream_seed(seed, j), k, n))
+             for j, members in enumerate(deltas.values())
+             for k, n in enumerate(chunk_sizes(n_bits))]
+    errors = [0] * len(schemes)
+    for (members, _), counts in zip(tasks, _run_tasks([t for _, t in tasks], workers)):
+        for i, e in zip(members, counts):
+            errors[i] += e
+    return [mc_estimate(e, n_bits) for e in errors]
 
 
 def _run_tasks(tasks: list, workers: int) -> list:
@@ -98,25 +104,22 @@ def _run_tasks(tasks: list, workers: int) -> list:
 
 def _compute_grid(points, mc_samples: int, seed: int,
                   workers: int) -> list[BerRecord]:
-    """One record per (system, beta, delta, gsnr) point, in order."""
-    if not mc_samples:
-        # an analytic point costs less than starting a worker: no pool
-        return _compute_curve(points, 0, None)
-    # one pool task per (system, beta, delta) curve.  The curves of one delta
-    # share a draw and each delta has its own: at one G-SNR every delta gives
-    # the same d, so a draw shared across deltas would repeat one value.
-    curves: dict[tuple, list[int]] = {}
-    for i, (system, beta, delta, _) in enumerate(points):
-        curves.setdefault((system, beta, delta), []).append(i)
-    deltas = list(dict.fromkeys(delta for _, _, delta in curves))
-    tasks = [functools.partial(_compute_curve, [points[i] for i in members],
-                               mc_samples, _stream_seed(seed, deltas.index(delta)))
-             for (_, _, delta), members in curves.items()]
-    records = [None] * len(points)
-    for members, curve in zip(curves.values(), _run_tasks(tasks, workers)):
-        for i, record in zip(members, curve):
-            records[i] = record
-    return records
+    """One record per (system, beta, delta, gsnr) point, in order.  The
+    thresholds and analytic BER are computed here, as a point costs less
+    than starting a worker; only Monte Carlo chunks, if mc_samples > 0, go
+    to the pool."""
+    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
+               for system, beta, delta, gsnr in points]
+    states = [ml_threshold(s) for s in schemes]
+    mcs = (_monte_carlo(schemes, states, mc_samples, seed, workers)
+           if mc_samples else [(None, None)] * len(points))
+    return [BerRecord(
+        gsnr=gsnr, gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
+        beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
+        threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
+        ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
+        for (_, _, delta, gsnr), scheme, state, (mc, stderr)
+        in zip(points, schemes, states, mcs)]
 
 
 def _fmt(value) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .stable import G_GAMMA, StableParams
@@ -154,6 +155,10 @@ def physics_to_channel(spec: ChannelSpec) -> StableParams:
     return StableParams(0.0, c, 0.5, beta)
 
 
+#: largest G-SNR scale_for_gsnr takes: 2 e^gamma G-SNR is finite up to it
+GSNR_MAX = sys.float_info.max / (2.0 * G_GAMMA)
+
+
 def scale_for_gsnr(system: System, delta: float, gsnr: float,
                    beta: float = 0.0) -> float:
     """Noise scale c that yields the requested G-SNR (closed-form inversion)."""
@@ -161,7 +166,13 @@ def scale_for_gsnr(system: System, delta: float, gsnr: float,
         raise ValueError(f"gsnr must be > 0, got {gsnr}")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    root = math.sqrt(2.0 * G_GAMMA * gsnr)
+    square = 2.0 * G_GAMMA * gsnr
+    if square == math.inf:
+        raise ValueError(
+            f"gsnr {gsnr!r} ({10.0 * math.log10(gsnr):.2f} dB) exceeds "
+            f"{GSNR_MAX!r} ({10.0 * math.log10(GSNR_MAX):.2f} dB), above which "
+            "2 e^gamma G-SNR overflows and the noise scale would read 0")
+    root = math.sqrt(square)
     low, high = input_symbols(system, delta)
     nb = noise_beta(system, beta)
     return (high - low) / (G_GAMMA * (1.0 + nb * nb) * root)

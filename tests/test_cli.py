@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mtchan import cli
+from mtchan import cli, systems
 from mtchan.power import System
 from mtchan.systems import MC_CHUNK, ber_monte_carlo, scheme_for_gsnr
 
@@ -172,6 +172,26 @@ def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
         assert (float(row[7]), float(row[8])) == (mc, stderr)
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--betas", "-1,0.5", "--gsnr-db", "0", "10", "--points", "2"],
+    ["table1", "--betas", "0.5,0.9", "--deltas", "1,2"],
+], ids=["sweep", "table1"])
+def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
+                                                         monkeypatch):
+    # 10,000 bits in chunks of 4096 are three pool tasks per delta, the last
+    # partial; each point still equals ber_monte_carlo with its delta's seed
+    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
+    args = args + ["--mc-samples", "10000", "--seed", "4"]
+    first, *others = _outputs_by_workers(args, tmp_path, capsys)
+    assert others == [first, first]
+    for row in first.decode().splitlines()[1:]:
+        gsnr_db, system, beta, delta, *_, mc, stderr, _ = row.split(",")
+        scheme = scheme_for_gsnr(System(system), float(delta),
+                                 10.0 ** (float(gsnr_db) / 10.0), float(beta))
+        seed = cli._stream_seed(4, [1.0, 2.0].index(float(delta)))
+        assert (float(mc), float(stderr)) == ber_monte_carlo(scheme, 10_000, seed)
+
+
 def test_sweep_mc_rows_within_four_stderr(capsys):
     # each curve's points share one draw of a little over one chunk, so a
     # partial last chunk is counted too
@@ -284,6 +304,11 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["table1", "--deltas", "5,inf"], "--deltas must be finite and > 0"),
     (["table1", "--betas", ","], "--betas needs at least one value"),
     (["table1", "--mc-samples", "5"], "--mc-samples must be 0 or >= 10000"),
+    # finite G-SNRs past the overflow of 2 e^gamma G-SNR in the noise scale
+    (["sweep", "--gsnr-db", "3080", "--points", "1"],
+     "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
+    (["table1", "--gsnr", "1e308"],
+     "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_grid_input_names_its_flag(argv, message, capsys):
     # checked before any point is computed: exit 2, nothing on stdout
@@ -332,9 +357,17 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
     points = [(System.C, b, 1.0, g) for b in (0.5, 0.9) for g in (1.0, 2.0)]
     assert [r.gsnr for r in cli._compute_grid(points, 0, 0, 4)] == [1.0, 2.0] * 2
-    # Monte Carlo grids of two or more curves still go to the pool
+    # a pool task is one chunk of one delta's draw: one chunk of one delta
+    # runs here, and a grid of two or more chunk tasks goes to the pool,
+    # whether the tasks are two chunks or two deltas
+    assert len(cli._compute_grid(points, 10_000, 0, 4)) == 4
+    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
         cli._compute_grid(points, 10_000, 0, 4)
+    monkeypatch.setattr(systems, "MC_CHUNK", 10_000)
+    deltas = [(System.C, 0.5, d, 1.0) for d in (1.0, 2.0)]
+    with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+        cli._compute_grid(deltas, 10_000, 0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mtchan.power import (ChannelSpec, GsnrQuery, System, g_snr,
+from mtchan.power import (GSNR_MAX, ChannelSpec, GsnrQuery, System, g_snr,
                           geometric_power, geometric_power_alpha_half,
                           physics_to_channel, scale_for_gsnr, system_gsnr)
 from mtchan.stable import G_GAMMA, StableParams
@@ -143,6 +143,16 @@ def test_scale_for_gsnr_validation():
         scale_for_gsnr(System.A, 1.0, 0.0)
     with pytest.raises(ValueError):
         scale_for_gsnr(System.A, 0.0, 1.0)
+
+
+def test_scale_for_gsnr_refuses_past_the_overflow():
+    # up to GSNR_MAX the scale is the plain closed form; one float above it,
+    # 2 e^gamma G-SNR overflows and the G-SNR is refused, naming the limit
+    assert scale_for_gsnr(System.A, 1.0, GSNR_MAX) == (
+        1.0 / (2.0 * G_GAMMA * math.sqrt(2.0 * G_GAMMA * GSNR_MAX)))
+    for gsnr in (math.nextafter(GSNR_MAX, math.inf), 1e308):
+        with pytest.raises(ValueError, match=r"exceeds 5\.04665.*\(3077\.03 dB\)"):
+            scale_for_gsnr(System.C, 1.0, gsnr, 0.5)
 
 
 def test_system_b_quarter_gsnr_at_equal_physics():

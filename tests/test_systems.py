@@ -402,32 +402,64 @@ def _ref_scales(s):
     return system_c_component_scales(c, s.noise.beta)
 
 
-@pytest.mark.parametrize("system,beta", CURVES)
-def test_curve_counts_every_chunk(system, beta, monkeypatch):
-    # the reference: per chunk, the bits and then each nonzero-scale delay
-    # from one generator, errors summed over the chunks; 10,000 bits in
-    # chunks of 4096 leave a partial last chunk
-    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
-    schemes, states = _curve(system, beta)
-    n = 10_000
-    rng = np.random.default_rng(9)
+def _ref_errors(schemes, states, n, seed, chunk):
+    # the reference: chunk k has its own generator PCG64(seed).jumped(k) and
+    # draws, all at once, the bits, Z1 and, if some point has two delays, Z2;
+    # a point's nonzero-scale delays take Z1 and then Z2; errors are summed
+    # over the chunks
     errors = [0] * len(schemes)
-    for start in range(0, n, 4096):
-        m = min(4096, n - start)
+    two = any(all(_ref_scales(s)) for s in schemes)
+    for k, start in enumerate(range(0, n, chunk)):
+        m = min(chunk, n - start)
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
         bits = rng.integers(0, 2, m)
-        z = [rng.standard_normal(m) if scale else None
-             for scale in _ref_scales(schemes[0])]
-        for k, (s, st) in enumerate(zip(schemes, states)):
+        z = [rng.standard_normal(m) for _ in range(1 + two)]
+        for i, (s, st) in enumerate(zip(schemes, states)):
             sent = np.where(bits == 0, *s.symbols)
             first, second = _ref_scales(s)
-            y = sent + (first / (z[0] * z[0]) if first else 0.0)
-            y = y - (second / (z[1] * z[1]) if second else 0.0)
-            if system == "B":
+            draws = iter(z)
+            y = sent + (first / next(draws) ** 2 if first else 0.0)
+            y = y - (second / next(draws) ** 2 if second else 0.0)
+            if s.system is System.B:
                 y = np.abs(y)
             decided = np.where(y <= st.threshold, st.low_symbol, st.high_symbol)
-            errors[k] += int(np.count_nonzero(decided != sent))
-    expected = [(e / n, math.sqrt(e / n * (1.0 - e / n) / n)) for e in errors]
-    assert ber_monte_carlo_curve(schemes, states, n, 9) == expected
+            errors[i] += int(np.count_nonzero(decided != sent))
+    return [(e / n, math.sqrt(e / n * (1.0 - e / n) / n)) for e in errors]
+
+
+@pytest.mark.parametrize("system,beta", CURVES)
+def test_curve_counts_every_chunk(system, beta, monkeypatch):
+    # 10,000 bits in chunks of 4096 leave a partial last chunk, and blocks of
+    # 1000 a partial last block in every chunk
+    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
+    monkeypatch.setattr(systems, "_BLOCK", 1000)
+    schemes, states = _curve(system, beta)
+    assert ber_monte_carlo_curve(schemes, states, 10_000, 9) == _ref_errors(
+        schemes, states, 10_000, 9, 4096)
+
+
+MIXED = [("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.5)]
+
+
+def _group(curves, gsnrs=(0.3, 3.0, 30.0)):
+    groups = [_curve(system, beta, gsnrs) for system, beta in curves]
+    return ([s for schemes, _ in groups for s in schemes],
+            [st for _, states in groups for st in states])
+
+
+@pytest.mark.parametrize("chunk,block,n", [(MC_CHUNK, systems._BLOCK, 20_000),
+                                           (4096, 1000, 10_000)])
+def test_mixed_group_points_are_one_point_calls(chunk, block, n, monkeypatch):
+    # one draw serves points of every system and skew: each point's count is
+    # ber_monte_carlo's on that point alone, whether or not the others draw
+    # a second delay, and both match the reference
+    monkeypatch.setattr(systems, "MC_CHUNK", chunk)
+    monkeypatch.setattr(systems, "_BLOCK", block)
+    schemes, states = _group(MIXED)
+    results = ber_monte_carlo_curve(schemes, states, n, 6)
+    assert results == [ber_monte_carlo(s, n, 6, st)
+                       for s, st in zip(schemes, states)]
+    assert results == _ref_errors(schemes, states, n, 6, chunk)
 
 
 def _peak_bytes(f) -> int:
@@ -441,7 +473,7 @@ def _peak_bytes(f) -> int:
 
 @pytest.mark.parametrize("system,beta", [("A", 1.0), ("B", 0.0), ("C", 0.5)])
 def test_curve_memory_is_one_point_memory(system, beta):
-    # a curve holds one chunk's draw and one point's observations at a time:
+    # a curve holds one chunk's draw and one block's observations at a time:
     # four points over three chunks peak about where one point over one does
     schemes, states = _curve(system, beta, (0.3, 3.0, 30.0, 300.0))
     one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], MC_CHUNK, 3, states[0]))
@@ -450,18 +482,20 @@ def test_curve_memory_is_one_point_memory(system, beta):
     assert curve <= 1.25 * one, (curve, one)
 
 
-def test_curve_needs_one_system_and_delta_and_a_state_per_scheme():
-    a, b = make("A"), make("B")
-    with pytest.raises(ValueError, match="one system and delta"):
-        ber_monte_carlo_curve([a, b], [ml_threshold(a), ml_threshold(b)],
-                              10_000, 0)
-    with pytest.raises(ValueError, match="one system and delta"):
-        ber_monte_carlo_curve([a, make("A", delta=2.0)], [ml_threshold(a)] * 2,
-                              10_000, 0)
-    c1, c2 = make("C", beta=0.5), make("C", beta=-0.5)
-    with pytest.raises(ValueError, match="one system and delta"):
-        ber_monte_carlo_curve([c1, c2], [ml_threshold(c1), ml_threshold(c2)],
-                              10_000, 0)
+def test_sweep_group_memory_is_one_point_memory():
+    # the seven curves of a default sweep, four points each, over three
+    # chunks peak about where one point of A, which draws one delay, does
+    curves = [("A", 1.0), ("B", 0.0)] + [("C", b) for b in (0.0, 0.25, 0.5,
+                                                           0.75, 0.95)]
+    schemes, states = _group(curves, (0.3, 3.0, 30.0, 300.0))
+    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], MC_CHUNK, 3, states[0]))
+    group = _peak_bytes(lambda: ber_monte_carlo_curve(schemes, states,
+                                                      2 * MC_CHUNK + 1, 3))
+    assert group <= 1.25 * one, (group, one)
+
+
+def test_curve_needs_a_state_per_scheme_and_enough_bits():
+    a = make("A")
     with pytest.raises(ValueError, match="one detector state per scheme"):
         ber_monte_carlo_curve([a, a], [ml_threshold(a)], 10_000, 0)
     with pytest.raises(ValueError, match=">= 10000"):

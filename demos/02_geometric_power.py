@@ -6,8 +6,8 @@ channels are compared at equal G-SNR.  This script maps physical channel
 parameters to noise laws and shows the G-SNR bookkeeping.
 """
 
-from mtchan import (ChannelSpec, GsnrQuery, System, geometric_power,
-                    physics_to_channel, scale_for_gsnr, system_gsnr)
+from mtchan import (ChannelSpec, System, geometric_power, physics_to_channel,
+                    scale_for_gsnr, system_gsnr)
 
 print("physics -> noise law (d in um, D in um^2/s, times in s):")
 for spec in (ChannelSpec(System.A, d=10.0, D=5.0),
@@ -23,9 +23,9 @@ for spec in (ChannelSpec(System.A, d=10.0, D=5.0),
              ChannelSpec(System.B, d=10.0, D=5.0),
              ChannelSpec(System.C, d=10.0, D_a=5.0, D_b=1.0)):
     noise = physics_to_channel(spec)
-    g = system_gsnr(GsnrQuery(spec.system, 20.0, noise.c, noise.beta))
-    tag = " (upper bound)" if g.upper_bound else ""
-    print(f"  system {spec.system.value}: G-SNR = {g.value:.5f}{tag}")
+    g = system_gsnr(spec.system, 20.0, noise.c, noise.beta)
+    tag = " (upper bound)" if spec.system is System.B else ""
+    print(f"  system {spec.system.value}: G-SNR = {g:.5f}{tag}")
 
 print("\ninverting the relation: noise scale needed for G-SNR = 10, delta = 1:")
 for system, beta in ((System.A, 0.0), (System.B, 0.0), (System.C, 0.5)):

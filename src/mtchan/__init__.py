@@ -9,9 +9,9 @@ Modules:
   cli       `mtchan` command-line front end
 """
 
-from .power import (ChannelSpec, GsnrQuery, GsnrValue, System, g_snr,
-                    geometric_power, geometric_power_alpha_half,
-                    physics_to_channel, scale_for_gsnr, system_gsnr)
+from .power import (ChannelSpec, System, g_snr, geometric_power,
+                    geometric_power_alpha_half, physics_to_channel,
+                    scale_for_gsnr, system_gsnr)
 from .stable import (G_GAMMA, NUMERIC_TOL, QuadratureError, StableParams,
                      StandardStable, cdf, pdf, sample, std_cdf, std_pdf,
                      tail_coefficient)
@@ -26,9 +26,9 @@ __all__ = [
     "G_GAMMA", "NUMERIC_TOL", "QuadratureError", "StableParams",
     "StandardStable", "cdf", "pdf", "sample", "std_cdf", "std_pdf",
     "tail_coefficient",
-    "ChannelSpec", "GsnrQuery", "GsnrValue", "System", "g_snr",
-    "geometric_power", "geometric_power_alpha_half", "physics_to_channel",
-    "scale_for_gsnr", "system_gsnr",
+    "ChannelSpec", "System", "g_snr", "geometric_power",
+    "geometric_power_alpha_half", "physics_to_channel", "scale_for_gsnr",
+    "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
     "ber_monte_carlo", "ber_monte_carlo_curve", "cond_pdf", "detect", "llr",
     "ml_threshold", "scheme_for_gsnr", "simulate_transmission",

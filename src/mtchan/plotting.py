@@ -27,10 +27,9 @@ def _y_px(v, lo, hi):
     return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
 
-def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]],
-                  title: str = "BER vs G-SNR",
-                  x_label: str = "G-SNR (dB)", y_label: str = "BER") -> None:
-    """Write one log-y chart; curves are (label, x values, positive y values)."""
+def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]]) -> None:
+    """Write one log-y chart of BER vs G-SNR (dB); curves are (label, x
+    values, positive y values)."""
     xs_all = [x for _, xs, _ in curves for x in xs]
     ys_all = [y for _, _, ys in curves for y in ys if y > 0.0]
     if not xs_all or not ys_all:
@@ -46,7 +45,7 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]],
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2}" y="20" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="15">{title}</text>',
+        'text-anchor="middle" font-family="sans-serif" font-size="15">BER vs G-SNR</text>',
     ]
 
     # horizontal decade gridlines + y tick labels
@@ -78,11 +77,11 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]],
                  f'stroke="black" stroke-width="1.5"/>')
     parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2}" '
                  f'y="{_HEIGHT - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{x_label}</text>')
+                 'font-family="sans-serif" font-size="13">G-SNR (dB)</text>')
     parts.append(f'<text x="18" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2})"'
-                 f'>{y_label}</text>')
+                 '>BER</text>')
 
     for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]

@@ -3,7 +3,8 @@
 Geometric power S0(N) = exp(E[log|N|]) replaces variance-based power for
 heavy-tailed noise.  G-SNR normalizes the squared input dynamic range by
 the squared geometric noise power and by 2*exp(gamma) so that it reduces
-to the ordinary SNR for Gaussian noise.
+to the ordinary SNR for Gaussian noise.  system_gsnr maps a system's noise
+scale c to its G-SNR, and scale_for_gsnr inverts it.
 """
 
 from __future__ import annotations
@@ -58,34 +59,6 @@ class ChannelSpec:
                 raise ValueError(f"diffusion coefficient must be > 0, got {self.D}")
 
 
-@dataclass(frozen=True)
-class GsnrQuery:
-    """One G-SNR evaluation point: system, symbol separation and noise scale."""
-
-    system: System
-    delta: float
-    c: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if not (-1.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
-
-
-@dataclass(frozen=True)
-class GsnrValue:
-    """G-SNR result; upper_bound marks system B, whose exact G-SNR is
-    not defined by the closed-form expression (the absolute value is
-    non-invertible)."""
-
-    value: float
-    upper_bound: bool = False
-
-
 def geometric_power(params: StableParams) -> float:
     """exp(E[log|N|]) for a zero-location stable law.
 
@@ -132,15 +105,23 @@ def input_symbols(system: System, delta: float) -> tuple[float, float]:
     return (-delta, delta) if system is System.C else (0.0, delta)
 
 
-def system_gsnr(q: GsnrQuery) -> GsnrValue:
-    """G-SNR of a binary scheme, via geometric power of its noise law.
+def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> float:
+    """G-SNR of a binary scheme, via geometric power of its noise law; the
+    inverse of scale_for_gsnr.
 
     System A uses symbols {0, delta} (range delta), C uses {-delta, delta}
-    (range 2*delta).  For B the returned value is only an upper bound.
+    (range 2*delta).  For B the returned value is only an upper bound (the
+    absolute value in its observation is not invertible).
     """
-    s0 = geometric_power(StableParams(0.0, q.c, 0.5, noise_beta(q.system, q.beta)))
-    low, high = input_symbols(q.system, q.delta)
-    return GsnrValue(g_snr(high, low, s0), upper_bound=q.system is System.B)
+    if delta <= 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if c <= 0.0:
+        raise ValueError(f"c must be > 0, got {c}")
+    if not (-1.0 <= beta <= 1.0):
+        raise ValueError(f"beta must be in [-1, 1], got {beta}")
+    s0 = geometric_power(StableParams(0.0, c, 0.5, noise_beta(system, beta)))
+    low, high = input_symbols(system, delta)
+    return g_snr(high, low, s0)
 
 
 def physics_to_channel(spec: ChannelSpec) -> StableParams:
@@ -161,7 +142,8 @@ GSNR_MAX = sys.float_info.max / (2.0 * G_GAMMA)
 
 def scale_for_gsnr(system: System, delta: float, gsnr: float,
                    beta: float = 0.0) -> float:
-    """Noise scale c that yields the requested G-SNR (closed-form inversion)."""
+    """Noise scale c that yields the requested G-SNR (closed-form inversion);
+    a c that would read 0 or inf is refused."""
     if gsnr <= 0.0:
         raise ValueError(f"gsnr must be > 0, got {gsnr}")
     if delta <= 0.0:
@@ -172,7 +154,10 @@ def scale_for_gsnr(system: System, delta: float, gsnr: float,
             f"gsnr {gsnr!r} ({10.0 * math.log10(gsnr):.2f} dB) exceeds "
             f"{GSNR_MAX!r} ({10.0 * math.log10(GSNR_MAX):.2f} dB), above which "
             "2 e^gamma G-SNR overflows and the noise scale would read 0")
-    root = math.sqrt(square)
     low, high = input_symbols(system, delta)
-    nb = noise_beta(system, beta)
-    return (high - low) / (G_GAMMA * (1.0 + nb * nb) * root)
+    s0 = geometric_power_alpha_half(1.0, noise_beta(system, beta))
+    c = (high - low) / (s0 * math.sqrt(square))
+    if c == 0.0 or c == math.inf:
+        raise ValueError(f"delta {delta!r} at G-SNR {gsnr!r} puts the noise scale "
+                         f"at {c!r}, outside the floating-point range")
+    return c

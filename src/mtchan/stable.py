@@ -361,8 +361,7 @@ BRENT_MAXITER = 100
 BRENT_RTOL = 8.881784197001252e-16
 
 
-def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
-           rtol: float) -> float:
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     # scipy's brentq.c step for step (same float operations in the same
     # order, so roots are bitwise equal to scipy.optimize.brentq), without
     # loading scipy.optimize; fa = f(xa) and fb = f(xb) come from the caller,
@@ -390,7 +389,7 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -462,7 +461,7 @@ def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
     target = max(log_g(math.copysign(_U_MAX, alpha - 1.0))[0] + math.log(2.0), 0.0)
     h = lambda u: log_g(u)[0] - target
     try:
-        peak = _brent(h, -_U_MAX, _U_MAX, h(-_U_MAX), h(_U_MAX), 1e-3, BRENT_RTOL)
+        peak = _brent(h, -_U_MAX, _U_MAX, h(-_U_MAX), h(_U_MAX), 1e-3)
     except ValueError:  # x so near 0 or so large that the peak is out of range
         peak = 0.0
     if density:

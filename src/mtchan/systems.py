@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
-from .stable import BRENT_RTOL, StableParams, StandardStable, _brent, std_cdf, std_pdf
+from .stable import StableParams, StandardStable, _brent, std_cdf, std_pdf
 
 @dataclass(frozen=True)
 class BinaryScheme:
@@ -179,14 +179,14 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
         gap = lambda x: _density_gap(scheme, x, d)
         g_lo, g_hi = gap(lo), gap(hi)
         if g_lo > 0.0 > g_hi or math.isnan(g_lo) or math.isnan(g_hi):
-            u = _brent(gap, lo, hi, g_lo, g_hi, 1e-12 * max(d, 1.0), BRENT_RTOL)
+            u = _brent(gap, lo, hi, g_lo, g_hi, 1e-12 * max(d, 1.0))
         else:
             u = min(max(sum(input_symbols(scheme.system, d)) / 2.0, lo), hi)
     low, high = scheme.symbols
     return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)
 
 
-def detect(state: DetectorState, scheme: BinaryScheme, y: float) -> float:
+def detect(state: DetectorState, y: float) -> float:
     """Threshold rule; ties go to the low symbol."""
     return state.low_symbol if y <= state.threshold else state.high_symbol
 
@@ -208,21 +208,12 @@ def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
     difference realizes the S(0, c, 1/2, beta) noise of system C.
 
     The positively-signed delay carries sqrt(c_pos) = sqrt(c)*(1+beta)/2 so
-    that the skew of the difference matches beta.
+    that the skew of the difference matches beta.  The other systems are its
+    ends: A's one delay is beta = 1, (c, 0), and B's two indistinguishable
+    arrivals, each Levy with c/4, are beta = 0.
     """
     root = math.sqrt(c)
     return (root * (1.0 + beta) / 2.0) ** 2, (root * (1.0 - beta) / 2.0) ** 2
-
-
-def _delay_scales(scheme: BinaryScheme) -> tuple[float, float]:
-    # scales (a1, a2) at c = 1 of the Levy delays in N = a1/Z1^2 - a2/Z2^2,
-    # the standardized noise; 0 for no delay
-    if scheme.system is System.A:
-        return 1.0, 0.0
-    if scheme.system is System.B:
-        # two indistinguishable first arrivals, each Levy with c_B/4
-        return 0.25, 0.25
-    return system_c_component_scales(1.0, scheme.noise.beta)
 
 
 def _draw(rng: np.random.Generator, n: int, two: bool, block: int):
@@ -268,7 +259,7 @@ def simulate_transmission(scheme: BinaryScheme, n_bits: int,
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    scales = _delay_scales(scheme)
+    scales = system_c_component_scales(1.0, scheme.noise.beta)
     low, squares = next(_draw(np.random.default_rng(seed), n_bits, all(scales),
                               n_bits))
     s = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
@@ -300,7 +291,7 @@ def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
     noise law share N; each counts U = s + N (|s + N| for B) against its
     threshold over c, in the coordinates of ber_analytic.
     """
-    scales = [_delay_scales(s) for s in schemes]
+    scales = [system_c_component_scales(1.0, s.noise.beta) for s in schemes]
     rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
     laws: dict[tuple[float, float], list[int]] = {}
     for i, a in enumerate(scales):

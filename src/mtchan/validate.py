@@ -141,8 +141,8 @@ BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
 BER_GSNRS = (0.25, 1.0, 4.0)
 
 
-def _geometric_power_law(alpha: float, beta: float, n: int, seed: int,
-                         rel_tol: float) -> list[CheckResult]:
+def _geometric_power_law(alpha: float, beta: float, n: int,
+                         seed: int) -> list[CheckResult]:
     params = StableParams(0.0, 1.0, alpha, beta)
     xs = sample(params, n, seed)
     mc = math.exp(float(np.mean(np.log(np.abs(xs)))))
@@ -150,21 +150,18 @@ def _geometric_power_law(alpha: float, beta: float, n: int, seed: int,
     rel = abs(mc - ref) / ref
     return [CheckResult(
         f"geometric power MC oracle (alpha={alpha}, beta={beta})",
-        rel <= rel_tol, f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}")]
+        rel <= GEOMETRIC_POWER_REL_TOL,
+        f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}")]
 
 
-def _geometric_power_cases(n: int, seed: int,
-                           rel_tol: float) -> list[functools.partial]:
-    return [functools.partial(_geometric_power_law, alpha, beta, n, seed + i,
-                              rel_tol)
+def _geometric_power_cases(n: int, seed: int) -> list[functools.partial]:
+    return [functools.partial(_geometric_power_law, alpha, beta, n, seed + i)
             for i, (alpha, beta) in enumerate(GEOMETRIC_POWER_LAWS)]
 
 
-def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7,
-                             rel_tol: float = GEOMETRIC_POWER_REL_TOL
-                             ) -> list[CheckResult]:
+def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7) -> list[CheckResult]:
     """exp(mean(log|X|)) over n variates vs the closed-form geometric power."""
-    return [r for case in _geometric_power_cases(n, seed, rel_tol) for r in case()]
+    return [r for case in _geometric_power_cases(n, seed) for r in case()]
 
 
 def _ber_point(system: System, beta: float, gsnr: float, n_bits: int,
@@ -179,17 +176,17 @@ def _ber_point(system: System, beta: float, gsnr: float, n_bits: int,
         z <= 3.0, f"analytic={analytic:.6f} mc={mc:.6f} z={z:.2f}")]
 
 
-def _ber_cases(n_bits: int, seed: int, gsnrs) -> list[functools.partial]:
+def _ber_cases(n_bits: int, seed: int) -> list[functools.partial]:
     return [functools.partial(_ber_point, system, beta, gsnr, n_bits,
                               seed + 100 * i + j)
             for i, (system, beta) in enumerate(BER_CASES)
-            for j, gsnr in enumerate(gsnrs)]
+            for j, gsnr in enumerate(BER_GSNRS)]
 
 
-def check_ber_analytic_vs_mc(n_bits: int = 1_000_000, seed: int = 11,
-                             gsnrs=BER_GSNRS) -> list[CheckResult]:
+def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
+                             seed: int = 11) -> list[CheckResult]:
     """Analytic BER vs Monte Carlo within 3 binomial standard errors."""
-    return [r for case in _ber_cases(n_bits, seed, gsnrs) for r in case()]
+    return [r for case in _ber_cases(n_bits, seed) for r in case()]
 
 
 def _ks_samples(mc_samples: int) -> int:
@@ -204,9 +201,8 @@ def suite(mc_samples: int, seed: int, tol: float) -> list[functools.partial]:
     return ([functools.partial(check_levy_closed_vs_numeric, tol),
              functools.partial(check_sampling_ks, _ks_samples(mc_samples),
                                seed + 1)]
-            + _geometric_power_cases(mc_samples, seed + 2,
-                                     GEOMETRIC_POWER_REL_TOL)
-            + _ber_cases(mc_samples, seed + 3, BER_GSNRS))
+            + _geometric_power_cases(mc_samples, seed + 2)
+            + _ber_cases(mc_samples, seed + 3))
 
 
 def run_all(mc_samples: int = 1_000_000, seed: int = 0,

@@ -309,6 +309,13 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
     (["table1", "--gsnr", "1e308"],
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
+    # a delta whose noise scale underflows to 0 or overflows to inf
+    (["sweep", "--delta", "1e-300", "--gsnr-db", "3000", "--points", "1"],
+     "delta 1e-300 at G-SNR 1e+300 puts the noise scale at 0.0"),
+    (["table1", "--deltas", "1e308", "--betas", "0"],
+     "delta 1e+308 at G-SNR 10.0 puts the noise scale at inf"),
+    (["sweep", "--systems", "C", "--delta", "1e300", "--gsnr-db", "-3000",
+      "--points", "1"], "delta 1e+300 at G-SNR 1e-300 puts the noise scale at inf"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_grid_input_names_its_flag(argv, message, capsys):
     # checked before any point is computed: exit 2, nothing on stdout

@@ -28,3 +28,11 @@ def test_curve_points_stay_inside_the_plot_area(tmp_path):
         for pair in pts.split():
             y = float(pair.split(",")[1])
             assert _MARGIN_T <= y <= _HEIGHT - _MARGIN_B
+
+
+def test_title_and_axis_labels(tmp_path):
+    path = tmp_path / "ber.svg"
+    plotting.write_ber_svg(str(path), [("A", [0.0, 10.0], [0.3, 0.02])])
+    texts = re.findall(r'<text [^>]*font-size="1[35]"[^>]*>([^<]*)</text>',
+                       path.read_text())
+    assert texts == ["BER vs G-SNR", "G-SNR (dB)", "BER"]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mtchan.power import (GSNR_MAX, ChannelSpec, GsnrQuery, System, g_snr,
+import mtchan
+from mtchan.power import (GSNR_MAX, ChannelSpec, System, g_snr,
                           geometric_power, geometric_power_alpha_half,
                           physics_to_channel, scale_for_gsnr, system_gsnr)
 from mtchan.stable import G_GAMMA, StableParams
@@ -71,36 +72,39 @@ def test_system_gsnr_matches_direct_formulas():
     # dual route: via geometric power vs algebraic closed forms
     for delta in (0.5, 1.0, 10.0):
         for c in (0.2, 1.0, 5.0):
-            ga = system_gsnr(GsnrQuery(System.A, delta, c))
+            ga = system_gsnr(System.A, delta, c)
             expect_a = (delta / (2.0 * c * G_GAMMA)) ** 2 / (2.0 * G_GAMMA)
-            assert ga.value == pytest.approx(expect_a, rel=1e-12)
-            assert not ga.upper_bound
+            assert ga == pytest.approx(expect_a, rel=1e-12)
 
-            gb = system_gsnr(GsnrQuery(System.B, delta, c))
+            gb = system_gsnr(System.B, delta, c)
             expect_b = (delta / (c * G_GAMMA)) ** 2 / (2.0 * G_GAMMA)
-            assert gb.value == pytest.approx(expect_b, rel=1e-12)
-            assert gb.upper_bound
+            assert gb == pytest.approx(expect_b, rel=1e-12)
 
             for beta in (0.0, 0.5, 1.0):
-                gc = system_gsnr(GsnrQuery(System.C, delta, c, beta))
+                gc = system_gsnr(System.C, delta, c, beta)
                 s0 = c * G_GAMMA * (1.0 + beta * beta)
                 expect_c = (2.0 * delta / s0) ** 2 / (2.0 * G_GAMMA)
-                assert gc.value == pytest.approx(expect_c, rel=1e-12)
-                assert not gc.upper_bound
+                assert gc == pytest.approx(expect_c, rel=1e-12)
 
 
 def test_system_gsnr_b_example():
-    assert system_gsnr(GsnrQuery(System.B, 1.0, 1.0)).value == pytest.approx(
+    assert system_gsnr(System.B, 1.0, 1.0) == pytest.approx(
         0.088496331901797, abs=1e-12)
 
 
-def test_gsnr_query_validation():
+def test_package_names_resolve_without_gsnr_wrappers():
+    # __init__ lists its names twice, in the imports and in __all__
+    assert all(hasattr(mtchan, name) for name in mtchan.__all__)
+    assert not {"GsnrQuery", "GsnrValue"} & set(mtchan.__all__)
+
+
+def test_system_gsnr_validation():
     with pytest.raises(ValueError):
-        GsnrQuery(System.A, 0.0, 1.0)
+        system_gsnr(System.A, 0.0, 1.0)
     with pytest.raises(ValueError):
-        GsnrQuery(System.A, 1.0, 0.0)
+        system_gsnr(System.A, 1.0, 0.0)
     with pytest.raises(ValueError):
-        GsnrQuery(System.C, 1.0, 1.0, 1.5)
+        system_gsnr(System.C, 1.0, 1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def test_scale_for_gsnr_round_trip():
         gsnr = float(10.0 ** rng.uniform(-2.0, 3.0))
         beta = float(rng.uniform(-1.0, 1.0)) if system is System.C else 0.0
         c = scale_for_gsnr(system, delta, gsnr, beta)
-        achieved = system_gsnr(GsnrQuery(system, delta, c, beta)).value
+        achieved = system_gsnr(system, delta, c, beta)
         assert achieved == pytest.approx(gsnr, rel=1e-12)
 
 
@@ -158,8 +162,8 @@ def test_scale_for_gsnr_refuses_past_the_overflow():
 def test_system_b_quarter_gsnr_at_equal_physics():
     # same physical channel gives c_B = 4 c_A, so the B upper bound sits a
     # factor 4 below the A G-SNR at equal separation
-    q_a = system_gsnr(GsnrQuery(System.A, 1.0, 1.0)).value
-    q_b = system_gsnr(GsnrQuery(System.B, 1.0, 4.0)).value
+    q_a = system_gsnr(System.A, 1.0, 1.0)
+    q_b = system_gsnr(System.B, 1.0, 4.0)
     assert q_b == pytest.approx(q_a / 4.0, rel=1e-12)
 
 

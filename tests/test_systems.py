@@ -191,9 +191,9 @@ def test_ber_high_gsnr_tail_limit(system, beta, db):
 def test_detect_tie_goes_low():
     s = make("A")
     state = ml_threshold(s)
-    assert detect(state, s, state.threshold) == 0.0
-    assert detect(state, s, state.threshold + 1e-9) == 1.0
-    assert detect(state, s, -5.0) == 0.0
+    assert detect(state, state.threshold) == 0.0
+    assert detect(state, state.threshold + 1e-9) == 1.0
+    assert detect(state, -5.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +594,13 @@ def test_brent_port_matches_scipy_brentq_edge_cases(f, lo, hi, xtol, error):
     optimize = pytest.importorskip("scipy.optimize")
     # the port takes the end values from its caller; brentq computes them
     if error is None:
-        assert _brent(f, lo, hi, f(lo), f(hi), xtol, BRENTQ_RTOL) == \
+        assert _brent(f, lo, hi, f(lo), f(hi), xtol) == \
             optimize.brentq(f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
         return
     with pytest.raises(error) as oracle:
         optimize.brentq(f, lo, hi, xtol=xtol, rtol=BRENTQ_RTOL)
     with pytest.raises(error) as port:
-        _brent(f, lo, hi, f(lo), f(hi), xtol, BRENTQ_RTOL)
+        _brent(f, lo, hi, f(lo), f(hi), xtol)
     assert str(port.value) == str(oracle.value)
 
 

@@ -9,9 +9,8 @@ Modules:
   cli       `mtchan` command-line front end
 """
 
-from .power import (ChannelSpec, System, g_snr, geometric_power,
-                    geometric_power_alpha_half, physics_to_channel,
-                    scale_for_gsnr, system_gsnr)
+from .power import (System, g_snr, geometric_power, geometric_power_alpha_half,
+                    physics_to_channel, scale_for_gsnr, system_gsnr)
 from .stable import (G_GAMMA, NUMERIC_TOL, QuadratureError, StableParams,
                      StandardStable, cdf, pdf, sample, std_cdf, std_pdf,
                      tail_coefficient)
@@ -26,9 +25,8 @@ __all__ = [
     "G_GAMMA", "NUMERIC_TOL", "QuadratureError", "StableParams",
     "StandardStable", "cdf", "pdf", "sample", "std_cdf", "std_pdf",
     "tail_coefficient",
-    "ChannelSpec", "System", "g_snr", "geometric_power",
-    "geometric_power_alpha_half", "physics_to_channel", "scale_for_gsnr",
-    "system_gsnr",
+    "System", "g_snr", "geometric_power", "geometric_power_alpha_half",
+    "physics_to_channel", "scale_for_gsnr", "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
     "ber_monte_carlo", "ber_monte_carlo_curve", "cond_pdf", "detect", "llr",
     "ml_threshold", "scheme_for_gsnr", "simulate_transmission",

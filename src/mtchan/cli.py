@@ -305,8 +305,7 @@ def cmd_validate(args) -> int:
     workers = _resolve_workers(args)
     _require("--mc-samples", [args.mc_samples],
              (lambda n: n >= MC_MIN_BITS, f">= {MC_MIN_BITS}"))
-    _require("--tol", [args.tol], _POSITIVE)
-    tasks = validate.suite(args.mc_samples, args.seed, args.tol)
+    tasks = validate.suite(args.mc_samples, args.seed)
     results = [r for rs in _run_tasks(tasks, workers) for r in rs]
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -396,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the oracle/cross-check suite")
     _add_common(p)
     p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="closed-form vs numeric tolerance")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dist", help="evaluate a stable pdf/cdf")

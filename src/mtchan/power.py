@@ -3,8 +3,10 @@
 Geometric power S0(N) = exp(E[log|N|]) replaces variance-based power for
 heavy-tailed noise.  G-SNR normalizes the squared input dynamic range by
 the squared geometric noise power and by 2*exp(gamma) so that it reduces
-to the ordinary SNR for Gaussian noise.  system_gsnr maps a system's noise
-scale c to its G-SNR, and scale_for_gsnr inverts it.
+to the ordinary SNR for Gaussian noise.  physics_to_channel maps distance
+and diffusion to a system's alpha = 1/2 noise law; system_gsnr maps its
+scale c to the G-SNR through the alpha = 1/2 geometric power, and
+scale_for_gsnr inverts that, refusing a c that is not a normal float.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 from .stable import G_GAMMA, StableParams
 
@@ -28,35 +29,6 @@ class System(str, enum.Enum):
     A = "A"
     B = "B"
     C = "C"
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Physical channel description: distance and diffusion coefficient(s).
-
-    Systems A and B take a single diffusion coefficient D; system C takes
-    one per particle type (D_a, D_b).
-    """
-
-    system: System
-    d: float
-    D: float | None = None
-    D_a: float | None = None
-    D_b: float | None = None
-
-    def __post_init__(self):
-        if self.d <= 0.0:
-            raise ValueError(f"distance d must be > 0, got {self.d}")
-        if self.system is System.C:
-            if self.D_a is None or self.D_b is None or self.D is not None:
-                raise ValueError("system C needs D_a and D_b (and no D)")
-            if self.D_a <= 0.0 or self.D_b <= 0.0:
-                raise ValueError("diffusion coefficients must be > 0")
-        else:
-            if self.D is None or self.D_a is not None or self.D_b is not None:
-                raise ValueError(f"system {self.system.value} needs D only")
-            if self.D <= 0.0:
-                raise ValueError(f"diffusion coefficient must be > 0, got {self.D}")
 
 
 def geometric_power(params: StableParams) -> float:
@@ -119,19 +91,30 @@ def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> fl
         raise ValueError(f"c must be > 0, got {c}")
     if not (-1.0 <= beta <= 1.0):
         raise ValueError(f"beta must be in [-1, 1], got {beta}")
-    s0 = geometric_power(StableParams(0.0, c, 0.5, noise_beta(system, beta)))
+    s0 = geometric_power_alpha_half(c, noise_beta(system, beta))
     low, high = input_symbols(system, delta)
     return g_snr(high, low, s0)
 
 
-def physics_to_channel(spec: ChannelSpec) -> StableParams:
-    """Map distance/diffusion to the additive stable noise law."""
-    if spec.system is System.A:
-        return StableParams(0.0, spec.d ** 2 / (2.0 * spec.D), 0.5, 1.0)
-    if spec.system is System.B:
-        return StableParams(0.0, 2.0 * spec.d ** 2 / spec.D, 0.5, 0.0)
-    sa, sb = math.sqrt(spec.D_a), math.sqrt(spec.D_b)
-    c = spec.d ** 2 * (sa + sb) ** 2 / (2.0 * spec.D_a * spec.D_b)
+def physics_to_channel(system: System, d: float, *D: float) -> StableParams:
+    """Map distance d and diffusion coefficient(s) to the additive stable
+    noise law: A and B take one coefficient D, C one per particle type
+    (D_a, D_b)."""
+    n = 2 if system is System.C else 1
+    if len(D) != n:
+        raise ValueError(f"system {system.value} takes {n} diffusion "
+                         f"coefficient(s), got {len(D)}")
+    if d <= 0.0:
+        raise ValueError(f"distance d must be > 0, got {d}")
+    if min(D) <= 0.0:
+        raise ValueError(f"diffusion coefficients must be > 0, got {D}")
+    if system is System.A:
+        return StableParams(0.0, d ** 2 / (2.0 * D[0]), 0.5, 1.0)
+    if system is System.B:
+        return StableParams(0.0, 2.0 * d ** 2 / D[0], 0.5, 0.0)
+    d_a, d_b = D
+    sa, sb = math.sqrt(d_a), math.sqrt(d_b)
+    c = d ** 2 * (sa + sb) ** 2 / (2.0 * d_a * d_b)
     beta = (sa - sb) / (sa + sb)
     return StableParams(0.0, c, 0.5, beta)
 
@@ -143,7 +126,7 @@ GSNR_MAX = sys.float_info.max / (2.0 * G_GAMMA)
 def scale_for_gsnr(system: System, delta: float, gsnr: float,
                    beta: float = 0.0) -> float:
     """Noise scale c that yields the requested G-SNR (closed-form inversion);
-    a c that would read 0 or inf is refused."""
+    a c that would be subnormal, 0 or inf is refused."""
     if gsnr <= 0.0:
         raise ValueError(f"gsnr must be > 0, got {gsnr}")
     if delta <= 0.0:
@@ -154,10 +137,12 @@ def scale_for_gsnr(system: System, delta: float, gsnr: float,
             f"gsnr {gsnr!r} ({10.0 * math.log10(gsnr):.2f} dB) exceeds "
             f"{GSNR_MAX!r} ({10.0 * math.log10(GSNR_MAX):.2f} dB), above which "
             "2 e^gamma G-SNR overflows and the noise scale would read 0")
-    low, high = input_symbols(system, delta)
+    # the alphabet's width at delta = 1 (1 or 2) divides exactly, so c is
+    # range / (S0 root) to the last bit without forming C's range 2 delta
+    low, high = input_symbols(system, 1.0)
     s0 = geometric_power_alpha_half(1.0, noise_beta(system, beta))
-    c = (high - low) / (s0 * math.sqrt(square))
-    if c == 0.0 or c == math.inf:
+    c = delta / (s0 * math.sqrt(square) / (high - low))
+    if not sys.float_info.min <= c < math.inf:
         raise ValueError(f"delta {delta!r} at G-SNR {gsnr!r} puts the noise scale "
-                         f"at {c!r}, outside the floating-point range")
+                         f"at {c!r}, outside the normal floating-point range")
     return c

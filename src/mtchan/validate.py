@@ -193,23 +193,22 @@ def _ks_samples(mc_samples: int) -> int:
     return max(mc_samples // 10, 10_000)
 
 
-def suite(mc_samples: int, seed: int, tol: float) -> list[functools.partial]:
+def suite(mc_samples: int, seed: int) -> list[functools.partial]:
     """The suite in report order, as calls that take no arguments and each
     return a list of results: the closed-form and KS groups whole, then one
     call per geometric-power law and per BER point, each on the seed run_all
     gives it, so that the calls can run in any process."""
-    return ([functools.partial(check_levy_closed_vs_numeric, tol),
+    return ([functools.partial(check_levy_closed_vs_numeric),
              functools.partial(check_sampling_ks, _ks_samples(mc_samples),
                                seed + 1)]
             + _geometric_power_cases(mc_samples, seed + 2)
             + _ber_cases(mc_samples, seed + 3))
 
 
-def run_all(mc_samples: int = 1_000_000, seed: int = 0,
-            tol: float = 1e-8) -> list[CheckResult]:
+def run_all(mc_samples: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     """The whole suite, serially in this process, one check_* call per group
     (looked up when called); its results are those of suite(), in order."""
-    return (check_levy_closed_vs_numeric(tol)
+    return (check_levy_closed_vs_numeric()
             + check_sampling_ks(_ks_samples(mc_samples), seed + 1)
             + check_geometric_power_mc(mc_samples, seed + 2)
             + check_ber_analytic_vs_mc(mc_samples, seed + 3))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -309,11 +310,14 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
     (["table1", "--gsnr", "1e308"],
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
-    # a delta whose noise scale underflows to 0 or overflows to inf
+    # a delta whose noise scale underflows to 0 or a subnormal, whose lost
+    # digits would move d = delta/c, or overflows to inf
     (["sweep", "--delta", "1e-300", "--gsnr-db", "3000", "--points", "1"],
      "delta 1e-300 at G-SNR 1e+300 puts the noise scale at 0.0"),
-    (["table1", "--deltas", "1e308", "--betas", "0"],
-     "delta 1e+308 at G-SNR 10.0 puts the noise scale at inf"),
+    (["sweep", "--systems", "A", "--delta", "1e-320", "--gsnr-db", "0",
+      "--points", "1"], "delta 1e-320 at G-SNR 1.0 puts the noise scale at 1.487e-321"),
+    (["sweep", "--delta", "1e-300", "--gsnr-db", "200", "--points", "1"],
+     "delta 1e-300 at G-SNR 1e+20 puts the noise scale at 1.487416652302e-311"),
     (["sweep", "--systems", "C", "--delta", "1e300", "--gsnr-db", "-3000",
       "--points", "1"], "delta 1e+300 at G-SNR 1e-300 puts the noise scale at inf"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -323,6 +327,29 @@ def test_bad_grid_input_names_its_flag(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_table1_at_the_largest_delta(capsys):
+    # C's range 2 delta would overflow at 1e308; its noise scale does not,
+    # and the table's own spread check shows the BER delta-invariant there
+    code, out, err = run(["table1", "--deltas", "1,1e308", "--betas", "0,0.5,1",
+                          "--workers", "1"], capsys)
+    assert code == 0, err
+    assert err.count("spread=0.000e+00") == 3
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["1.0", "1e+308"] * 3
+    assert all(math.isfinite(float(row[5])) for row in rows)
+
+
+def test_sweep_system_c_at_the_largest_delta(capsys):
+    code, out, err = run(["sweep", "--systems", "C", "--betas=-0.95,0.5",
+                          "--delta", "1e308", "--gsnr-db", "60", "--points", "1",
+                          "--workers", "1"], capsys)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["-0.95", "0.5"]
+    assert all(math.isfinite(float(row[5])) for row in rows)
+    assert float(rows[1][4]) == 4.759733287366009e+304
 
 
 def test_sweep_system_c_at_tiny_delta(capsys):
@@ -454,27 +481,22 @@ def test_validate_passes_and_is_deterministic(capsys):
     assert "FAIL" not in out1
 
 
-def test_validate_impossible_tolerance_fails(capsys):
-    code, out, _ = run(["validate", "--mc-samples", "100000",
-                        "--tol", "1e-30"], capsys)
-    assert code == 1
-    assert "FAIL" in out
-
-
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_validate_bad_tolerance_exits_2(tol, capsys, monkeypatch):
-    # refused up front: no check runs, so no report line is printed
+def test_validate_exits_1_when_a_check_fails(capsys, monkeypatch):
+    # a Levy density off by 1e-6 fails its closed-form check, and only that
     from mtchan import validate
-    monkeypatch.setattr(validate, "suite", lambda *args: pytest.fail("ran"))
-    code, out, err = run(["validate", "--mc-samples", "10000", "--tol", tol],
-                         capsys)
-    assert code == 2
-    assert out == ""
-    assert "--tol must be finite and > 0" in err
+    levy = validate._levy_std_pdf
+    monkeypatch.setattr(validate, "_levy_std_pdf", lambda x: levy(x) + 1e-6)
+    code, out, _ = run(["validate", "--workers", "1", "--mc-samples", "100000",
+                        "--seed", "0"], capsys)
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("[FAIL]")] == [
+        "[FAIL] pdf numeric vs Levy closed form"]
 
 
-@pytest.mark.parametrize("flags", [["--output", "{out}"], ["--format", "json"]],
-                         ids=["output", "format"])
+@pytest.mark.parametrize("flags", [["--output", "{out}"], ["--format", "json"],
+                                   ["--tol", "1e-8"]],
+                         ids=["output", "format", "tol"])
 def test_validate_has_no_output_flags(flags, tmp_path, capsys):
     # validate prints its report; it takes no file or format to ignore
     out = tmp_path / "report"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mtchan
-from mtchan.power import (GSNR_MAX, ChannelSpec, System, g_snr,
+from mtchan.power import (GSNR_MAX, System, g_snr,
                           geometric_power, geometric_power_alpha_half,
                           physics_to_channel, scale_for_gsnr, system_gsnr)
 from mtchan.stable import G_GAMMA, StableParams
@@ -95,7 +95,7 @@ def test_system_gsnr_b_example():
 def test_package_names_resolve_without_gsnr_wrappers():
     # __init__ lists its names twice, in the imports and in __all__
     assert all(hasattr(mtchan, name) for name in mtchan.__all__)
-    assert not {"GsnrQuery", "GsnrValue"} & set(mtchan.__all__)
+    assert not {"GsnrQuery", "GsnrValue", "ChannelSpec"} & set(mtchan.__all__)
 
 
 def test_system_gsnr_validation():
@@ -125,6 +125,16 @@ def test_scale_for_gsnr_round_trip():
         c = scale_for_gsnr(system, delta, gsnr, beta)
         achieved = system_gsnr(system, delta, c, beta)
         assert achieved == pytest.approx(gsnr, rel=1e-12)
+    # both directions take S0 by the alpha = 1/2 form, so the round trip
+    # loses rounding only, over the whole G-SNR and delta range
+    for system in System:
+        for beta in (0.5, -0.95, 1.0):
+            for gsnr in (1e-3, 1.0, 10.0, 1e6, 1e300):
+                for delta in (1e-3, 1.0, 1e3):
+                    c = scale_for_gsnr(system, delta, gsnr, beta)
+                    achieved = system_gsnr(system, delta, c, beta)
+                    assert abs(achieved - gsnr) <= 1e-15 * gsnr, (
+                        system, beta, gsnr, delta)
 
 
 def test_scale_for_gsnr_bitwise_per_system_formulas():
@@ -172,40 +182,40 @@ def test_system_b_quarter_gsnr_at_equal_physics():
 # ---------------------------------------------------------------------------
 
 def test_physics_system_a():
-    p = physics_to_channel(ChannelSpec(System.A, d=4.0, D=2.0))
+    p = physics_to_channel(System.A, 4.0, 2.0)
     assert p == StableParams(0.0, 4.0, 0.5, 1.0)
 
 
 def test_physics_system_b_is_four_times_a():
-    a = physics_to_channel(ChannelSpec(System.A, d=3.0, D=1.5))
-    b = physics_to_channel(ChannelSpec(System.B, d=3.0, D=1.5))
+    a = physics_to_channel(System.A, 3.0, 1.5)
+    b = physics_to_channel(System.B, 3.0, 1.5)
     assert b.c == pytest.approx(4.0 * a.c, rel=1e-14)
     assert b.beta == 0.0
 
 
 def test_physics_system_c_equal_diffusion_matches_b():
-    b = physics_to_channel(ChannelSpec(System.B, d=2.0, D=1.0))
-    c = physics_to_channel(ChannelSpec(System.C, d=2.0, D_a=1.0, D_b=1.0))
+    b = physics_to_channel(System.B, 2.0, 1.0)
+    c = physics_to_channel(System.C, 2.0, 1.0, 1.0)
     assert c.beta == 0.0
     assert c.c == pytest.approx(b.c, rel=1e-14)
 
 
 def test_physics_system_c_extreme_ratio_approaches_one_sided():
     # one particle nearly instantaneous: skew tends to +/-1
-    p = physics_to_channel(ChannelSpec(System.C, d=1.0, D_a=1e8, D_b=1.0))
+    p = physics_to_channel(System.C, 1.0, 1e8, 1.0)
     assert p.beta == pytest.approx(1.0, abs=3e-4)
-    q = physics_to_channel(ChannelSpec(System.C, d=1.0, D_a=1.0, D_b=1e8))
+    q = physics_to_channel(System.C, 1.0, 1.0, 1e8)
     assert q.beta == pytest.approx(-1.0, abs=3e-4)
 
 
-def test_channel_spec_validation():
+def test_physics_to_channel_validation():
     with pytest.raises(ValueError):
-        ChannelSpec(System.A, d=-1.0, D=1.0)
+        physics_to_channel(System.A, -1.0, 1.0)
     with pytest.raises(ValueError):
-        ChannelSpec(System.A, d=1.0)  # missing D
+        physics_to_channel(System.A, 1.0)  # missing D
     with pytest.raises(ValueError):
-        ChannelSpec(System.A, d=1.0, D=1.0, D_a=1.0)
+        physics_to_channel(System.A, 1.0, 1.0, 1.0)  # two coefficients
     with pytest.raises(ValueError):
-        ChannelSpec(System.C, d=1.0, D=1.0)
+        physics_to_channel(System.C, 1.0, 1.0)  # one coefficient
     with pytest.raises(ValueError):
-        ChannelSpec(System.C, d=1.0, D_a=1.0, D_b=-2.0)
+        physics_to_channel(System.C, 1.0, 1.0, -2.0)

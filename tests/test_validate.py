@@ -68,8 +68,8 @@ def test_cdf_table_vs_std_cdf(beta):
 
 def test_pooled_suite_reports_what_run_all_does():
     # one pool task per seeded case, each on the seed run_all gives it
-    tasks = validate.suite(20_000, 5, 1e-8)
+    tasks = validate.suite(20_000, 5)
     assert len(tasks) == 2 + len(validate.GEOMETRIC_POWER_LAWS) + len(
         validate.BER_CASES) * len(validate.BER_GSNRS)
     pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
-    assert pooled == validate.run_all(20_000, 5, 1e-8)
+    assert pooled == validate.run_all(20_000, 5)

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import re
-import shlex
 import sys
 
 import numpy as np
@@ -34,9 +33,6 @@ from .stable import QuadratureError, StableParams, cdf, pdf
 from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, chunk_errors,
                       chunk_sizes, mc_estimate, ml_threshold, scheme_for_gsnr)
 from . import plotting
-
-#: env var overriding the worker-pool size
-WORKERS_ENV = "MTCHAN_WORKERS"
 
 CSV_HEADER = ["gsnr_db", "system", "beta", "delta", "c", "threshold",
               "ber_analytic", "ber_mc", "mc_stderr", "samples"]
@@ -160,20 +156,13 @@ def _emit(records: list[BerRecord], args) -> None:
 
 
 def _resolve_workers(args) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    elif env:
-        source = WORKERS_ENV
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
-    else:
+    # by default, the CPUs this process may run on (taskset, cpusets)
+    if args.workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"{source} must be >= 1, got {workers}")
-    return workers
+    _require("--workers", [args.workers], (lambda n: n >= 1, ">= 1"))
+    return args.workers
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -212,6 +201,7 @@ def cmd_table1(args) -> int:
     _require("--deltas", deltas, _POSITIVE)
     _require("--gsnr", [args.gsnr], _POSITIVE)
     _require("--mc-samples", [args.mc_samples], _MC_BITS)
+    _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     points = [(System.C, b, d, args.gsnr) for b in betas for d in deltas]
     records = _compute_grid(points, args.mc_samples, args.seed,
                             _resolve_workers(args))
@@ -281,6 +271,7 @@ def cmd_sweep(args) -> int:
     _require("--betas", betas_c, _SKEW)
     _require("--delta", [args.delta], _POSITIVE)
     _require("--mc-samples", [args.mc_samples], _MC_BITS)
+    _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
     points = [(system, beta, args.delta, gsnr) for system, beta in curves
@@ -305,6 +296,7 @@ def cmd_validate(args) -> int:
     workers = _resolve_workers(args)
     _require("--mc-samples", [args.mc_samples],
              (lambda n: n >= MC_MIN_BITS, f">= {MC_MIN_BITS}"))
+    _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     tasks = validate.suite(args.mc_samples, args.seed)
     results = [r for rs in _run_tasks(tasks, workers) for r in rs]
     for r in results:
@@ -336,9 +328,8 @@ def cmd_geopower(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default: {WORKERS_ENV} env var "
-                        "or available parallelism)")
-    p.add_argument("--config", help="key=value config file; flags override it")
+                   help="worker processes (default: the CPUs this process "
+                        "may run on)")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -415,28 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # each config line key=value becomes --key plus the value's shell words,
-    # inserted right after the subcommand: argparse then types and checks it
-    # like a flag, and flags given later on the command line win
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
-        return args
-    tokens = []
-    with open(args.config, encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            if key and not key.startswith("#"):
-                tokens += ["--" + key.strip().replace("_", "-"), *shlex.split(value)]
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

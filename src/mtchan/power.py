@@ -83,7 +83,9 @@ def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> fl
 
     System A uses symbols {0, delta} (range delta), C uses {-delta, delta}
     (range 2*delta).  For B the returned value is only an upper bound (the
-    absolute value in its observation is not invertible).
+    absolute value in its observation is not invertible).  The range and S0
+    are both taken at delta = 1, where the scale is c/delta, so neither C's
+    range 2*delta nor a huge S0 is formed and delta 1e308 reads finite.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -91,9 +93,9 @@ def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> fl
         raise ValueError(f"c must be > 0, got {c}")
     if not (-1.0 <= beta <= 1.0):
         raise ValueError(f"beta must be in [-1, 1], got {beta}")
-    s0 = geometric_power_alpha_half(c, noise_beta(system, beta))
-    low, high = input_symbols(system, delta)
-    return g_snr(high, low, s0)
+    low, high = input_symbols(system, 1.0)
+    s0 = geometric_power_alpha_half(1.0, noise_beta(system, beta))
+    return g_snr(high - low, 0.0, s0 / (delta / c))
 
 
 def physics_to_channel(system: System, d: float, *D: float) -> StableParams:

@@ -209,15 +209,6 @@ def test_sweep_mc_rows_within_four_stderr(capsys):
         assert abs(mc - analytic) <= 4.0 * stderr, row
 
 
-def test_sweep_workers_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    f = tmp_path / "env.csv"
-    code, _, _ = run(["sweep", "--systems", "B", "--gsnr-db", "5",
-                      "--points", "1", "--output", str(f)], capsys)
-    assert code == 0
-    assert len(f.read_text().splitlines()) == 2
-
-
 def test_sweep_explicit_gsnr_list(capsys):
     code, out, _ = run(["sweep", "--systems", "B", "--gsnr-list", "1,4",
                         "--workers", "1"], capsys)
@@ -305,6 +296,14 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["table1", "--deltas", "5,inf"], "--deltas must be finite and > 0"),
     (["table1", "--betas", ","], "--betas needs at least one value"),
     (["table1", "--mc-samples", "5"], "--mc-samples must be 0 or >= 10000"),
+    # a negative seed is refused by name, with or without Monte Carlo
+    (["sweep", "--seed", "-1", "--gsnr-db", "0", "--points", "1"],
+     "--seed must be >= 0, got -1"),
+    (["sweep", "--seed", "-1", "--mc-samples", "10000", "--gsnr-db", "0",
+      "--points", "1"], "--seed must be >= 0, got -1"),
+    (["table1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["table1", "--seed", "-1", "--mc-samples", "10000"],
+     "--seed must be >= 0, got -1"),
     # finite G-SNRs past the overflow of 2 e^gamma G-SNR in the noise scale
     (["sweep", "--gsnr-db", "3080", "--points", "1"],
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
@@ -362,27 +361,49 @@ def test_sweep_system_c_at_tiny_delta(capsys):
     assert abs(float(row[6]) - 0.5) <= 1e-15
 
 
-@pytest.mark.parametrize("flags,config,env,source", [
-    (["--workers", "-3"], None, None, "--workers"),
-    (["--workers", "0"], None, None, "--workers"),
-    ([], "workers=0\n", None, "--workers"),
-    ([], None, "0", cli.WORKERS_ENV),
-    ([], None, "abc", cli.WORKERS_ENV),
-], ids=["flag-negative", "flag-zero", "config-zero", "env-zero", "env-text"])
-def test_bad_worker_count_exits_2(flags, config, env, source, tmp_path,
-                                  capsys, monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    if env is not None:
-        monkeypatch.setenv(cli.WORKERS_ENV, env)
-    if config is not None:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(config)
-        flags = flags + ["--config", str(cfg)]
+@pytest.mark.parametrize("flags,message", [
+    (["--workers", "-3"], "--workers must be >= 1, got -3"),
+    (["--workers", "0"], "--workers must be >= 1, got 0"),
+], ids=["flag-negative", "flag-zero"])
+def test_bad_worker_count_exits_2(flags, message, capsys):
     code, out, err = run(["sweep", "--systems", "A", "--gsnr-db", "0",
                           "--points", "1"] + flags, capsys)
     assert code == 2
     assert out == ""
-    assert source in err
+    assert message in err
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    # a run pinned to one CPU (taskset, a cpuset) starts no pool
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli._resolve_workers(cli.build_parser().parse_args(["sweep"])) == 1
+    args = cli.build_parser().parse_args(["sweep", "--workers", "3"])
+    assert cli._resolve_workers(args) == 3
+
+
+def test_workers_environment_variable_is_ignored(capsys, monkeypatch):
+    # the worker count comes from --workers alone; a stray variable is not
+    # read, so neither its text nor its count reaches the run
+    argv = ["sweep", "--systems", "A", "--gsnr-db", "0", "--points", "1"]
+    monkeypatch.delenv("MTCHAN_WORKERS", raising=False)
+    expected = run(argv, capsys)
+    monkeypatch.setenv("MTCHAN_WORKERS", "abc")
+    assert run(argv, capsys) == expected
+    assert expected[0] == 0 and expected[2] == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--points", "1"], ["table1"], ["validate"]],
+    ids=["sweep", "table1", "validate"])
+def test_config_file_is_not_an_input(command, tmp_path, capsys):
+    # settings come from flags alone
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("workers=1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_analytic_grid_skips_the_pool(monkeypatch):
@@ -404,67 +425,16 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
         cli._compute_grid(deltas, 10_000, 0, 4)
 
 
-# ---------------------------------------------------------------------------
-# config file
-# ---------------------------------------------------------------------------
-
-def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# comment\npoints=2\ngsnr-db=0 10\nsystems=A\n")
-    code, out, _ = run(["sweep", "--config", str(cfg), "--workers", "1"],
-                       capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 3  # config points=2 applied
-
-    code, out, _ = run(["sweep", "--config", str(cfg), "--points", "4",
-                        "--workers", "1"], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 5  # explicit flag wins
-
-
-def test_config_equals_form(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("points=2\ngsnr-db=0 10\nsystems=A\n")
-    code, out, _ = run(["sweep", f"--config={cfg}", "--workers", "1"], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 3
-
-
 @pytest.mark.parametrize("command", [
     ["sweep", "--systems", "C", "--gsnr-db", "0", "--points", "1"],
     ["table1", "--deltas", "1"]], ids=["sweep", "table1"])
-@pytest.mark.parametrize("form", ["flag", "config"])
-def test_betas_list_starting_negative(command, form, tmp_path, capsys):
+@pytest.mark.parametrize("form", ["flag"])
+def test_betas_list_starting_negative(command, form, capsys):
     # argparse reads only a plain negative number after a flag as its value
-    if form == "flag":
-        extra = ["--betas", "-0.5,0.5"]
-    else:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("betas=-0.5,0.5\n")
-        extra = ["--config", str(cfg)]
-    code, out, _ = run(command + ["--workers", "1"] + extra, capsys)
+    code, out, _ = run(command + ["--workers", "1", "--betas", "-0.5,0.5"],
+                       capsys)
     assert code == 0
     assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["-0.5", "0.5"]
-
-
-@pytest.mark.parametrize("config_args,message", [
-    (["--config"], "expected one argument"),
-    (["--config", "{cfg}"], "--pionts"),
-], ids=["missing-path", "unknown-key"])
-def test_config_usage_errors_exit_2(config_args, message, tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("pionts=2\n")
-    argv = ["sweep", "--workers", "1"] + [a.format(cfg=cfg) for a in config_args]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-
-
-def test_config_missing_file_exits_nonzero(capsys):
-    code, _, err = run(["sweep", "--config", "/nonexistent/cfg"], capsys)
-    assert code == 1
-    assert "error" in err
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +484,24 @@ def test_validate_rejects_tiny_mc(capsys):
     assert "--mc-samples must be >= 10000, got 100" in err
 
 
-@pytest.mark.parametrize("flags,env,source", [
-    (["--workers", "-3"], None, "--workers"),
-    (["--workers", "0"], None, "--workers"),
-    ([], "abc", cli.WORKERS_ENV),
-], ids=["flag-negative", "flag-zero", "env-text"])
-def test_validate_bad_worker_count_exits_2(flags, env, source, capsys,
-                                           monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    if env is not None:
-        monkeypatch.setenv(cli.WORKERS_ENV, env)
+@pytest.mark.parametrize("flags,message", [
+    (["--workers", "-3"], "--workers must be >= 1, got -3"),
+    (["--workers", "0"], "--workers must be >= 1, got 0"),
+], ids=["flag-negative", "flag-zero"])
+def test_validate_bad_worker_count_exits_2(flags, message, capsys):
     code, out, err = run(["validate"] + flags, capsys)
     assert code == 2
     assert out == ""
-    assert source in err
+    assert message in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_validate_negative_seed_exits_2(seed, capsys):
+    # refused by name before any check runs; -1 used to run on derived seeds
+    code, out, err = run(["validate", "--workers", "1", "--seed", seed], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--seed must be >= 0, got {seed}" in err
 
 
 def test_validate_accepts_a_worker_count(capsys):
@@ -605,11 +579,9 @@ def test_validate_loads_no_scipy(tmp_path):
             ["[]", "True []"]
 
 
-def test_validate_output_independent_of_worker_count(capsys, monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+def test_validate_output_independent_of_worker_count(capsys):
     args = ["validate", "--seed", "3", "--mc-samples", "100000"]
     outs = [run(args + ["--workers", w], capsys)[1] for w in ("1", "2", "3")]
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    outs.append(run(args, capsys)[1])
+    outs.append(run(args, capsys)[1])  # the default count
     assert outs[0].endswith("26/26 checks passed\n")
     assert outs[1:] == [outs[0]] * 3

@@ -126,15 +126,23 @@ def test_scale_for_gsnr_round_trip():
         achieved = system_gsnr(system, delta, c, beta)
         assert achieved == pytest.approx(gsnr, rel=1e-12)
     # both directions take S0 by the alpha = 1/2 form, so the round trip
-    # loses rounding only, over the whole G-SNR and delta range
+    # loses rounding only, over the whole G-SNR and delta range; at the
+    # extreme deltas neither C's range 2 delta nor S0 may overflow
     for system in System:
         for beta in (0.5, -0.95, 1.0):
             for gsnr in (1e-3, 1.0, 10.0, 1e6, 1e300):
-                for delta in (1e-3, 1.0, 1e3):
+                for delta in (1e-300, 1e-3, 1.0, 1e3, 1e308):
+                    if (gsnr, delta) in ((1e-3, 1e308), (1e300, 1e-300)):
+                        with pytest.raises(ValueError, match="outside the normal"):
+                            scale_for_gsnr(system, delta, gsnr, beta)
+                        continue
                     c = scale_for_gsnr(system, delta, gsnr, beta)
                     achieved = system_gsnr(system, delta, c, beta)
                     assert abs(achieved - gsnr) <= 1e-15 * gsnr, (
                         system, beta, gsnr, delta)
+    # c = 1.65e308 for A, where S0 = c e^gamma (1 + beta^2) would overflow
+    c = scale_for_gsnr(System.A, 1e308, 0.01)
+    assert abs(system_gsnr(System.A, 1e308, c) - 0.01) <= 1e-15 * 0.01
 
 
 def test_scale_for_gsnr_bitwise_per_system_formulas():

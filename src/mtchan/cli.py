@@ -2,7 +2,7 @@
 
 Subcommands:
   table1    constant-BER-at-constant-G-SNR table over (beta, delta)
-  sweep     BER vs G-SNR sweep per system/beta, CSV/JSON + optional SVG
+  sweep     BER vs G-SNR sweep per system/beta, CSV + optional SVG
   validate  run the full oracle/cross-check suite
   dist      evaluate a stable pdf/cdf at a point
   geopower  evaluate geometric power of a stable law
@@ -20,7 +20,6 @@ import concurrent.futures
 import csv
 import functools
 import io
-import json
 import math
 import os
 import re
@@ -110,7 +109,7 @@ def _compute_grid(points, mc_samples: int, seed: int,
     mcs = (_monte_carlo(schemes, states, mc_samples, seed, workers)
            if mc_samples else [(None, None)] * len(points))
     return [BerRecord(
-        gsnr=gsnr, gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
+        gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
         beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
         threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
         ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
@@ -135,19 +134,8 @@ def _records_to_csv(records: list[BerRecord]) -> str:
     return buf.getvalue()
 
 
-def _records_to_json(records: list[BerRecord]) -> str:
-    rows = []
-    for r in records:
-        row = {k: getattr(r, k) for k in CSV_HEADER}
-        row["system"] = r.system.value
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _emit(records: list[BerRecord], args) -> None:
-    text = (_records_to_json(records) if args.format == "json"
-            else _records_to_csv(records))
-    path = args.output
+def _emit(records: list[BerRecord], path: str | None) -> None:
+    text = _records_to_csv(records)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -224,18 +212,11 @@ def cmd_table1(args) -> int:
                 msgs.append("REF-FAIL")
         print("# " + " ".join(msgs), file=sys.stderr)
 
-    _emit(records, args)
+    _emit(records, args.output)
     return 1 if failed else 0
 
 
 def _sweep_grid(args) -> list[float]:
-    if args.gsnr_list is not None:
-        for flag, value in (("--gsnr-db", args.gsnr_db), ("--points", args.points)):
-            if value is not None:
-                raise ValueError(f"{flag} cannot be combined with --gsnr-list")
-        gsnrs = _float_list(args.gsnr_list, "--gsnr-list")
-        _require("--gsnr-list", gsnrs, _POSITIVE)
-        return gsnrs
     db = SWEEP_GSNR_DB if args.gsnr_db is None else args.gsnr_db
     _require("--gsnr-db", db, _FINITE)
     if len(db) > 2:
@@ -255,7 +236,7 @@ def _sweep_grid(args) -> list[float]:
     except OverflowError:
         raise ValueError(f"--gsnr-db {max(dbs):g} exceeds the floating-point "
                          "range") from None
-    if gsnrs[0] == 0.0 or gsnrs[-1] == 0.0:
+    if min(gsnrs[0], gsnrs[-1]) < sys.float_info.min:
         raise ValueError(f"--gsnr-db {min(dbs):g} is below the floating-point "
                          "range")
     return gsnrs
@@ -278,7 +259,7 @@ def cmd_sweep(args) -> int:
               for gsnr in gsnrs]
     records = _compute_grid(points, args.mc_samples, args.seed,
                             _resolve_workers(args))
-    _emit(records, args)
+    _emit(records, args.output)
 
     if args.plot:
         dbs = [10.0 * math.log10(g) for g in gsnrs]
@@ -332,11 +313,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "may run on)")
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse takes a token after a flag for its value only if it is a plain
     # negative number; no mtchan flag starts with '-' and a digit or is -inf,
@@ -355,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="constant-BER table at fixed G-SNR")
     _add_common(p)
-    _add_output(p)
+    p.add_argument("--output", help="CSV file (default: stdout)")
     p.add_argument("--gsnr", type=float, default=TABLE1_GSNR,
                    help="linear G-SNR held constant across the grid "
                         f"(default {TABLE1_GSNR:g}, the reference-table calibration)")
@@ -367,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="BER vs G-SNR sweep")
     _add_common(p)
-    _add_output(p)
+    p.add_argument("--output", help="CSV file (default: stdout)")
     p.add_argument("--systems", default="A,B,C")
     p.add_argument("--betas", default="0,0.25,0.5,0.75,0.95",
                    help="system C skew values")
@@ -377,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{SWEEP_GSNR_DB[0]:g} {SWEEP_GSNR_DB[1]:g})")
     p.add_argument("--points", type=int,
                    help=f"points between two --gsnr-db endpoints (default {SWEEP_POINTS})")
-    p.add_argument("--gsnr-list", help="explicit comma-separated linear G-SNRs "
-                                       "(instead of --gsnr-db and --points)")
     p.add_argument("--mc-samples", type=int, default=0)
     p.add_argument("--plot", help="write an SVG figure to this path")
     p.set_defaults(func=cmd_sweep)

@@ -128,9 +128,13 @@ GSNR_MAX = sys.float_info.max / (2.0 * G_GAMMA)
 def scale_for_gsnr(system: System, delta: float, gsnr: float,
                    beta: float = 0.0) -> float:
     """Noise scale c that yields the requested G-SNR (closed-form inversion);
-    a c that would be subnormal, 0 or inf is refused."""
-    if gsnr <= 0.0:
-        raise ValueError(f"gsnr must be > 0, got {gsnr}")
+    a G-SNR below the smallest normal float or above GSNR_MAX, and a c that
+    would be subnormal, 0 or inf, are refused."""
+    if gsnr < sys.float_info.min:
+        raise ValueError(
+            f"gsnr {gsnr!r} is below {sys.float_info.min!r} "
+            f"({10.0 * math.log10(sys.float_info.min):.2f} dB), the smallest "
+            "normal float, below which digits are lost")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     square = 2.0 * G_GAMMA * gsnr

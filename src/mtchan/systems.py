@@ -69,7 +69,6 @@ class DetectorState:
 class BerRecord:
     """One experiment row for the BER tables/sweeps."""
 
-    gsnr: float
     gsnr_db: float
     system: System
     beta: float
@@ -194,13 +193,19 @@ def detect(state: DetectorState, y: float) -> float:
 def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> float:
     """Error probability of the threshold detector (equiprobable symbols),
     (P(y > threshold | low) + P(y <= threshold | high))/2, each term a tail
-    of the noise law, so it keeps its relative precision at any G-SNR."""
+    of the noise law, so it keeps its relative precision at any G-SNR; at
+    most 1/2 at any threshold."""
     if state is None:
         state = ml_threshold(scheme)
     c = scheme.noise.c
     u = state.threshold / c
     low, high = input_symbols(scheme.system, scheme.delta / c)
-    return 0.5 * (_law(scheme, low, u, "sf") + _law(scheme, high, u, "cdf"))
+    # the high symbol's observation is stochastically larger than the low
+    # one's (a shift for A and C, by Anderson's inequality for B's fold of a
+    # symmetric unimodal law), so the tails sum to <= 1; where the midpoint
+    # rule sets the threshold, their rounding reads up to 3 ulp above
+    tails = _law(scheme, low, u, "sf") + _law(scheme, high, u, "cdf")
+    return 0.5 * min(tails, 1.0)
 
 
 def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -86,19 +85,6 @@ def test_table1_small_grid(tmp_path, capsys):
     assert lines[0] == HEADER
     assert len(lines) == 5  # header + 2 betas x 2 deltas
     assert "spread" in err
-
-
-def test_table1_json(capsys):
-    code, out, _ = run(["table1", "--betas", "0.5", "--deltas", "1,2",
-                        "--gsnr", "2", "--workers", "1", "--format", "json"],
-                       capsys)
-    assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 2
-    assert rows[0]["system"] == "C"
-    assert rows[0]["ber_mc"] is None
-    assert rows[0]["ber_analytic"] == pytest.approx(rows[1]["ber_analytic"],
-                                                    rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +195,6 @@ def test_sweep_mc_rows_within_four_stderr(capsys):
         assert abs(mc - analytic) <= 4.0 * stderr, row
 
 
-def test_sweep_explicit_gsnr_list(capsys):
-    code, out, _ = run(["sweep", "--systems", "B", "--gsnr-list", "1,4",
-                        "--workers", "1"], capsys)
-    assert code == 0
-    rows = out.splitlines()
-    assert len(rows) == 3
-    assert rows[1].startswith("0.0,B,")
-
-
 def test_sweep_plot(tmp_path, capsys):
     svg = tmp_path / "fig.svg"
     code, _, _ = run(["sweep", "--systems", "A,B", "--gsnr-db", "-5", "15",
@@ -272,18 +249,15 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["table1", "--gsnr", "-INF"], "--gsnr must be finite and > 0"),
     (["sweep", "--gsnr-db=-4000", "--points", "1"],
      "--gsnr-db -4000 is below the floating-point range"),
-    (["sweep", "--gsnr-list", "nan"], "--gsnr-list must be finite and > 0"),
-    (["sweep", "--gsnr-list", "inf"], "--gsnr-list must be finite and > 0"),
-    (["sweep", "--gsnr-list", "1,0"], "--gsnr-list must be finite and > 0"),
-    (["sweep", "--gsnr-list", ","], "--gsnr-list needs at least one value"),
+    # a subnormal G-SNR has lost digits: refused, not printed and used
+    (["sweep", "--gsnr-db", "-3200", "--points", "1"],
+     "--gsnr-db -3200 is below the floating-point range"),
+    (["table1", "--gsnr", "1e-320"],
+     "gsnr 1e-320 is below 2.2250738585072014e-308 (-3076.53 dB)"),
     (["sweep", "--gsnr-db", "5", "--points", "3"],
      "--points must be 1 with one --gsnr-db value"),
     (["sweep", "--gsnr-db", "5", "--points", "0"],
      "--points must be 1 with one --gsnr-db value"),
-    (["sweep", "--gsnr-list", "1,4", "--points", "2"],
-     "--points cannot be combined with --gsnr-list"),
-    (["sweep", "--gsnr-list", "1,4", "--gsnr-db", "0", "10"],
-     "--gsnr-db cannot be combined with --gsnr-list"),
     (["sweep", "--delta", "nan", "--points", "1"], "--delta must be finite and > 0"),
     (["sweep", "--delta", "0", "--points", "1"], "--delta must be finite and > 0"),
     (["sweep", "--betas", "nan", "--points", "1"], "--betas must be in [-1, 1]"),
@@ -406,12 +380,34 @@ def test_config_file_is_not_an_input(command, tmp_path, capsys):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gsnr-list", "1,4"], ["sweep", "--format", "json"],
+    ["table1", "--format", "json"]], ids=["sweep-list", "sweep-json", "table1-json"])
+def test_one_grid_syntax_and_one_format(argv, capsys):
+    # a grid is --gsnr-db and --points, and rows are CSV
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_lowest_normal_gsnr_runs(capsys):
+    # -3076 dB is a normal float: the row keeps the G-SNR asked for
+    code, out, err = run(["sweep", "--gsnr-db", "-3076", "--points", "1",
+                          "--workers", "1"], capsys)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert {row[0] for row in rows} == {"-3076.0"}
+    assert all(float(row[6]) == 0.5 for row in rows)
+
+
 def test_analytic_grid_skips_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed")
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
     points = [(System.C, b, 1.0, g) for b in (0.5, 0.9) for g in (1.0, 2.0)]
-    assert [r.gsnr for r in cli._compute_grid(points, 0, 0, 4)] == [1.0, 2.0] * 2
+    assert [r.gsnr_db for r in cli._compute_grid(points, 0, 0, 4)] == (
+        [0.0, 10.0 * math.log10(2.0)] * 2)
     # a pool task is one chunk of one delta's draw: one chunk of one delta
     # runs here, and a grid of two or more chunk tasks goes to the pool,
     # whether the tasks are two chunks or two deltas

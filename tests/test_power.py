@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ def test_scale_for_gsnr_refuses_past_the_overflow():
         1.0 / (2.0 * G_GAMMA * math.sqrt(2.0 * G_GAMMA * GSNR_MAX)))
     for gsnr in (math.nextafter(GSNR_MAX, math.inf), 1e308):
         with pytest.raises(ValueError, match=r"exceeds 5\.04665.*\(3077\.03 dB\)"):
+            scale_for_gsnr(System.C, 1.0, gsnr, 0.5)
+
+
+def test_scale_for_gsnr_refuses_a_subnormal_gsnr():
+    # the smallest normal G-SNR is the plain closed form; below it the G-SNR
+    # has lost digits and is refused, naming the value
+    tiny = sys.float_info.min
+    assert scale_for_gsnr(System.A, 1.0, tiny) == (
+        1.0 / (2.0 * G_GAMMA * math.sqrt(2.0 * G_GAMMA * tiny)))
+    for gsnr in (math.nextafter(tiny, 0.0), 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=rf"gsnr {gsnr!r} is below .*"
+                                             r"\(-3076\.53 dB\)"):
             scale_for_gsnr(System.C, 1.0, gsnr, 0.5)
 
 

@@ -514,9 +514,9 @@ def test_simulate_minimum_size():
 
 def test_ber_record_validation():
     with pytest.raises(ValueError):
-        BerRecord(1.0, 0.0, System.A, 1.0, 1.0, 1.0, 1.0, ber_analytic=1.5)
+        BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 1.0, ber_analytic=1.5)
     with pytest.raises(ValueError):
-        BerRecord(1.0, 0.0, System.A, 1.0, 1.0, 1.0, 1.0, 0.1, ber_mc=0.1)
+        BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 1.0, 0.1, ber_mc=0.1)
 
 
 def test_threshold_high_gsnr_converges_to_tail_balance():
@@ -631,6 +631,23 @@ def test_threshold_c_tiny_d_takes_the_midpoint():
             th = ml_threshold(s).threshold
             assert abs(th) != s.noise.c, (beta, db)
             assert abs(ber_analytic(s) - 0.5) <= 1e-13, (beta, db)
+
+
+def test_ber_never_exceeds_one_half():
+    # the high symbol's observation is stochastically larger than the low
+    # one's, so no threshold errs on more than half the bits; where the
+    # midpoint rule sets B's or C's threshold, the tails' rounding summed
+    # above 1
+    curves = [(System.A, 1.0), (System.B, 0.0)] + [
+        (System.C, beta) for beta in (-0.95, -0.5, 0.25, 0.5, 0.75, 0.95)]
+    for db in np.linspace(-3000.0, -100.0, 59):
+        for system, beta in curves:
+            s = scheme_for_gsnr(system, 1.0, 10.0 ** (db / 10.0), beta)
+            state = ml_threshold(s)
+            assert ber_analytic(s, state) <= 0.5, (system, beta, db)
+            for u in (-2.0, 0.0, 0.5, 2.0):
+                off = DetectorState(u * s.noise.c, *s.symbols)
+                assert ber_analytic(s, off) <= 0.5, (system, beta, db, u)
 
 
 @pytest.mark.parametrize("system,beta", [

@@ -4,8 +4,6 @@ Subcommands:
   table1    constant-BER-at-constant-G-SNR table over (beta, delta)
   sweep     BER vs G-SNR sweep per system/beta, CSV + optional SVG
   validate  run the full oracle/cross-check suite
-  dist      evaluate a stable pdf/cdf at a point
-  geopower  evaluate geometric power of a stable law
 
 Exit codes: 0 success, 1 check failure, 2 usage error.
 
@@ -27,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .power import System, geometric_power, noise_beta
-from .stable import QuadratureError, StableParams, cdf, pdf
+from .power import System, noise_beta
+from .stable import QuadratureError
 from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, chunk_errors,
                       chunk_sizes, mc_estimate, ml_threshold, scheme_for_gsnr)
 from . import plotting
@@ -287,21 +285,6 @@ def cmd_validate(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def cmd_dist(args) -> int:
-    params = StableParams(args.mu, args.c, args.alpha, args.beta)
-    if args.what == "pdf":
-        value = pdf(params, args.x)
-    else:
-        value = cdf(params, args.x)
-    print(repr(value))
-    return 0
-
-
-def cmd_geopower(args) -> int:
-    print(repr(geometric_power(StableParams(0.0, args.c, args.alpha, args.beta))))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
@@ -361,21 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("dist", help="evaluate a stable pdf/cdf")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--what", choices=["pdf", "cdf"], default="pdf")
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("geopower", help="geometric power of a stable law")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(func=cmd_geopower)
 
     return parser
 

@@ -54,6 +54,11 @@ NUMERIC_TOL = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
+#: the smallest normal float: a scale c below it has lost digits, and below
+#: it in x the alpha = 1/2 closed forms' z*z overflows, where f(x) and F(x)
+#: equal f(0) and F(0) to double precision
+_HALF_TINY = 2.0 ** -1022
+
 
 class QuadratureError(RuntimeError):
     """Numerical inversion did not reach the requested accuracy.
@@ -103,8 +108,8 @@ class StableParams:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be finite and >= 0, got {self.c}")
+        if not _HALF_TINY <= self.c < math.inf:
+            raise ValueError(f"c must be a finite normal float > 0, got {self.c!r}")
         _check_shape(self.alpha, self.beta)
 
     @cached_property  # the detector reads it at every density evaluation
@@ -268,10 +273,6 @@ def _w_integral(z: complex) -> complex:
 # alpha = 1/2, |beta| < 1: both closed forms in z = (i/2)*(1 - i*beta)/sqrt(i*x),
 # which has Im z > 0 for x != 0
 # ---------------------------------------------------------------------------
-
-#: the smallest normal float: below it z*z overflows, and f(x) and F(x)
-#: equal f(0) and F(0) to double precision
-_HALF_TINY = 2.0 ** -1022
 
 def _half_pdf(beta: float, x: float) -> float:
     """Density of S(0, 1, 1/2, beta), |beta| < 1.
@@ -541,15 +542,11 @@ def std_cdf(s: StandardStable, x: float) -> float:
 
 def pdf(params: StableParams, x: float) -> float:
     """Density of the general stable law; rescales the standard density."""
-    if params.c == 0.0:
-        raise ValueError("c = 0 is a degenerate point mass; density undefined")
     return std_pdf(params.standard, (x - params.mu) / params.c) / params.c
 
 
 def cdf(params: StableParams, x: float) -> float:
     """CDF of the general stable law."""
-    if params.c == 0.0:
-        raise ValueError("c = 0 is a degenerate point mass; CDF undefined")
     return std_cdf(params.standard, (x - params.mu) / params.c)
 
 
@@ -602,8 +599,6 @@ def sample(params: StableParams, n: int, seed) -> np.ndarray:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return np.empty(0)
-    if params.c == 0.0:
-        raise ValueError("c = 0 is a degenerate point mass; refusing to sample")
     rng = np.random.default_rng(seed)
     # mu + c*Z is valid in this parameterization for every supported
     # (alpha, beta): the alpha = 1 shift correction vanishes at beta = 0

@@ -35,8 +35,6 @@ class BinaryScheme:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.noise.mu != 0.0 or self.noise.alpha != 0.5:
             raise ValueError("noise must be a zero-location alpha = 1/2 law")
-        if self.noise.c <= 0.0:
-            raise ValueError("noise scale must be > 0")
         required = noise_beta(self.system, self.noise.beta)
         if self.noise.beta != required:
             raise ValueError(

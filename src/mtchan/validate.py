@@ -131,7 +131,8 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     return results
 
 
-#: the laws of the geometric-power check, (alpha, beta), each on its own seed
+#: the laws of the geometric-power check, (alpha, beta), law i on seed + 100 i,
+#: so that in a suite (seed + 2 + 100 i) no law shares a BER point's seed
 GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
 #: ... and its relative tolerance
 GEOMETRIC_POWER_REL_TOL = 0.02
@@ -155,7 +156,8 @@ def _geometric_power_law(alpha: float, beta: float, n: int,
 
 
 def _geometric_power_cases(n: int, seed: int) -> list[functools.partial]:
-    return [functools.partial(_geometric_power_law, alpha, beta, n, seed + i)
+    return [functools.partial(_geometric_power_law, alpha, beta, n,
+                              seed + 100 * i)
             for i, (alpha, beta) in enumerate(GEOMETRIC_POWER_LAWS)]
 
 

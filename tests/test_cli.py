@@ -15,60 +15,32 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-# ---------------------------------------------------------------------------
-# scalar commands
-# ---------------------------------------------------------------------------
-
-def test_dist_pdf(capsys):
-    code, out, _ = run(["dist", "--alpha", "0.5", "--beta", "1",
-                        "--x", "0.3333333333333333", "--what", "pdf"], capsys)
-    assert code == 0
-    assert float(out) == pytest.approx(0.4625410, abs=5e-7)
-
-
-def test_dist_cdf_with_scale(capsys):
-    code, out, _ = run(["dist", "--alpha", "0.5", "--beta", "1", "--mu", "1",
-                        "--c", "2", "--x", "3", "--what", "cdf"], capsys)
-    assert code == 0
-    assert 0.0 < float(out) < 1.0
-
-
-def test_dist_invalid_combination_exits_2(capsys):
-    code, _, err = run(["dist", "--alpha", "1", "--beta", "0.5", "--x", "0"],
-                       capsys)
-    assert code == 2
-    assert "error" in err
-
-
-def test_dist_general_alpha_numeric_inversion(capsys):
-    # general alpha goes through Nolan's integral and the trapezoid rule
-    code, out, _ = run(["dist", "--alpha", "1.5", "--beta", "0.3",
-                        "--x", "1"], capsys)
-    assert code == 0
-    assert float(out) == pytest.approx(0.16235873175932355, abs=1e-9)
-
-
-def test_dist_quadrature_failure_exits_1(capsys, monkeypatch):
-    # a check failure with a message, not a traceback
-    from mtchan import stable
-    monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: (1.0, 1.0))
-    code, out, err = run(["dist", "--alpha", "0.7", "--beta", "0", "--x", "1"],
-                         capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: PDF inversion did not converge")
-
-
-def test_geopower(capsys):
-    code, out, _ = run(["geopower", "--alpha", "0.5", "--beta", "1"], capsys)
-    assert code == 0
-    assert float(out) == pytest.approx(3.5621448359803958, rel=1e-12)
-
-
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--alpha", "0.7", "--beta", "0.5", "--x", "3"],
+    ["geopower", "--alpha", "0.5", "--beta", "1"]])
+def test_single_law_commands_are_gone(argv, capsys):
+    # a law is evaluated with the library's pdf, cdf and geometric_power
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_quadrature_failure_exits_1(capsys, monkeypatch):
+    # a check failure with a message, not a traceback
+    from mtchan import stable
+    monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: (1.0, 1.0))
+    code, out, err = run(["validate", "--workers", "1", "--mc-samples",
+                          "10000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PDF inversion did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -526,31 +498,30 @@ _LOADED_SCIPY = ("loaded = lambda: sorted(m for m in sys.modules\n"
 
 
 def test_import_cli_skips_validate_dependencies():
-    # sweeps, table1, and dist and geopower at any alpha need numpy alone:
-    # neither the import nor a run loads any part of scipy
+    # sweeps, table1, and pdf, cdf and geometric_power at any alpha need
+    # numpy alone: neither the import nor a run loads any part of scipy
     runs = [["sweep", "--points", "4", "--workers", "1"],
-            ["table1", "--workers", "1"],
-            ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "0.7"],
-            ["dist", "--alpha", "0.5", "--beta", "0.3", "--x", "-2",
-             "--what", "cdf"],
-            ["dist", "--alpha", "0.5", "--beta", "1", "--x", "0.7"],
-            ["dist", "--alpha", "1", "--beta", "0", "--x", "0.7"],
-            ["dist", "--alpha", "2", "--beta", "0", "--x", "0.7",
-             "--what", "cdf"],
-            ["dist", "--alpha", "1.5", "--beta", "0.3", "--x", "1"],
-            ["dist", "--alpha", "0.7", "--beta", "-0.5", "--x", "3",
-             "--what", "cdf"],
-            ["geopower", "--alpha", "0.5", "--beta", "0.3"],
-            ["geopower", "--alpha", "2", "--beta", "0"]]
+            ["table1", "--workers", "1"]]
+    calls = ["pdf(StableParams(0.0, 1.0, 0.5, 0.3), 0.7)",
+             "cdf(StableParams(0.0, 1.0, 0.5, 0.3), -2.0)",
+             "pdf(StableParams(0.0, 1.0, 0.5, 1.0), 0.7)",
+             "pdf(StableParams(0.0, 1.0, 1.0, 0.0), 0.7)",
+             "cdf(StableParams(0.0, 1.0, 2.0, 0.0), 0.7)",
+             "pdf(StableParams(0.0, 1.0, 1.5, 0.3), 1.0)",
+             "cdf(StableParams(0.0, 1.0, 0.7, -0.5), 3.0)",
+             "geometric_power(StableParams(0.0, 1.0, 0.5, 0.3))",
+             "geometric_power(StableParams(0.0, 1.0, 2.0, 0.0))"]
     code = (
         "import contextlib, io, sys, mtchan.cli\n" + _LOADED_SCIPY +
+        "from mtchan import StableParams, cdf, geometric_power, pdf\n"
         "print(loaded())\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert mtchan.cli.main(argv) == 0, argv\n"
-        "    print(loaded())\n")
-    assert _python(code).splitlines() == ["[]"] * (1 + len(runs))
+        "    print(loaded())\n"
+        + "".join(f"{call}\nprint(loaded())\n" for call in calls))
+    assert _python(code).splitlines() == ["[]"] * (1 + len(runs) + len(calls))
 
 
 def test_validate_loads_no_scipy(tmp_path):

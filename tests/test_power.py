@@ -240,3 +240,6 @@ def test_physics_to_channel_validation():
         physics_to_channel(System.C, 1.0, 1.0)  # one coefficient
     with pytest.raises(ValueError):
         physics_to_channel(System.C, 1.0, 1.0, -2.0)
+    # d^2 underflows: the scale would be 0, a point mass, not a law
+    with pytest.raises(ValueError, match="c must be"):
+        physics_to_channel(System.A, 1e-200, 1.0)

@@ -238,13 +238,12 @@ def test_invalid_scale_location():
 
 
 def test_degenerate_scale_rejected_for_evaluation():
-    p = StableParams(1.0, 0.0, 0.5, 0.0)  # construction itself is fine
-    with pytest.raises(ValueError):
-        pdf(p, 1.0)
-    with pytest.raises(ValueError):
-        cdf(p, 1.0)
-    with pytest.raises(ValueError):
-        sample(p, 10, 0)
+    # a scale of 0 is a point mass and a subnormal one has lost digits: the
+    # law is refused where it is built, before pdf, cdf or sample sees it
+    for c in (0.0, 5e-324, 2.0 ** -1023, math.inf):
+        with pytest.raises(ValueError, match="c must be"):
+            StableParams(1.0, c, 0.5, 0.0)
+    assert StableParams(0.0, 2.0 ** -1022, 0.5, 0.0).c == 2.0 ** -1022
 
 
 def test_nonfinite_x_rejected():
@@ -446,6 +445,12 @@ def _quadpack(f, reach):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(f, -reach, reach, points=(0.0,), epsabs=0.0,
                               epsrel=2e-14, limit=2000)[:2]
+
+
+def test_numeric_inversion_pinned_value():
+    # general alpha goes through Nolan's integral and the trapezoid rule
+    assert pdf(StableParams(0.0, 1.0, 1.5, 0.3), 1.0) == pytest.approx(
+        0.16235873175932355, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", (0.2, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5,

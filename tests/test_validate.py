@@ -73,3 +73,13 @@ def test_pooled_suite_reports_what_run_all_does():
         validate.BER_CASES) * len(validate.BER_GSNRS)
     pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
     assert pooled == validate.run_all(20_000, 5)
+
+
+def test_suite_draws_each_case_on_its_own_seed():
+    # two cases on one seed draw the same normals, and their gates would
+    # pass or fail together
+    for seed in (0, 7):
+        seeds = [case.args[-1] for case in validate.suite(10_000, seed)
+                 if case.args]
+        assert len(seeds) == 14
+        assert len(set(seeds)) == len(seeds)

@@ -23,12 +23,10 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .power import System, noise_beta
 from .stable import QuadratureError
-from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, chunk_errors,
-                      chunk_sizes, mc_estimate, ml_threshold, scheme_for_gsnr)
+from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, ml_threshold,
+                      scheme_for_gsnr)
 from . import plotting
 
 CSV_HEADER = ["gsnr_db", "system", "beta", "delta", "c", "threshold",
@@ -46,23 +44,19 @@ SWEEP_GSNR_DB = (-10.0, 20.0)
 SWEEP_POINTS = 31
 
 
-def _stream_seed(master_seed: int, stream: int) -> int:
-    # mix (master seed, stream number) into an independent seed
-    return int(np.random.SeedSequence((master_seed, stream)).generate_state(1)[0])
-
-
 def point_seed(master_seed: int, index: int) -> int:
     """Seed of the Monte Carlo draw behind point `index` of a sweep.
 
     A grid of one delta, as every sweep is, counts all its points on one
     draw of bits and noise, so the seed is the same for every index.  A
     point's count depends on the seed and the bit count alone, whatever the
-    other points (see `systems.chunk_errors`), so the Monte Carlo columns of
-    point `index` are `ber_monte_carlo` on that point with this seed, at any
-    bit count.  `index` is taken so that a caller recomputing a sweep point
+    other points (see `montecarlo.chunk_errors`), so the Monte Carlo columns
+    of point `index` are `ber_monte_carlo` on that point with this seed, at
+    any bit count.  `index` is taken so that a caller recomputing a sweep point
     by point, as `bench/traced.py` does, gets each point's draw.
     """
-    return _stream_seed(master_seed, 0)
+    from . import montecarlo
+    return montecarlo.stream_seed(master_seed, 0)
 
 
 def _monte_carlo(schemes, states, n_bits: int, seed: int,
@@ -72,19 +66,21 @@ def _monte_carlo(schemes, states, n_bits: int, seed: int,
     the same d, so a draw shared across deltas would repeat one value.  A
     pool task is one chunk of one delta's draw and counts all its points;
     the integer counts are summed here, whatever the worker count."""
+    from . import montecarlo  # here, so that the analytic commands skip numpy
     deltas: dict[float, list[int]] = {}
     for i, scheme in enumerate(schemes):
         deltas.setdefault(scheme.delta, []).append(i)
     tasks = [(members, functools.partial(
-                 chunk_errors, [schemes[i] for i in members],
-                 [states[i] for i in members], _stream_seed(seed, j), k, n))
+                 montecarlo.chunk_errors, [schemes[i] for i in members],
+                 [states[i] for i in members], montecarlo.stream_seed(seed, j),
+                 k, n))
              for j, members in enumerate(deltas.values())
-             for k, n in enumerate(chunk_sizes(n_bits))]
+             for k, n in enumerate(montecarlo.chunk_sizes(n_bits))]
     errors = [0] * len(schemes)
     for (members, _), counts in zip(tasks, _run_tasks([t for _, t in tasks], workers)):
         for i, e in zip(members, counts):
             errors[i] += e
-    return [mc_estimate(e, n_bits) for e in errors]
+    return [montecarlo.mc_estimate(e, n_bits) for e in errors]
 
 
 def _run_tasks(tasks: list, workers: int) -> list:
@@ -214,6 +210,14 @@ def cmd_table1(args) -> int:
     return 1 if failed else 0
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    # n >= 1 evenly spaced values, numpy.linspace's arithmetic bit for bit
+    if n == 1:
+        return [start]
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n - 1)] + [stop]
+
+
 def _sweep_grid(args) -> list[float]:
     db = SWEEP_GSNR_DB if args.gsnr_db is None else args.gsnr_db
     _require("--gsnr-db", db, _FINITE)
@@ -228,7 +232,7 @@ def _sweep_grid(args) -> list[float]:
         points = SWEEP_POINTS if points is None else points
         if points < 1:
             raise ValueError("--points must be >= 1")
-        dbs = [db[0]] if points == 1 else list(np.linspace(db[0], db[1], points))
+        dbs = _linspace(db[0], db[1], points)
     try:
         gsnrs = [10.0 ** (v / 10.0) for v in dbs]
     except OverflowError:

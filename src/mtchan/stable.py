@@ -1,4 +1,4 @@
-"""Evaluation and sampling of alpha-stable distributions.
+"""Evaluation of alpha-stable distributions (montecarlo samples them).
 
 The parameterization follows the characteristic-function convention
 
@@ -31,7 +31,7 @@ target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
 power-law tails keep their digits; failure to reach it raises QuadratureError
 carrying the achieved relative error bound.
 
-Only numpy loads with this module, and no evaluation loads more.
+This module and its evaluations load the standard library alone.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 #: exp(Euler's gamma), the constant underlying geometric power.
@@ -189,18 +187,27 @@ def _series(truncated, t: complex) -> complex:
     return _horner(polys[bisect.bisect_left(radii, abs(t))], t)
 
 
-def _weideman_coeffs(n: int) -> tuple[float, tuple[float, ...]]:
-    # Weideman (1994), eq. (3.13) and his Matlab listing: the scale L and the
-    # n coefficients of p, highest power first
-    m = 2 * n
-    scale = math.sqrt(n / math.sqrt(2.0))
-    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return scale, tuple(float(v) for v in a[n:0:-1])
-
-
-_W_SCALE, _W_WEIDEMAN = _weideman_coeffs(40)
+# Weideman (1994), eq. (3.13) and his Matlab listing, at n = 40 terms: the
+# scale L = sqrt(n/sqrt(2)) and the coefficients of p, highest power first,
+# from the FFT of exp(-t^2)*(L^2 + t^2) at t = L*tan(k*pi/(4n)), |k| < 2n;
+# tests/test_stable.py regenerates them
+_W_SCALE = 5.3182958969449885
+_W_WEIDEMAN = (
+    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+    0.002705405633073729, 0.010048186242783535, 0.02920291647124188,
+    0.07182361779074328, 0.15504263802479504, 0.2998943799615006,
+    0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+    1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705,
+)
 # dZ = 2iL dz/(L - iz)^2, so with P = Int_0^Z p (highest power first):
 # W(z) = (P(Z) - P(1))/(iL) + (i/sqrt(pi))*log((L - iz)/L)
 _W_WEIDEMAN_INT = tuple(a / (len(_W_WEIDEMAN) - k)
@@ -540,66 +547,53 @@ def std_cdf(s: StandardStable, x: float) -> float:
     return _cdf_numeric(s.alpha, s.beta, x)
 
 
+def _far_tail(params: StableParams, x: float, density: bool) -> float:
+    # f(x) or F(x) at a finite x whose z = (x - mu)/c overflows: the leading
+    # power-law term, P(X > x) ~ C*(1 + beta)*z^-alpha and its mirror, in
+    # logs.  Its relative error O(|z|^-alpha) is below 1e-150 for alpha >= 1/2
+    alpha, mu, c = params.alpha, params.mu, params.c
+    if alpha < 0.5:
+        raise ValueError(f"(x - mu)/c overflows at x = {x!r}, mu = {mu!r}, "
+                         f"c = {c!r}: below alpha = 1/2 its tail term is not "
+                         "exact to double precision")
+    right = x > mu
+    weight = tail_coefficient(alpha) * (1.0 + (params.beta if right else -params.beta))
+    log_z = math.log(abs(0.5 * x - 0.5 * mu)) + math.log(2.0) - math.log(c)
+    # a light tail (weight 0) has no mass this far out
+    log_mass = math.log(weight) - alpha * log_z if weight > 0.0 else -math.inf
+    if density:
+        return math.exp(log_mass + math.log(alpha) - log_z - math.log(c))
+    mass = math.exp(log_mass)
+    return 1.0 - mass if right else mass
+
+
+def _rescaled(params: StableParams, x: float, density: bool) -> float:
+    # f(x) or F(x) from the standard law at z = (x - mu)/c.  Where x - mu
+    # overflows, its halves do not, and halving and doubling are exact; where
+    # z itself overflows at a finite x, the tail term serves
+    z = (x - params.mu) / params.c
+    if math.isinf(z) and math.isfinite(x):
+        z = 2.0 * ((0.5 * x - 0.5 * params.mu) / params.c)
+        if math.isinf(z):
+            return _far_tail(params, x, density)
+    if density:
+        return std_pdf(params.standard, z) / params.c
+    return std_cdf(params.standard, z)
+
+
 def pdf(params: StableParams, x: float) -> float:
-    """Density of the general stable law; rescales the standard density."""
-    return std_pdf(params.standard, (x - params.mu) / params.c) / params.c
+    """Density of the general stable law: the standard density rescaled, or
+    where (x - mu)/c overflows at a finite x, the leading power-law tail
+    term (refused below alpha = 1/2)."""
+    return _rescaled(params, x, True)
 
 
 def cdf(params: StableParams, x: float) -> float:
-    """CDF of the general stable law."""
-    return std_cdf(params.standard, (x - params.mu) / params.c)
+    """CDF of the general stable law, with pdf's tail term where (x - mu)/c
+    overflows at a finite x."""
+    return _rescaled(params, x, False)
 
 
 def tail_coefficient(alpha: float) -> float:
     """Coefficient of the power-law tails: P(X > x) ~ C*(1+beta)*x^-alpha."""
     return math.gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def _standard_levy(rng: np.random.Generator, n: int) -> np.ndarray:
-    # standard Levy as 1 / Z^2
-    z = rng.standard_normal(n)
-    np.multiply(z, z, out=z)
-    return np.divide(1.0, z, out=z)
-
-
-def _standard_sample(alpha: float, beta: float, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    if alpha == 2.0:
-        return rng.standard_normal(n) * math.sqrt(2.0)
-    if alpha == 0.5 and beta == 1.0:
-        return _standard_levy(rng, n)
-    if alpha == 0.5 and beta == -1.0:
-        return -_standard_levy(rng, n)
-    if alpha == 1.0:
-        # beta = 0 guaranteed by construction: standard Cauchy
-        u = (rng.random(n) - 0.5) * math.pi
-        return np.tan(u)
-
-    # Chambers-Mallows-Stuck transform, alpha != 1
-    u = (rng.random(n) - 0.5) * math.pi
-    w = rng.exponential(size=n)
-    zeta = beta * math.tan(math.pi * alpha / 2.0)
-    b = math.atan(zeta) / alpha
-    s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-    return (
-        s
-        * np.sin(alpha * (u + b))
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
-def sample(params: StableParams, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. variates; deterministic for a given seed."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.empty(0)
-    rng = np.random.default_rng(seed)
-    # mu + c*Z is valid in this parameterization for every supported
-    # (alpha, beta): the alpha = 1 shift correction vanishes at beta = 0
-    return params.mu + params.c * _standard_sample(params.alpha, params.beta, n, rng)

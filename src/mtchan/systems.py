@@ -1,23 +1,17 @@
 """Binary signaling over the three timing systems: conditional densities,
-ML thresholds, analytic BER and a Monte Carlo transmission oracle.
+ML thresholds and analytic BER.
 
 All detector math is done in standardized coordinates u = y/c with
 separation delta_std = delta/c, so results at a fixed G-SNR are invariant
 under joint rescaling of (delta, c) down to floating-point roundoff.  The
-Monte Carlo works there too: it draws the standardized noise N and counts
-errors of U = s + N (|s + N| for B), the observation whose law _law gives.
-It draws in chunks of MC_CHUNK bits, chunk k from the generator
-PCG64(seed).jumped(k), and one chunk's draw serves every point counted on
-it, of any system and skew: a point's count depends on the seed and the bit
-count alone (chunk_errors).
+Monte Carlo oracle is in montecarlo, which loads numpy; its public names
+resolve here too, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
 from .stable import StableParams, StandardStable, _brent, std_cdf, std_pdf
@@ -219,135 +213,15 @@ def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
     return (root * (1.0 + beta) / 2.0) ** 2, (root * (1.0 - beta) / 2.0) ** 2
 
 
-def _draw(rng: np.random.Generator, n: int, two: bool, block: int):
-    # the draws of n bits, a block at a time: (low, squares), the mask of the
-    # bits that sent the low symbol and [Z1^2] or, if two, [Z1^2, Z2^2].  The
-    # bits, then Z1, then Z2 come in this fixed order, so the bits and Z1 are
-    # the same whether or not Z2 is drawn.  Drawn a block at a time, Z2 is
-    # the same stream as drawn at once, so only the mask and Z1 span all n
-    low = rng.integers(0, 2, n) == 0
-    z1 = rng.standard_normal(n)
-    np.multiply(z1, z1, out=z1)
-    for start in range(0, n, block):
-        squares = [z1[start:start + block]]
-        if two:
-            z = rng.standard_normal(len(squares[0]))
-            squares.append(np.multiply(z, z, out=z))
-        yield low[start:start + block], squares
-
-
-def _noise(scales: tuple[float, float], squares: list[np.ndarray]) -> np.ndarray:
-    # the standardized noise N = a1/Z1^2 + (-a2)/Z2^2: the delays of nonzero
-    # scale take Z1 and then Z2, in order; a delay of scale 0 takes none
-    noise = None
-    for a, square in zip([a for a in (scales[0], -scales[1]) if a], squares):
-        term = np.divide(a, square)
-        noise = term if noise is None else np.add(noise, term, out=noise)
-    return noise
-
-
-def _observe(scheme: BinaryScheme, s, noise: np.ndarray) -> np.ndarray:
-    # the observations in u = y/c: U = s + N for the standardized symbol(s)
-    # s, or |s + N| for B, the variable whose law _law gives
-    u = np.add(s, noise)
-    return np.abs(u, out=u) if scheme.system is System.B else u
-
-
-def simulate_transmission(scheme: BinaryScheme, n_bits: int,
-                          seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw equiprobable symbols and push them through the physical channel.
-
-    Returns (sent symbols, observations y = c*U); deterministic for a given
-    seed.  Up to MC_CHUNK bits, these are the draws ber_monte_carlo counts.
-    """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    scales = system_c_component_scales(1.0, scheme.noise.beta)
-    low, squares = next(_draw(np.random.default_rng(seed), n_bits, all(scales),
-                              n_bits))
-    s = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
-    return (np.where(low, *scheme.symbols),
-            scheme.noise.c * _observe(scheme, s, _noise(scales, squares)))
-
-
-#: fewest bits ber_monte_carlo draws
+#: fewest bits ber_monte_carlo draws; here, so that the CLI checks its flags
+#: without loading numpy
 MC_MIN_BITS = 10_000
-#: bits per Monte Carlo draw: memory is bounded by it, whatever the bit count
-MC_CHUNK = 2 ** 20
-# bits of a chunk counted at a time: a block's draws and temporaries stay small
-_BLOCK = 2 ** 16
+#: the Monte Carlo names this module resolves from montecarlo (PEP 562)
+_MONTE_CARLO = ("ber_monte_carlo", "ber_monte_carlo_curve", "simulate_transmission")
 
 
-def chunk_sizes(n_bits: int) -> list[int]:
-    """Bits in each chunk of an n_bits Monte Carlo draw, chunk 0 first."""
-    return [min(MC_CHUNK, n_bits - start) for start in range(0, n_bits, MC_CHUNK)]
-
-
-def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
-                 seed, k: int, n: int) -> list[int]:
-    """Error count of each point, any schemes with their detectors, on chunk
-    k (of n bits) of the Monte Carlo draw of seed.
-
-    The chunk has its own generator, PCG64(seed).jumped(k): it draws the
-    bits, then Z1, then Z2 if some point has two delays, so a point's count
-    depends on seed, k and n alone, whatever the other points.  Points of one
-    noise law share N; each counts U = s + N (|s + N| for B) against its
-    threshold over c, in the coordinates of ber_analytic.
-    """
-    scales = [system_c_component_scales(1.0, s.noise.beta) for s in schemes]
-    rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
-    laws: dict[tuple[float, float], list[int]] = {}
-    for i, a in enumerate(scales):
-        laws.setdefault(a, []).append(i)
-    points = [(scheme, *input_symbols(scheme.system, scheme.delta / scheme.noise.c),
-               state.threshold / scheme.noise.c)
-              for scheme, state in zip(schemes, states)]
-    errors = [0] * len(schemes)
-    for sent_low, squares in _draw(rng, n, any(all(a) for a in scales), _BLOCK):
-        # an error decides high (U > u) where low was sent, or low (U <= u)
-        # where high was sent
-        n_low = int(np.count_nonzero(sent_low))
-        halves = [[square.compress(side) for square in squares]
-                  for side in (sent_low, ~sent_low)]
-        for a, members in laws.items():
-            noise_low, noise_high = (_noise(a, half) for half in halves)
-            for i in members:
-                scheme, s_low, s_high, u = points[i]
-                kept = np.count_nonzero(_observe(scheme, s_low, noise_low) <= u)
-                flipped = np.count_nonzero(_observe(scheme, s_high, noise_high) <= u)
-                errors[i] += n_low - int(kept) + int(flipped)
-    return errors
-
-
-def mc_estimate(errors: int, n_bits: int) -> tuple[float, float]:
-    """Empirical BER and its binomial standard error from an error count."""
-    p = errors / n_bits
-    return p, math.sqrt(p * (1.0 - p) / n_bits)
-
-
-def ber_monte_carlo_curve(schemes: list[BinaryScheme],
-                          states: list[DetectorState], n_bits: int,
-                          seed) -> list[tuple[float, float]]:
-    """Empirical BER and its binomial standard error at each point: any
-    schemes, with their detectors, counted on one draw of n_bits.
-
-    The draw comes in chunks of MC_CHUNK bits, each from its own generator
-    (chunk_errors), so memory is one chunk's and each point's estimate is
-    ber_monte_carlo's on that point alone with the same seed; the errors of
-    points on one draw are correlated.
-    """
-    if n_bits < MC_MIN_BITS:
-        raise ValueError(f"n_bits must be >= {MC_MIN_BITS}, got {n_bits}")
-    if len(states) != len(schemes):
-        raise ValueError("a curve needs one detector state per scheme")
-    counts = [chunk_errors(schemes, states, seed, k, n)
-              for k, n in enumerate(chunk_sizes(n_bits))]
-    return [mc_estimate(sum(errors), n_bits) for errors in zip(*counts)]
-
-
-def ber_monte_carlo(scheme: BinaryScheme, n_bits: int, seed,
-                    state: DetectorState | None = None) -> tuple[float, float]:
-    """Empirical BER and its binomial standard error: the one-point curve."""
-    if state is None:
-        state = ml_threshold(scheme)
-    return ber_monte_carlo_curve([scheme], [state], n_bits, seed)[0]
+def __getattr__(name: str):
+    if name in _MONTE_CARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
+from .montecarlo import sample
 from .power import System, geometric_power
 from .stable import (StableParams, StandardStable, _cdf_numeric, _levy_std_cdf,
-                     _levy_std_pdf, _pdf_numeric, sample, std_cdf, std_pdf,
+                     _levy_std_pdf, _pdf_numeric, std_cdf, std_pdf,
                      tail_coefficient)
 
 #: significance level shared by all KS checks

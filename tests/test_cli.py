@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from mtchan import cli, systems
+from mtchan import cli, montecarlo
+from mtchan.montecarlo import MC_CHUNK, ber_monte_carlo
 from mtchan.power import System
-from mtchan.systems import MC_CHUNK, ber_monte_carlo, scheme_for_gsnr
+from mtchan.systems import scheme_for_gsnr
 
 HEADER = "gsnr_db,system,beta,delta,c,threshold,ber_analytic,ber_mc,mc_stderr,samples"
 
@@ -108,7 +109,7 @@ def test_table1_mc_draws_differ_across_deltas(tmp_path, capsys):
     cells = [(b, d) for b in betas for d in deltas]
     for mc, (beta, delta) in zip(mcs, cells, strict=True):
         scheme = scheme_for_gsnr(System.C, delta, cli.TABLE1_GSNR, beta)
-        seed = cli._stream_seed(3, deltas.index(delta))
+        seed = montecarlo.stream_seed(3, deltas.index(delta))
         assert mc == ber_monte_carlo(scheme, 10_000, seed)[0]
 
 
@@ -139,7 +140,7 @@ def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
                                                          monkeypatch):
     # 10,000 bits in chunks of 4096 are three pool tasks per delta, the last
     # partial; each point still equals ber_monte_carlo with its delta's seed
-    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     args = args + ["--mc-samples", "10000", "--seed", "4"]
     first, *others = _outputs_by_workers(args, tmp_path, capsys)
     assert others == [first, first]
@@ -147,7 +148,7 @@ def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
         gsnr_db, system, beta, delta, *_, mc, stderr, _ = row.split(",")
         scheme = scheme_for_gsnr(System(system), float(delta),
                                  10.0 ** (float(gsnr_db) / 10.0), float(beta))
-        seed = cli._stream_seed(4, [1.0, 2.0].index(float(delta)))
+        seed = montecarlo.stream_seed(4, [1.0, 2.0].index(float(delta)))
         assert (float(mc), float(stderr)) == ber_monte_carlo(scheme, 10_000, seed)
 
 
@@ -363,6 +364,20 @@ def test_one_grid_syntax_and_one_format(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ends", [(-10.0, 20.0), (30.0, 90.0), (-3076.0, 3077.0),
+                                  (20.0, -10.0), (7.5, 7.5), (-0.1, 0.3)])
+def test_sweep_grid_is_numpy_linspace(ends):
+    # the grid is built without numpy, by its arithmetic: bit for bit equal
+    import numpy as np
+    parser = cli.build_parser()
+    for n in range(2, 400):
+        args = parser.parse_args(["sweep", "--gsnr-db", *map(repr, ends),
+                                  "--points", str(n)])
+        dbs = np.linspace(*ends, n)
+        assert cli._linspace(*ends, n) == dbs.tolist(), n
+        assert cli._sweep_grid(args) == [10.0 ** (v / 10.0) for v in dbs.tolist()], n
+
+
 def test_lowest_normal_gsnr_runs(capsys):
     # -3076 dB is a normal float: the row keeps the G-SNR asked for
     code, out, err = run(["sweep", "--gsnr-db", "-3076", "--points", "1",
@@ -384,10 +399,10 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
     # runs here, and a grid of two or more chunk tasks goes to the pool,
     # whether the tasks are two chunks or two deltas
     assert len(cli._compute_grid(points, 10_000, 0, 4)) == 4
-    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
         cli._compute_grid(points, 10_000, 0, 4)
-    monkeypatch.setattr(systems, "MC_CHUNK", 10_000)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 10_000)
     deltas = [(System.C, 0.5, d, 1.0) for d in (1.0, 2.0)]
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
         cli._compute_grid(deltas, 10_000, 0, 4)
@@ -498,10 +513,12 @@ _LOADED_SCIPY = ("loaded = lambda: sorted(m for m in sys.modules\n"
 
 
 def test_import_cli_skips_validate_dependencies():
-    # sweeps, table1, and pdf, cdf and geometric_power at any alpha need
-    # numpy alone: neither the import nor a run loads any part of scipy
+    # sweeps, table1, and pdf, cdf and geometric_power at any alpha run on
+    # the standard library: neither the import nor a run loads numpy or any
+    # part of scipy.  A Monte Carlo column then loads numpy, and still no scipy
     runs = [["sweep", "--points", "4", "--workers", "1"],
-            ["table1", "--workers", "1"]]
+            ["table1", "--workers", "1"],
+            ["sweep", "--points", "2", "--mc-samples", "10000", "--workers", "1"]]
     calls = ["pdf(StableParams(0.0, 1.0, 0.5, 0.3), 0.7)",
              "cdf(StableParams(0.0, 1.0, 0.5, 0.3), -2.0)",
              "pdf(StableParams(0.0, 1.0, 0.5, 1.0), 0.7)",
@@ -513,15 +530,17 @@ def test_import_cli_skips_validate_dependencies():
              "geometric_power(StableParams(0.0, 1.0, 2.0, 0.0))"]
     code = (
         "import contextlib, io, sys, mtchan.cli\n" + _LOADED_SCIPY +
+        "numpy = lambda: 'numpy' in sys.modules\n"
         "from mtchan import StableParams, cdf, geometric_power, pdf\n"
-        "print(loaded())\n"
+        "print(loaded(), numpy())\n"
+        + "".join(f"{call}\nprint(loaded(), numpy())\n" for call in calls) +
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert mtchan.cli.main(argv) == 0, argv\n"
-        "    print(loaded())\n"
-        + "".join(f"{call}\nprint(loaded())\n" for call in calls))
-    assert _python(code).splitlines() == ["[]"] * (1 + len(runs) + len(calls))
+        "    print(loaded(), numpy())\n")
+    assert _python(code).splitlines() == (
+        ["[] False"] * (len(calls) + len(runs)) + ["[] True"])
 
 
 def test_validate_loads_no_scipy(tmp_path):

@@ -8,12 +8,13 @@ import pytest
 from scipy import integrate
 
 from mtchan import stable
+from mtchan.montecarlo import sample
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _cdf_numeric, _int_laplace, _int_taylor,
                            _int_weideman, _levy_std_cdf, _levy_std_pdf,
                            _pdf_numeric, _zw, _zw_laplace, _zw_taylor,
-                           _zw_weideman, cdf, pdf, sample, std_cdf, std_pdf,
+                           _zw_weideman, cdf, pdf, std_cdf, std_pdf,
                            tail_coefficient)
 
 LEVY = StandardStable(0.5, 1.0)
@@ -174,6 +175,55 @@ def test_pdf_cdf_rescaling():
             std_cdf(s, (x - 2.0) / 3.0), abs=1e-14)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, -0.5, 1.0, -1.0])
+def test_far_tail_where_the_standardized_point_overflows(beta):
+    # (x - mu)/c overflows at c = 1e-300 and x = +/-1e10, where the leading
+    # tail term serves: it must equal the closed form at c = 1e-100, carried
+    # over by the tails' scaling c^alpha (the next term is 1e-55 relative
+    # at z = 1e110, and the leading term's logs lose ~1e-13)
+    far, near = StableParams(0.0, 1e-300, 0.5, beta), StableParams(0.0, 1e-100, 0.5, beta)
+    k = (1e-300 / 1e-100) ** 0.5
+    for x in (1e10, -1e10):
+        assert pdf(far, x) == pytest.approx(k * pdf(near, x), rel=1e-12, abs=0.0)
+    assert cdf(far, -1e10) == pytest.approx(k * cdf(near, -1e10), rel=1e-12, abs=0.0)
+    assert cdf(far, 1e10) == 1.0
+    assert pdf(far, 1e10) > 0.0 or beta == -1.0
+
+
+def test_far_tail_where_x_minus_mu_overflows():
+    # x - mu = -2e308: at c = 1 the standardized point overflows too, at
+    # c = 1e10 it is -2e298, and the tail masses scale as c^alpha
+    for beta in (0.0, 0.5):
+        mass = cdf(StableParams(1e308, 1.0, 0.5, beta), -1e308)
+        ref = cdf(StableParams(1e308, 1e10, 0.5, beta), -1e308) * 1e-5
+        assert mass == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert mass == pytest.approx(tail_coefficient(0.5) * (1.0 - beta)
+                                     / (math.sqrt(2.0) * 1e154), rel=1e-12)
+        assert pdf(StableParams(1e308, 1.0, 0.5, beta), -1e308) == 0.0  # ~1e-463
+    assert cdf(StableParams(-1e308, 1.0, 0.5, 0.0), 1e308) == 1.0
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (1.5, 0.3), (2.0, 0.0)])
+def test_far_tail_at_other_exponents(alpha, beta):
+    # from alpha = 1 on, the tail term is subnormal or 0 wherever (x - mu)/c
+    # overflows: the Cauchy's is 1/(pi*z) for the mass and 1/(pi*z^2*c) for
+    # the density, at z = 1e310
+    law = StableParams(0.0, 1e-300, alpha, beta)
+    if alpha == 1.0:
+        assert cdf(law, -1e10) == pytest.approx(1e-310 / math.pi, rel=1e-9)
+        assert pdf(law, 1e10) == pytest.approx(1e-320 / math.pi, rel=1e-2)
+    else:
+        assert (pdf(law, 1e10), cdf(law, -1e10)) == (0.0, 0.0)
+    assert cdf(law, 1e10) == 1.0
+
+
+def test_far_tail_below_alpha_half_is_refused():
+    with pytest.raises(ValueError, match=r"x = 10000000000\.0, mu = 0\.0, c = 1e-300"):
+        pdf(StableParams(0.0, 1e-300, 0.4, 0.0), 1e10)
+    with pytest.raises(ValueError, match="below alpha = 1/2"):
+        cdf(StableParams(0.0, 1e-300, 0.4, 0.0), -1e10)
+
+
 def test_g_gamma_constant():
     assert G_GAMMA == pytest.approx(1.7810724179901979, abs=1e-15)
 
@@ -327,6 +377,32 @@ def test_half_pdf_far_tail_vs_mpmath(mp, beta, x):
 # ---------------------------------------------------------------------------
 # the Faddeeva function behind the alpha = 1/2 closed forms
 # ---------------------------------------------------------------------------
+
+def _weideman_coeffs(n: int) -> tuple[float, tuple[float, ...]]:
+    # Weideman (1994), eq. (3.13) and his Matlab listing: the scale L and the
+    # n coefficients of p, highest power first
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, tuple(float(v) for v in a[n:0:-1])
+
+
+def test_weideman_literals_are_the_fft_coefficients():
+    # the literals are the coefficients as numpy's AVX-512 (SKX) float64 tan
+    # and exp give them; its other kernels put 18 of the 40 up to 9e-17 away
+    try:  # numpy >= 2
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    scale, coeffs = _weideman_coeffs(40)
+    assert scale == stable._W_SCALE
+    if __cpu_features__.get("AVX512_SKX"):
+        assert coeffs == stable._W_WEIDEMAN
+    else:
+        assert coeffs == pytest.approx(stable._W_WEIDEMAN, rel=0.0, abs=2.0 ** -50)
+
 
 @pytest.mark.parametrize("beta", HALF_BETAS + (0.999, -0.999))
 def test_faddeeva_matches_wofz(beta):

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtchan import systems
+from mtchan import montecarlo, systems
+from mtchan.montecarlo import (MC_CHUNK, ber_monte_carlo, ber_monte_carlo_curve,
+                               simulate_transmission)
 from mtchan.power import System, input_symbols
 from mtchan.stable import StableParams, StandardStable, std_pdf
-from mtchan.systems import (MC_CHUNK, BerRecord, BinaryScheme, DetectorState,
-                            _bracket, _brent, _density_gap,
-                            ber_analytic, ber_monte_carlo,
-                            ber_monte_carlo_curve, cond_pdf, detect, llr,
-                            ml_threshold, scheme_for_gsnr,
-                            simulate_transmission, system_c_component_scales)
+from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
+                            _bracket, _brent, _density_gap, ber_analytic,
+                            cond_pdf, detect, llr, ml_threshold,
+                            scheme_for_gsnr, system_c_component_scales)
 from mtchan.validate import _ks_test
 
 
@@ -431,8 +431,8 @@ def _ref_errors(schemes, states, n, seed, chunk):
 def test_curve_counts_every_chunk(system, beta, monkeypatch):
     # 10,000 bits in chunks of 4096 leave a partial last chunk, and blocks of
     # 1000 a partial last block in every chunk
-    monkeypatch.setattr(systems, "MC_CHUNK", 4096)
-    monkeypatch.setattr(systems, "_BLOCK", 1000)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
     schemes, states = _curve(system, beta)
     assert ber_monte_carlo_curve(schemes, states, 10_000, 9) == _ref_errors(
         schemes, states, 10_000, 9, 4096)
@@ -447,14 +447,14 @@ def _group(curves, gsnrs=(0.3, 3.0, 30.0)):
             [st for _, states in groups for st in states])
 
 
-@pytest.mark.parametrize("chunk,block,n", [(MC_CHUNK, systems._BLOCK, 20_000),
+@pytest.mark.parametrize("chunk,block,n", [(MC_CHUNK, montecarlo._BLOCK, 20_000),
                                            (4096, 1000, 10_000)])
 def test_mixed_group_points_are_one_point_calls(chunk, block, n, monkeypatch):
     # one draw serves points of every system and skew: each point's count is
     # ber_monte_carlo's on that point alone, whether or not the others draw
     # a second delay, and both match the reference
-    monkeypatch.setattr(systems, "MC_CHUNK", chunk)
-    monkeypatch.setattr(systems, "_BLOCK", block)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", chunk)
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
     schemes, states = _group(MIXED)
     results = ber_monte_carlo_curve(schemes, states, n, 6)
     assert results == [ber_monte_carlo(s, n, 6, st)

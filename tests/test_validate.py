@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtchan import cli, stable, validate
+from mtchan import cli, montecarlo, stable, validate
 
 
 def _alpha_half(results):
@@ -29,7 +29,7 @@ def test_closed_form_oracle_flags_a_wrong_density(monkeypatch):
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_ks_statistic_matches_scipy(n):
     from scipy import stats
-    levy = stable.sample(stable.StableParams(0.0, 1.0, 0.5, 1.0), n, n)
+    levy = montecarlo.sample(stable.StableParams(0.0, 1.0, 0.5, 1.0), n, n)
     uniform = np.random.default_rng(n).uniform(size=n)
     for samples, cdf in [(levy, np.vectorize(stable._levy_std_cdf)),
                          (uniform, lambda x: x ** 1.01)]:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  table1    constant-BER-at-constant-G-SNR table over (beta, delta)
+  table1    constant-BER-at-constant-G-SNR table over (beta, delta), analytic
   sweep     BER vs G-SNR sweep per system/beta, CSV + optional SVG
   validate  run the full oracle/cross-check suite
 
@@ -61,26 +61,12 @@ def point_seed(master_seed: int, index: int) -> int:
 
 def _monte_carlo(schemes, states, n_bits: int, seed: int,
                  workers: int) -> list[tuple[float, float]]:
-    """(ber_mc, stderr) of each point.  The points of one delta are counted
-    on one draw and each delta has its own: at one G-SNR every delta gives
-    the same d, so a draw shared across deltas would repeat one value.  A
-    pool task is one chunk of one delta's draw and counts all its points;
-    the integer counts are summed here, whatever the worker count."""
+    """(ber_mc, stderr) of each point, all counted on the one draw of
+    point_seed; each chunk of the draw is a pool task."""
     from . import montecarlo  # here, so that the analytic commands skip numpy
-    deltas: dict[float, list[int]] = {}
-    for i, scheme in enumerate(schemes):
-        deltas.setdefault(scheme.delta, []).append(i)
-    tasks = [(members, functools.partial(
-                 montecarlo.chunk_errors, [schemes[i] for i in members],
-                 [states[i] for i in members], montecarlo.stream_seed(seed, j),
-                 k, n))
-             for j, members in enumerate(deltas.values())
-             for k, n in enumerate(montecarlo.chunk_sizes(n_bits))]
-    errors = [0] * len(schemes)
-    for (members, _), counts in zip(tasks, _run_tasks([t for _, t in tasks], workers)):
-        for i, e in zip(members, counts):
-            errors[i] += e
-    return [montecarlo.mc_estimate(e, n_bits) for e in errors]
+    return montecarlo.ber_monte_carlo_curve(
+        schemes, states, n_bits, montecarlo.stream_seed(seed, 0),
+        functools.partial(_run_tasks, workers=workers))
 
 
 def _run_tasks(tasks: list, workers: int) -> list:
@@ -91,8 +77,8 @@ def _run_tasks(tasks: list, workers: int) -> list:
         return [f.result() for f in [pool.submit(task) for task in tasks]]
 
 
-def _compute_grid(points, mc_samples: int, seed: int,
-                  workers: int) -> list[BerRecord]:
+def _compute_grid(points, mc_samples: int = 0, seed: int = 0,
+                  workers: int = 1) -> list[BerRecord]:
     """One record per (system, beta, delta, gsnr) point, in order.  The
     thresholds and analytic BER are computed here, as a point costs less
     than starting a worker; only Monte Carlo chunks, if mc_samples > 0, go
@@ -182,11 +168,8 @@ def cmd_table1(args) -> int:
     _require("--betas", betas, _SKEW)
     _require("--deltas", deltas, _POSITIVE)
     _require("--gsnr", [args.gsnr], _POSITIVE)
-    _require("--mc-samples", [args.mc_samples], _MC_BITS)
-    _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
-    points = [(System.C, b, d, args.gsnr) for b in betas for d in deltas]
-    records = _compute_grid(points, args.mc_samples, args.seed,
-                            _resolve_workers(args))
+    records = _compute_grid([(System.C, b, d, args.gsnr)
+                             for b in betas for d in deltas])
 
     failed = False
     n_d = len(deltas)
@@ -316,16 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Timing-channel BER experiments over stable noise")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # analytic only: a cell's Monte Carlo is a one-point sweep
     p = sub.add_parser("table1", help="constant-BER table at fixed G-SNR")
-    _add_common(p)
     p.add_argument("--output", help="CSV file (default: stdout)")
     p.add_argument("--gsnr", type=float, default=TABLE1_GSNR,
                    help="linear G-SNR held constant across the grid "
                         f"(default {TABLE1_GSNR:g}, the reference-table calibration)")
     p.add_argument("--betas", default="0,0.2,0.5,0.8,1")
     p.add_argument("--deltas", default="0.5,5,10,20")
-    p.add_argument("--mc-samples", type=int, default=0,
-                   help="optional Monte Carlo bits per cell (0 = analytic only)")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep", help="BER vs G-SNR sweep")

@@ -13,6 +13,7 @@ skew: a point's count depends on the seed and the bit count alone
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -139,11 +140,6 @@ def stream_seed(master_seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((master_seed, stream)).generate_state(1)[0])
 
 
-def chunk_sizes(n_bits: int) -> list[int]:
-    """Bits in each chunk of an n_bits Monte Carlo draw, chunk 0 first."""
-    return [min(MC_CHUNK, n_bits - start) for start in range(0, n_bits, MC_CHUNK)]
-
-
 def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
                  seed, k: int, n: int) -> list[int]:
     """Error count of each point, any schemes with their detectors, on chunk
@@ -180,30 +176,29 @@ def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
     return errors
 
 
-def mc_estimate(errors: int, n_bits: int) -> tuple[float, float]:
-    """Empirical BER and its binomial standard error from an error count."""
-    p = errors / n_bits
-    return p, math.sqrt(p * (1.0 - p) / n_bits)
-
-
 def ber_monte_carlo_curve(schemes: list[BinaryScheme],
                           states: list[DetectorState], n_bits: int,
-                          seed) -> list[tuple[float, float]]:
+                          seed, run=None) -> list[tuple[float, float]]:
     """Empirical BER and its binomial standard error at each point: any
     schemes, with their detectors, counted on one draw of n_bits.
 
     The draw comes in chunks of MC_CHUNK bits, each from its own generator
     (chunk_errors), so memory is one chunk's and each point's estimate is
     ber_monte_carlo's on that point alone with the same seed; the errors of
-    points on one draw are correlated.
+    points on one draw are correlated.  Each chunk is one task, a callable
+    returning its counts; run maps the task list to their counts in order
+    (by default, calling each here), so a pool may count the chunks.
     """
     if n_bits < MC_MIN_BITS:
         raise ValueError(f"n_bits must be >= {MC_MIN_BITS}, got {n_bits}")
     if len(states) != len(schemes):
         raise ValueError("a curve needs one detector state per scheme")
-    counts = [chunk_errors(schemes, states, seed, k, n)
-              for k, n in enumerate(chunk_sizes(n_bits))]
-    return [mc_estimate(sum(errors), n_bits) for errors in zip(*counts)]
+    tasks = [functools.partial(chunk_errors, schemes, states, seed, k,
+                               min(MC_CHUNK, n_bits - start))
+             for k, start in enumerate(range(0, n_bits, MC_CHUNK))]
+    counts = run(tasks) if run else [task() for task in tasks]
+    rates = [sum(errors) / n_bits for errors in zip(*counts)]
+    return [(p, math.sqrt(p * (1.0 - p) / n_bits)) for p in rates]
 
 
 def ber_monte_carlo(scheme: BinaryScheme, n_bits: int, seed,

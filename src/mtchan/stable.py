@@ -548,9 +548,10 @@ def std_cdf(s: StandardStable, x: float) -> float:
 
 
 def _far_tail(params: StableParams, x: float, density: bool) -> float:
-    # f(x) or F(x) at a finite x whose z = (x - mu)/c overflows: the leading
+    # f(x) or F(x) at a finite x far out in z = (x - mu)/c: the leading
     # power-law term, P(X > x) ~ C*(1 + beta)*z^-alpha and its mirror, in
-    # logs.  Its relative error O(|z|^-alpha) is below 1e-150 for alpha >= 1/2
+    # logs.  Its relative error is O(|z|^-alpha): below 2^-53 from |z| =
+    # 2^106 at alpha = 1/2, and below 1e-150 for alpha >= 1/2 where z overflows
     alpha, mu, c = params.alpha, params.mu, params.c
     if alpha < 0.5:
         raise ValueError(f"(x - mu)/c overflows at x = {x!r}, mu = {mu!r}, "
@@ -570,12 +571,15 @@ def _far_tail(params: StableParams, x: float, density: bool) -> float:
 def _rescaled(params: StableParams, x: float, density: bool) -> float:
     # f(x) or F(x) from the standard law at z = (x - mu)/c.  Where x - mu
     # overflows, its halves do not, and halving and doubling are exact; where
-    # z itself overflows at a finite x, the tail term serves
+    # z itself overflows at a finite x, the tail term serves.  At alpha = 1/2
+    # it serves from |z| = 2^106 on, where it is exact to double precision:
+    # the standard density underflows from |z| ~ 1e205, before / c restores it
     z = (x - params.mu) / params.c
     if math.isinf(z) and math.isfinite(x):
         z = 2.0 * ((0.5 * x - 0.5 * params.mu) / params.c)
-        if math.isinf(z):
-            return _far_tail(params, x, density)
+    if math.isfinite(x) and (math.isinf(z) or
+                             params.alpha == 0.5 and abs(z) >= 2.0 ** 106):
+        return _far_tail(params, x, density)
     if density:
         return std_pdf(params.standard, z) / params.c
     return std_cdf(params.standard, z)
@@ -583,8 +587,8 @@ def _rescaled(params: StableParams, x: float, density: bool) -> float:
 
 def pdf(params: StableParams, x: float) -> float:
     """Density of the general stable law: the standard density rescaled, or
-    where (x - mu)/c overflows at a finite x, the leading power-law tail
-    term (refused below alpha = 1/2)."""
+    where (x - mu)/c overflows at a finite x (at alpha = 1/2, from |z| =
+    2^106 on), the leading power-law tail term (refused below alpha = 1/2)."""
     return _rescaled(params, x, True)
 
 

@@ -4,8 +4,8 @@ ML thresholds and analytic BER.
 All detector math is done in standardized coordinates u = y/c with
 separation delta_std = delta/c, so results at a fixed G-SNR are invariant
 under joint rescaling of (delta, c) down to floating-point roundoff.  The
-Monte Carlo oracle is in montecarlo, which loads numpy; its public names
-resolve here too, on first use.
+Monte Carlo oracle is in montecarlo, which loads numpy; its ber_monte_carlo
+resolves here too, on first use.
 """
 
 from __future__ import annotations
@@ -159,8 +159,11 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     Where the gap is not > 0 at the lower end and < 0 at the upper end, it
     is rounding noise there (B below d ~ 1e-7, C with 0 < |beta| < 1 below
     d ~ 1e-16): no observation favours either symbol, and the threshold is
-    the symbols' midpoint clipped into the bracket.  A NaN gap raises
-    ValueError.
+    the symbols' midpoint clipped into the bracket.  For C with
+    0 < |beta| < 1 below d ~ 1e-16, the noise may also happen to give the
+    gap those signs at both ends; Brent then runs on it, and the threshold
+    is wherever the noise changes sign (-0.96c for beta = 0.95 at -332 dB).
+    Either way the BER is 1/2 to within 2e-15.  A NaN gap raises ValueError.
     """
     c = scheme.noise.c
     d = scheme.delta / c
@@ -216,12 +219,14 @@ def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
 #: fewest bits ber_monte_carlo draws; here, so that the CLI checks its flags
 #: without loading numpy
 MC_MIN_BITS = 10_000
-#: the Monte Carlo names this module resolves from montecarlo (PEP 562)
-_MONTE_CARLO = ("ber_monte_carlo", "ber_monte_carlo_curve", "simulate_transmission")
 
 
 def __getattr__(name: str):
-    if name in _MONTE_CARLO:
+    # ber_monte_carlo resolves from montecarlo on first use (PEP 562), so that
+    # importing this module loads no numpy.  It stays for two readers:
+    # tests/test_acceptance.py imports it from here, and bench/traced.py
+    # patches it here to time validate's BER points
+    if name == "ber_monte_carlo":
         from . import montecarlo
-        return getattr(montecarlo, name)
+        return montecarlo.ber_monte_carlo
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,7 @@ import pytest
 from mtchan import cli, montecarlo
 from mtchan.montecarlo import MC_CHUNK, ber_monte_carlo
 from mtchan.power import System
-from mtchan.systems import scheme_for_gsnr
+from mtchan.systems import ml_threshold, scheme_for_gsnr
 
 HEADER = "gsnr_db,system,beta,delta,c,threshold,ber_analytic,ber_mc,mc_stderr,samples"
 
@@ -51,13 +51,25 @@ def test_quadrature_failure_exits_1(capsys, monkeypatch):
 def test_table1_small_grid(tmp_path, capsys):
     out_file = tmp_path / "t.csv"
     code, _, err = run(["table1", "--betas", "0,1", "--deltas", "1,4",
-                        "--gsnr", "2", "--workers", "1",
-                        "--output", str(out_file)], capsys)
+                        "--gsnr", "2", "--output", str(out_file)], capsys)
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[0] == HEADER
     assert len(lines) == 5  # header + 2 betas x 2 deltas
     assert "spread" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--mc-samples", "5"],
+    ["table1", "--seed", "-1"],
+    ["table1", "--seed", "-1", "--mc-samples", "10000"],
+    ["table1", "--workers", "1"]], ids=" ".join)
+def test_table1_takes_no_monte_carlo_flags(argv, capsys):
+    # the table is analytic: a cell's Monte Carlo is a one-point sweep
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -94,25 +106,6 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     assert others == [first, first]
 
 
-def test_table1_mc_draws_differ_across_deltas(tmp_path, capsys):
-    # the cells of one delta share a draw and each delta has its own: at one
-    # G-SNR all deltas give the same d, so a shared draw would repeat one
-    # Monte Carlo value down each beta's row
-    betas, deltas = (0.5, 0.9), (1.0, 2.0, 4.0)
-    args = ["table1", "--betas", "0.5,0.9", "--deltas", "1,2,4",
-            "--mc-samples", "10000", "--seed", "3"]
-    first, *others = _outputs_by_workers(args, tmp_path, capsys)
-    assert others == [first, first]
-    rows = [line.split(",") for line in first.decode().splitlines()[1:]]
-    mcs = [float(row[7]) for row in rows]
-    assert len(set(mcs[:3])) == len(set(mcs[3:])) == 3
-    cells = [(b, d) for b in betas for d in deltas]
-    for mc, (beta, delta) in zip(mcs, cells, strict=True):
-        scheme = scheme_for_gsnr(System.C, delta, cli.TABLE1_GSNR, beta)
-        seed = montecarlo.stream_seed(3, deltas.index(delta))
-        assert mc == ber_monte_carlo(scheme, 10_000, seed)[0]
-
-
 def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
     # every point of a sweep is counted on the draw of point_seed, whatever
     # its index, so it can be recomputed alone
@@ -132,14 +125,27 @@ def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
         assert (float(row[7]), float(row[8])) == (mc, stderr)
 
 
+def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
+    # the CLI counts its one draw through ber_monte_carlo_curve, whatever
+    # the worker count: three chunks here or on the pool
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
+    schemes = [scheme_for_gsnr(system, 1.0, gsnr, beta)
+               for system, beta in ((System.A, 1.0), (System.C, 0.5))
+               for gsnr in (1.0, 10.0)]
+    states = [ml_threshold(s) for s in schemes]
+    curve = montecarlo.ber_monte_carlo_curve(
+        schemes, states, 10_000, montecarlo.stream_seed(6, 0))
+    for workers in (1, 2):
+        assert cli._monte_carlo(schemes, states, 10_000, 6, workers) == curve
+
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--betas", "-1,0.5", "--gsnr-db", "0", "10", "--points", "2"],
-    ["table1", "--betas", "0.5,0.9", "--deltas", "1,2"],
-], ids=["sweep", "table1"])
+], ids=["sweep"])
 def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
                                                          monkeypatch):
-    # 10,000 bits in chunks of 4096 are three pool tasks per delta, the last
-    # partial; each point still equals ber_monte_carlo with its delta's seed
+    # 10,000 bits in chunks of 4096 are three pool tasks, the last partial;
+    # each point still equals ber_monte_carlo with the sweep's seed
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     args = args + ["--mc-samples", "10000", "--seed", "4"]
     first, *others = _outputs_by_workers(args, tmp_path, capsys)
@@ -148,7 +154,7 @@ def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
         gsnr_db, system, beta, delta, *_, mc, stderr, _ = row.split(",")
         scheme = scheme_for_gsnr(System(system), float(delta),
                                  10.0 ** (float(gsnr_db) / 10.0), float(beta))
-        seed = montecarlo.stream_seed(4, [1.0, 2.0].index(float(delta)))
+        seed = montecarlo.stream_seed(4, 0)
         assert (float(mc), float(stderr)) == ber_monte_carlo(scheme, 10_000, seed)
 
 
@@ -242,15 +248,12 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["table1", "--gsnr", "nan"], "--gsnr must be finite and > 0"),
     (["table1", "--deltas", "5,inf"], "--deltas must be finite and > 0"),
     (["table1", "--betas", ","], "--betas needs at least one value"),
-    (["table1", "--mc-samples", "5"], "--mc-samples must be 0 or >= 10000"),
-    # a negative seed is refused by name, with or without Monte Carlo
+    # a negative seed is refused by name, with or without Monte Carlo, and
+    # before any pool starts
     (["sweep", "--seed", "-1", "--gsnr-db", "0", "--points", "1"],
      "--seed must be >= 0, got -1"),
     (["sweep", "--seed", "-1", "--mc-samples", "10000", "--gsnr-db", "0",
       "--points", "1"], "--seed must be >= 0, got -1"),
-    (["table1", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["table1", "--seed", "-1", "--mc-samples", "10000"],
-     "--seed must be >= 0, got -1"),
     # finite G-SNRs past the overflow of 2 e^gamma G-SNR in the noise scale
     (["sweep", "--gsnr-db", "3080", "--points", "1"],
      "gsnr 1e+308 (3080.00 dB) exceeds 5.046659295557653e+307 (3077.03 dB)"),
@@ -269,7 +272,7 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_grid_input_names_its_flag(argv, message, capsys):
     # checked before any point is computed: exit 2, nothing on stdout
-    code, out, err = run(argv + ["--workers", "1"], capsys)
+    code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert message in err
@@ -278,8 +281,8 @@ def test_bad_grid_input_names_its_flag(argv, message, capsys):
 def test_table1_at_the_largest_delta(capsys):
     # C's range 2 delta would overflow at 1e308; its noise scale does not,
     # and the table's own spread check shows the BER delta-invariant there
-    code, out, err = run(["table1", "--deltas", "1,1e308", "--betas", "0,0.5,1",
-                          "--workers", "1"], capsys)
+    code, out, err = run(["table1", "--deltas", "1,1e308", "--betas", "0,0.5,1"],
+                         capsys)
     assert code == 0, err
     assert err.count("spread=0.000e+00") == 3
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -395,27 +398,21 @@ def test_analytic_grid_skips_the_pool(monkeypatch):
     points = [(System.C, b, 1.0, g) for b in (0.5, 0.9) for g in (1.0, 2.0)]
     assert [r.gsnr_db for r in cli._compute_grid(points, 0, 0, 4)] == (
         [0.0, 10.0 * math.log10(2.0)] * 2)
-    # a pool task is one chunk of one delta's draw: one chunk of one delta
-    # runs here, and a grid of two or more chunk tasks goes to the pool,
-    # whether the tasks are two chunks or two deltas
+    # a pool task is one chunk of the draw: a draw of one chunk runs here,
+    # and one of two or more chunks goes to the pool
     assert len(cli._compute_grid(points, 10_000, 0, 4)) == 4
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
         cli._compute_grid(points, 10_000, 0, 4)
-    monkeypatch.setattr(montecarlo, "MC_CHUNK", 10_000)
-    deltas = [(System.C, 0.5, d, 1.0) for d in (1.0, 2.0)]
-    with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
-        cli._compute_grid(deltas, 10_000, 0, 4)
 
 
 @pytest.mark.parametrize("command", [
-    ["sweep", "--systems", "C", "--gsnr-db", "0", "--points", "1"],
+    ["sweep", "--systems", "C", "--gsnr-db", "0", "--points", "1", "--workers", "1"],
     ["table1", "--deltas", "1"]], ids=["sweep", "table1"])
 @pytest.mark.parametrize("form", ["flag"])
 def test_betas_list_starting_negative(command, form, capsys):
     # argparse reads only a plain negative number after a flag as its value
-    code, out, _ = run(command + ["--workers", "1", "--betas", "-0.5,0.5"],
-                       capsys)
+    code, out, _ = run(command + ["--betas", "-0.5,0.5"], capsys)
     assert code == 0
     assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["-0.5", "0.5"]
 
@@ -517,7 +514,7 @@ def test_import_cli_skips_validate_dependencies():
     # the standard library: neither the import nor a run loads numpy or any
     # part of scipy.  A Monte Carlo column then loads numpy, and still no scipy
     runs = [["sweep", "--points", "4", "--workers", "1"],
-            ["table1", "--workers", "1"],
+            ["table1"],
             ["sweep", "--points", "2", "--mc-samples", "10000", "--workers", "1"]]
     calls = ["pdf(StableParams(0.0, 1.0, 0.5, 0.3), 0.7)",
              "cdf(StableParams(0.0, 1.0, 0.5, 0.3), -2.0)",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import warnings
 
@@ -178,11 +179,12 @@ def test_pdf_cdf_rescaling():
 @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5, 1.0, -1.0])
 def test_far_tail_where_the_standardized_point_overflows(beta):
     # (x - mu)/c overflows at c = 1e-300 and x = +/-1e10, where the leading
-    # tail term serves: it must equal the closed form at c = 1e-100, carried
-    # over by the tails' scaling c^alpha (the next term is 1e-55 relative
-    # at z = 1e110, and the leading term's logs lose ~1e-13)
-    far, near = StableParams(0.0, 1e-300, 0.5, beta), StableParams(0.0, 1e-100, 0.5, beta)
-    k = (1e-300 / 1e-100) ** 0.5
+    # tail term serves: it must equal the closed form at c = 1e-20, below
+    # the tail term's cut at |z| = 2^106, carried over by the tails' scaling
+    # c^alpha (the next term is 1e-15 relative at z = 1e30, and the leading
+    # term's logs lose ~1e-13)
+    far, near = StableParams(0.0, 1e-300, 0.5, beta), StableParams(0.0, 1e-20, 0.5, beta)
+    k = (1e-300 / 1e-20) ** 0.5
     for x in (1e10, -1e10):
         assert pdf(far, x) == pytest.approx(k * pdf(near, x), rel=1e-12, abs=0.0)
     assert cdf(far, -1e10) == pytest.approx(k * cdf(near, -1e10), rel=1e-12, abs=0.0)
@@ -215,6 +217,27 @@ def test_far_tail_at_other_exponents(alpha, beta):
     else:
         assert (pdf(law, 1e10), cdf(law, -1e10)) == (0.0, 0.0)
     assert cdf(law, 1e10) == 1.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.95, 1.0, -0.95, -1.0])
+def test_far_tail_density_does_not_underflow_before_the_scale(beta):
+    # at c = 1e-300 the standard density underflows from |z| ~ 1e205 though
+    # the density itself is normal: from |z| = 2^106 on, alpha = 1/2 takes the
+    # tail term, so pdf falls monotonely, and where the standard density and
+    # its rescaling are normal floats both routes agree
+    xs = [10.0 ** (-100 + 4 * i) for i in range(103)]
+    far = [pdf(StableParams(0.0, 1e-300, 0.5, beta), x) for x in xs]
+    assert all(a >= b for a, b in zip(far, far[1:]))
+    assert far[0] > 0.0 or beta == -1.0
+    for c in (1e-300, 1.0):
+        law = StableParams(0.0, c, 0.5, beta)
+        for x in [v for x in xs for v in (x, -x) if math.isfinite(x / c)]:
+            ref = std_pdf(law.standard, x / c)
+            if ref >= sys.float_info.min and ref / c >= sys.float_info.min:
+                assert pdf(law, x) == pytest.approx(ref / c, rel=1e-12, abs=0.0)
+            mass = std_cdf(law.standard, -abs(x) / c)
+            if mass >= sys.float_info.min:
+                assert cdf(law, -abs(x)) == pytest.approx(mass, rel=1e-12, abs=0.0)
 
 
 def test_far_tail_below_alpha_half_is_refused():

@@ -438,6 +438,23 @@ def test_curve_counts_every_chunk(system, beta, monkeypatch):
         schemes, states, 10_000, 9, 4096)
 
 
+def test_curve_runs_one_task_per_chunk(monkeypatch):
+    # a caller's run maps the chunk tasks to their counts in order, as a
+    # pool does: 10,000 bits in chunks of 4096 are three tasks, and the
+    # result is the serial one bit for bit
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
+    schemes, states = _curve("C", 0.5)
+    calls = []
+
+    def run(tasks):
+        calls.append(len(tasks))
+        return [task() for task in reversed(tasks)][::-1]
+
+    serial = ber_monte_carlo_curve(schemes, states, 10_000, 9)
+    assert ber_monte_carlo_curve(schemes, states, 10_000, 9, run) == serial
+    assert calls == [3]
+
+
 MIXED = [("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.5)]
 
 

@@ -225,7 +225,7 @@ def __getattr__(name: str):
     # ber_monte_carlo resolves from montecarlo on first use (PEP 562), so that
     # importing this module loads no numpy.  It stays for two readers:
     # tests/test_acceptance.py imports it from here, and bench/traced.py
-    # patches it here to time validate's BER points
+    # patches it here and calls it in its Monte Carlo probe
     if name == "ber_monte_carlo":
         from . import montecarlo
         return montecarlo.ber_monte_carlo

@@ -1,6 +1,7 @@
 """Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
 vs numerical inversion, sampler vs CDF by Kolmogorov-Smirnov, geometric
-power vs a Monte Carlo log-moment oracle, and analytic vs simulated BER.
+power vs a Monte Carlo log-moment oracle, and analytic BER vs one simulated
+draw per (system, beta) curve.
 
 Each check returns a CheckResult; the CLI `validate` command prints one
 line per check and the test suite asserts on the same objects.  Neither
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .montecarlo import sample
+from .montecarlo import ber_monte_carlo_curve, sample, stream_seed
 from .power import System, geometric_power
 from .stable import (StableParams, StandardStable, _cdf_numeric, _levy_std_cdf,
                      _levy_std_pdf, _pdf_numeric, std_cdf, std_pdf,
@@ -132,12 +133,11 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     return results
 
 
-#: the laws of the geometric-power check, (alpha, beta), law i on seed + 100 i,
-#: so that in a suite (seed + 2 + 100 i) no law shares a BER point's seed
+#: the laws of the geometric-power check, (alpha, beta), law i on seed + 100 i
 GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
 #: ... and its relative tolerance
 GEOMETRIC_POWER_REL_TOL = 0.02
-#: the (system, beta) curves of the BER check, each G-SNR on its own seed
+#: the BER check's (system, beta) curves, curve i on one draw, stream_seed(seed, i)
 BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
 #: ... and its G-SNRs
 BER_GSNRS = (0.25, 1.0, 4.0)
@@ -167,23 +167,23 @@ def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7) -> list[CheckRes
     return [r for case in _geometric_power_cases(n, seed) for r in case()]
 
 
-def _ber_point(system: System, beta: float, gsnr: float, n_bits: int,
+def _ber_curve(system: System, beta: float, n_bits: int,
                seed: int) -> list[CheckResult]:
-    scheme = systems.scheme_for_gsnr(system, 1.0, gsnr, beta)
-    state = systems.ml_threshold(scheme)
-    analytic = systems.ber_analytic(scheme, state)
-    mc, stderr = systems.ber_monte_carlo(scheme, n_bits, seed, state)
-    z = abs(analytic - mc) / stderr
+    schemes = [systems.scheme_for_gsnr(system, 1.0, g, beta) for g in BER_GSNRS]
+    states = [systems.ml_threshold(scheme) for scheme in schemes]
+    curve = ber_monte_carlo_curve(schemes, states, n_bits, seed)
+    analytic = [systems.ber_analytic(*point) for point in zip(schemes, states)]
     return [CheckResult(
         f"BER analytic vs MC ({system.value}, beta={beta}, gsnr={gsnr})",
-        z <= 3.0, f"analytic={analytic:.6f} mc={mc:.6f} z={z:.2f}")]
+        z <= 3.0, f"analytic={a:.6f} mc={mc:.6f} z={z:.2f}")
+        for gsnr, a, (mc, stderr) in zip(BER_GSNRS, analytic, curve)
+        for z in [abs(a - mc) / stderr]]
 
 
 def _ber_cases(n_bits: int, seed: int) -> list[functools.partial]:
-    return [functools.partial(_ber_point, system, beta, gsnr, n_bits,
-                              seed + 100 * i + j)
-            for i, (system, beta) in enumerate(BER_CASES)
-            for j, gsnr in enumerate(BER_GSNRS)]
+    return [functools.partial(_ber_curve, system, beta, n_bits,
+                              stream_seed(seed, i))
+            for i, (system, beta) in enumerate(BER_CASES)]
 
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
@@ -199,7 +199,7 @@ def _ks_samples(mc_samples: int) -> int:
 def suite(mc_samples: int, seed: int) -> list[functools.partial]:
     """The suite in report order, as calls that take no arguments and each
     return a list of results: the closed-form and KS groups whole, then one
-    call per geometric-power law and per BER point, each on the seed run_all
+    call per geometric-power law and per BER curve, each on the seed run_all
     gives it, so that the calls can run in any process."""
     return ([functools.partial(check_levy_closed_vs_numeric),
              functools.partial(check_sampling_ks, _ks_samples(mc_samples),

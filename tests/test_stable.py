@@ -88,6 +88,19 @@ def test_closed_form_lower_tails_vs_mpmath(mp, x):
         float(1 - mp.acot(-mp.mpf(x)) / mp.pi), rel=1e-15)
 
 
+def test_levy_pdf_relative_error_vs_mpmath(mp):
+    # a product of its two factors wherever both are normal floats, with the
+    # rounding of 1/(2x) taken back: exp(log f) lost ~1e-13 at 1e50-1e200.
+    # Where f itself is subnormal (x > ~1.3e205) only absolute digits remain
+    xs = np.concatenate([np.geomspace(1e-3, 0.5, 400), np.geomspace(0.5, 1e300, 1200)])
+    with mp.workdps(40):
+        for x in map(float, xs):
+            t = mp.mpf(x)
+            ref = float(t ** -1.5 * mp.exp(-1 / (2 * t)) / mp.sqrt(2 * mp.pi))
+            assert _levy_std_pdf(x) == pytest.approx(
+                ref, rel=1e-15, abs=1e-13 * sys.float_info.min), x
+
+
 # ---------------------------------------------------------------------------
 # numerical inversion vs closed forms / internal consistency
 # ---------------------------------------------------------------------------

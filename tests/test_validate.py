@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtchan import cli, montecarlo, stable, validate
+from mtchan import cli, montecarlo, stable, systems, validate
 
 
 def _alpha_half(results):
@@ -67,19 +67,71 @@ def test_cdf_table_vs_std_cdf(beta):
 
 
 def test_pooled_suite_reports_what_run_all_does():
-    # one pool task per seeded case, each on the seed run_all gives it
+    # one pool task per seeded case, each on the seed run_all gives it: the
+    # two whole groups, each geometric-power law and each BER curve
     tasks = validate.suite(20_000, 5)
     assert len(tasks) == 2 + len(validate.GEOMETRIC_POWER_LAWS) + len(
-        validate.BER_CASES) * len(validate.BER_GSNRS)
+        validate.BER_CASES)
     pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
     assert pooled == validate.run_all(20_000, 5)
 
 
+def _ber_seeds(tasks):
+    return [case.args[-1] for case in tasks if case.func is validate._ber_curve]
+
+
 def test_suite_draws_each_case_on_its_own_seed():
     # two cases on one seed draw the same normals, and their gates would
-    # pass or fail together
+    # pass or fail together.  The three points of a BER curve share one draw
+    # by design, so a curve is one case
     for seed in (0, 7):
-        seeds = [case.args[-1] for case in validate.suite(10_000, seed)
-                 if case.args]
-        assert len(seeds) == 14
+        tasks = validate.suite(10_000, seed)
+        seeds = [case.args[-1] for case in tasks if case.args]
+        assert len(seeds) == 8
         assert len(set(seeds)) == len(seeds)
+        assert _ber_seeds(tasks) == [montecarlo.stream_seed(seed + 3, i)
+                                     for i in range(len(validate.BER_CASES))]
+
+
+def test_next_suite_seed_shares_no_ber_draw():
+    # a curve's seed mixes the suite seed with the curve's index, so the
+    # suites of neighbouring seeds draw independently
+    for seed in (0, 7, 11):
+        assert not set(_ber_seeds(validate.suite(10_000, seed))) & set(
+            _ber_seeds(validate.suite(10_000, seed + 1)))
+
+
+def test_ber_curve_point_is_ber_monte_carlo_on_that_point_alone(monkeypatch):
+    # a curve's one draw gives each point what ber_monte_carlo gives that
+    # point alone on the curve's seed
+    curves = []
+
+    def counted(schemes, states, n_bits, seed):
+        curve = montecarlo.ber_monte_carlo_curve(schemes, states, n_bits, seed)
+        curves.append((schemes, states, seed, curve))
+        return curve
+
+    monkeypatch.setattr(validate, "ber_monte_carlo_curve", counted)
+    n = 20_000
+    results = iter(validate.check_ber_analytic_vs_mc(n, seed=4))
+    assert [c[2] for c in curves] == [montecarlo.stream_seed(4, i)
+                                      for i in range(len(validate.BER_CASES))]
+    for (system, beta), (schemes, states, seed, curve) in zip(
+            validate.BER_CASES, curves):
+        for gsnr, scheme, state, point in zip(validate.BER_GSNRS, schemes,
+                                              states, curve):
+            assert scheme == systems.scheme_for_gsnr(system, 1.0, gsnr, beta)
+            assert point == montecarlo.ber_monte_carlo(scheme, n, seed, state)
+            assert f" mc={point[0]:.6f} " in next(results).detail
+
+
+def test_ber_check_fails_a_ber_two_percent_off(monkeypatch):
+    # power at the default bit count: a 2% error in the analytic BER fails
+    # all nine gates with z >= 8.5 on these draws.  At 1% the weakest z
+    # depends on the draw and can sit on the gate (z = 3.00 on some seeding)
+    ber_analytic = systems.ber_analytic
+    monkeypatch.setattr(systems, "ber_analytic",
+                        lambda scheme, state: 1.02 * ber_analytic(scheme, state))
+    results = validate.check_ber_analytic_vs_mc(10 ** 6, seed=0)
+    assert len(results) == 9
+    assert not any(r.passed for r in results), [r.detail for r in results]

@@ -124,16 +124,21 @@ def _levy_std_pdf(x: float) -> float:
     # wherever both factors are normal floats, as exp(log f) would lose |log f|
     # ulps.  Rounding q = 0.5/x costs exp(-q) up to q/2 ulps, so above q = 1
     # the remainder 0.5 - q*x, exact from x = n/d and q = m/e, corrects it to
-    # first order.  The log route keeps what is left where a factor underflows
+    # first order.  Where exp(-q) alone is subnormal (x < 7.06e-4), it is
+    # split as h*h, h = exp(-q/2), so f keeps its digits until it is subnormal
+    # itself (x < 6.96e-4).  The log route keeps what is left where a factor
+    # underflows
     if x <= 0.0:
         return 0.0
     q = 0.5 / x
-    damping = math.exp(-q)
+    damping, split = math.exp(-q), 1.0
+    if damping < _HALF_TINY:
+        damping = split = math.exp(-0.5 * q)
     if damping >= _HALF_TINY and (power := x ** -1.5) >= _HALF_TINY:
         if q > 1.0:
             (n, d), (m, e) = x.as_integer_ratio(), q.as_integer_ratio()
             damping *= 1.0 - (d * e - 2 * m * n) / (2 * d * e) / x
-        return power * damping / _SQRT_2PI
+        return power * split * damping / _SQRT_2PI
     log_f = -q - 1.5 * math.log(x)
     if log_f < -745.0:
         return 0.0

@@ -1,11 +1,13 @@
 """Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
-vs numerical inversion, sampler vs CDF by Kolmogorov-Smirnov, geometric
-power vs a Monte Carlo log-moment oracle, and analytic BER vs one simulated
-draw per (system, beta) curve.
+vs numerical inversion, the noise of simulated transmissions vs the alpha =
+1/2 CDF by Kolmogorov-Smirnov, geometric power vs a Monte Carlo log-moment
+oracle, and analytic BER vs one simulated draw per (system, beta) curve.
 
 Each check returns a CheckResult; the CLI `validate` command prints one
-line per check and the test suite asserts on the same objects.  Neither
-importing this module nor running its checks loads any part of scipy.
+line per check and the test suite asserts on the same objects.  A
+statistical group is one case per law, law i on stream_seed(group seed, i),
+and group g (1 KS, 2 geometric power, 3 BER) on stream_seed(suite seed, g).
+Neither importing this module nor running its checks loads any part of scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .montecarlo import ber_monte_carlo_curve, sample, stream_seed
+from .montecarlo import (ber_monte_carlo_curve, sample,
+                         simulate_transmission, stream_seed)
 from .power import System, geometric_power
 from .stable import (StableParams, StandardStable, _cdf_numeric, _levy_std_cdf,
                      _levy_std_pdf, _pdf_numeric, std_cdf, std_pdf,
@@ -73,11 +76,6 @@ def _ks_test(samples: np.ndarray, cdf_callable) -> tuple[float, float]:
     return d, p
 
 
-def _ks_result(name: str, samples: np.ndarray, cdf_callable) -> CheckResult:
-    d, p = _ks_test(samples, cdf_callable)
-    return CheckResult(name, p >= KS_SIGNIFICANCE, f"KS D={d:.5f} p={p:.5f}")
-
-
 def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     """Numerical inversion vs the closed forms: the Levy law on x in
     [0.05, 50], and alpha = 1/2 at beta in {0, 0.5, -0.75} on +/-x in
@@ -109,38 +107,39 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     return results
 
 
-def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
-    """Sampler-vs-CDF KS tests covering the channel noise constructions."""
-    rng = np.random.default_rng(seed)
-
-    def levy(c):  # n Levy(0, c) delays, on the next seed the stream gives
-        return sample(StableParams(0.0, c, 0.5, 1.0), n, rng.integers(2 ** 63))
-
-    results = [_ks_result("Levy sampler vs closed-form CDF", levy(1.0),
-                          np.vectorize(_levy_std_cdf, otypes=[float]))]
-    # difference of i.i.d. Levy(0, c_A) is S(0, 4*c_A, 1/2, 0)
-    c_a = 1.0
-    results.append(_ks_result("Levy difference vs S(0, 4c, 1/2, 0)",
-                              (levy(c_a) - levy(c_a)) / (4.0 * c_a),
-                              make_std_cdf_vectorized(0.0)))
-    # system C decomposition into two one-sided delays
-    for beta in (0.25, 0.75):
-        c = 1.0
-        c_pos, c_neg = systems.system_c_component_scales(c, beta)
-        results.append(_ks_result(
-            f"system C decomposition vs std_cdf (beta={beta})",
-            (levy(c_pos) - levy(c_neg)) / c, make_std_cdf_vectorized(beta)))
-    return results
-
-
-#: the laws of the geometric-power check, (alpha, beta), law i on seed + 100 i
+#: the KS check's noise laws, (system, beta); C at beta = 0 is B's noise law
+KS_LAWS = ((System.A, 1.0), (System.C, 0.0), (System.C, 0.25), (System.C, 0.75))
+#: the geometric-power check's laws, (alpha, beta)
 GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
 #: ... and its relative tolerance
 GEOMETRIC_POWER_REL_TOL = 0.02
-#: the BER check's (system, beta) curves, curve i on one draw, stream_seed(seed, i)
+#: the BER check's (system, beta) curves, each counted on one draw
 BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
 #: ... and its G-SNRs
 BER_GSNRS = (0.25, 1.0, 4.0)
+
+
+def _cases(check, laws, n: int, seed: int) -> list[functools.partial]:
+    # one call per law, law i on its own seed: check(*law, n, seed_i)
+    return [functools.partial(check, *law, n, stream_seed(seed, i))
+            for i, law in enumerate(laws)]
+
+
+def _ks_law(system: System, beta: float, n: int, seed: int) -> list[CheckResult]:
+    # the standardized noise y - sent of n bits sent at c = 1, drawn as the
+    # Monte Carlo draws it
+    scheme = systems.BinaryScheme(system, 1.0, StableParams(0.0, 1.0, 0.5, beta))
+    sent, y = simulate_transmission(scheme, n, seed)
+    d, p = _ks_test(y - sent, make_std_cdf_vectorized(beta))
+    return [CheckResult(
+        f"transmission noise vs std_cdf ({system.value}, beta={beta})",
+        p >= KS_SIGNIFICANCE, f"KS D={d:.5f} p={p:.5f}")]
+
+
+def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
+    """KS tests of the channel noise simulate_transmission draws, one per
+    KS_LAWS law, against the alpha = 1/2 CDF."""
+    return [r for case in _cases(_ks_law, KS_LAWS, n, seed) for r in case()]
 
 
 def _geometric_power_law(alpha: float, beta: float, n: int,
@@ -156,15 +155,10 @@ def _geometric_power_law(alpha: float, beta: float, n: int,
         f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}")]
 
 
-def _geometric_power_cases(n: int, seed: int) -> list[functools.partial]:
-    return [functools.partial(_geometric_power_law, alpha, beta, n,
-                              seed + 100 * i)
-            for i, (alpha, beta) in enumerate(GEOMETRIC_POWER_LAWS)]
-
-
 def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7) -> list[CheckResult]:
     """exp(mean(log|X|)) over n variates vs the closed-form geometric power."""
-    return [r for case in _geometric_power_cases(n, seed) for r in case()]
+    cases = _cases(_geometric_power_law, GEOMETRIC_POWER_LAWS, n, seed)
+    return [r for case in cases for r in case()]
 
 
 def _ber_curve(system: System, beta: float, n_bits: int,
@@ -180,16 +174,10 @@ def _ber_curve(system: System, beta: float, n_bits: int,
         for z in [abs(a - mc) / stderr]]
 
 
-def _ber_cases(n_bits: int, seed: int) -> list[functools.partial]:
-    return [functools.partial(_ber_curve, system, beta, n_bits,
-                              stream_seed(seed, i))
-            for i, (system, beta) in enumerate(BER_CASES)]
-
-
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
                              seed: int = 11) -> list[CheckResult]:
     """Analytic BER vs Monte Carlo within 3 binomial standard errors."""
-    return [r for case in _ber_cases(n_bits, seed) for r in case()]
+    return [r for case in _cases(_ber_curve, BER_CASES, n_bits, seed) for r in case()]
 
 
 def _ks_samples(mc_samples: int) -> int:
@@ -198,20 +186,20 @@ def _ks_samples(mc_samples: int) -> int:
 
 def suite(mc_samples: int, seed: int) -> list[functools.partial]:
     """The suite in report order, as calls that take no arguments and each
-    return a list of results: the closed-form and KS groups whole, then one
-    call per geometric-power law and per BER curve, each on the seed run_all
+    return a list of results: the closed-form group whole, then one call per
+    KS law, geometric-power law and BER curve, each on the seed run_all
     gives it, so that the calls can run in any process."""
-    return ([functools.partial(check_levy_closed_vs_numeric),
-             functools.partial(check_sampling_ks, _ks_samples(mc_samples),
-                               seed + 1)]
-            + _geometric_power_cases(mc_samples, seed + 2)
-            + _ber_cases(mc_samples, seed + 3))
+    return ([functools.partial(check_levy_closed_vs_numeric)]
+            + _cases(_ks_law, KS_LAWS, _ks_samples(mc_samples), stream_seed(seed, 1))
+            + _cases(_geometric_power_law, GEOMETRIC_POWER_LAWS, mc_samples,
+                     stream_seed(seed, 2))
+            + _cases(_ber_curve, BER_CASES, mc_samples, stream_seed(seed, 3)))
 
 
 def run_all(mc_samples: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     """The whole suite, serially in this process, one check_* call per group
     (looked up when called); its results are those of suite(), in order."""
     return (check_levy_closed_vs_numeric()
-            + check_sampling_ks(_ks_samples(mc_samples), seed + 1)
-            + check_geometric_power_mc(mc_samples, seed + 2)
-            + check_ber_analytic_vs_mc(mc_samples, seed + 3))
+            + check_sampling_ks(_ks_samples(mc_samples), stream_seed(seed, 1))
+            + check_geometric_power_mc(mc_samples, stream_seed(seed, 2))
+            + check_ber_analytic_vs_mc(mc_samples, stream_seed(seed, 3)))

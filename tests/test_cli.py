@@ -290,6 +290,24 @@ def test_table1_at_the_largest_delta(capsys):
     assert all(math.isfinite(float(row[5])) for row in rows)
 
 
+def test_table1_fails_a_delta_dependent_or_unreferenced_ber(monkeypatch, capsys):
+    # each of the table's two gates exits 1 and tags its row: a BER that
+    # moves with delta fails the spread, one off the paper's value the
+    # reference
+    ber_analytic = cli.ber_analytic
+    monkeypatch.setattr(cli, "ber_analytic", lambda scheme, state: ber_analytic(
+        scheme, state) * (1.0 + 1e-3 * scheme.delta))
+    code, _, err = run(["table1", "--betas", "0", "--deltas", "1,2", "--gsnr", "2"],
+                       capsys)
+    assert code == 1
+    assert "SPREAD-FAIL" in err and "REF-FAIL" not in err
+    monkeypatch.setattr(cli, "ber_analytic", ber_analytic)
+    monkeypatch.setattr(cli, "TABLE1_REFERENCE", {0.0: 0.15})
+    code, _, err = run(["table1", "--betas", "0", "--deltas", "1,2"], capsys)
+    assert code == 1
+    assert "REF-FAIL" in err and "SPREAD-FAIL" not in err
+
+
 def test_sweep_system_c_at_the_largest_delta(capsys):
     code, out, err = run(["sweep", "--systems", "C", "--betas=-0.95,0.5",
                           "--delta", "1e308", "--gsnr-db", "60", "--points", "1",

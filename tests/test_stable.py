@@ -90,9 +90,12 @@ def test_closed_form_lower_tails_vs_mpmath(mp, x):
 
 def test_levy_pdf_relative_error_vs_mpmath(mp):
     # a product of its two factors wherever both are normal floats, with the
-    # rounding of 1/(2x) taken back: exp(log f) lost ~1e-13 at 1e50-1e200.
-    # Where f itself is subnormal (x > ~1.3e205) only absolute digits remain
-    xs = np.concatenate([np.geomspace(1e-3, 0.5, 400), np.geomspace(0.5, 1e300, 1200)])
+    # rounding of 1/(2x) taken back: exp(log f) lost ~1e-13 at 1e50-1e200,
+    # and where exp(-1/(2x)) alone is subnormal (6.96e-4 < x < 7.06e-4).
+    # Where f itself is subnormal (x < 6.96e-4 or x > ~1.3e205) only
+    # absolute digits remain
+    xs = np.concatenate([np.geomspace(6.9e-4, 1e-3, 200),
+                         np.geomspace(1e-3, 0.5, 400), np.geomspace(0.5, 1e300, 1200)])
     with mp.workdps(40):
         for x in map(float, xs):
             t = mp.mpf(x)
@@ -295,6 +298,20 @@ def test_sample_gaussian_moments():
     a = sample(StableParams(0.0, 1.0, 2.0, 0.0), 200_000, 3)
     assert np.mean(a) == pytest.approx(0.0, abs=0.02)
     assert np.var(a) == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("alpha,beta,n", [
+    (0.5, 1.0, 20_000), (0.5, -1.0, 20_000), (1.0, 0.0, 20_000),
+    (2.0, 0.0, 20_000), (0.5, 0.5, 20_000),
+    (0.7, -0.3, 1_000)])  # std_cdf by Nolan's inversion, ~1 ms a point
+def test_sample_distribution_matches_std_cdf(alpha, beta, n):
+    # each branch of the sampler: Levy and its mirror, Cauchy, Gaussian and
+    # Chambers-Mallows-Stuck, against the CDF by Kolmogorov-Smirnov
+    from scipy import stats
+    s = StandardStable(alpha, beta)
+    xs = sample(StableParams(0.0, 1.0, alpha, beta), n, 1)
+    p = stats.kstest(xs, np.vectorize(lambda x: std_cdf(s, x), otypes=[float])).pvalue
+    assert p >= 1e-3, p
 
 
 def test_sample_empty():

@@ -606,6 +606,8 @@ def test_threshold_bracket_scan(system, beta):
     (lambda x: 1e-200 * (x ** 3 - 0.1), -1.0, 2.0, 1e-12, None),
     (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 2.0, 1e-14, None),
     (lambda x: math.floor(10.0 * x) - 3.5, 0.0, 1.0, 1e-12, None),
+    (lambda x: x - 0.25, 0.25, 1.0, 1e-12, None),  # f(lo) = 0: lo is the root
+    (lambda x: x - 1.0, 0.25, 1.0, 1e-12, None),  # f(hi) = 0: hi is the root
 ])
 def test_brent_port_matches_scipy_brentq_edge_cases(f, lo, hi, xtol, error):
     optimize = pytest.importorskip("scipy.optimize")

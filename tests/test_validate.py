@@ -56,7 +56,7 @@ def test_ks_pvalue_matches_the_exact_law(n):
     assert min(refs) < 1e-3 and max(refs) > 0.5
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.25, 0.75])
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.75, 1.0])
 def test_cdf_table_vs_std_cdf(beta):
     # 20k points with |x| out to ~6e5: the table and its power-law tails
     s = stable.StandardStable(0.5, beta)
@@ -68,16 +68,17 @@ def test_cdf_table_vs_std_cdf(beta):
 
 def test_pooled_suite_reports_what_run_all_does():
     # one pool task per seeded case, each on the seed run_all gives it: the
-    # two whole groups, each geometric-power law and each BER curve
+    # closed-form group whole, then each KS law, geometric-power law and BER
+    # curve
     tasks = validate.suite(20_000, 5)
-    assert len(tasks) == 2 + len(validate.GEOMETRIC_POWER_LAWS) + len(
-        validate.BER_CASES)
+    assert len(tasks) == 1 + len(validate.KS_LAWS) + len(
+        validate.GEOMETRIC_POWER_LAWS) + len(validate.BER_CASES)
     pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
     assert pooled == validate.run_all(20_000, 5)
 
 
-def _ber_seeds(tasks):
-    return [case.args[-1] for case in tasks if case.func is validate._ber_curve]
+def _case_seeds(tasks):
+    return [case.args[-1] for case in tasks if case.args]
 
 
 def test_suite_draws_each_case_on_its_own_seed():
@@ -86,19 +87,40 @@ def test_suite_draws_each_case_on_its_own_seed():
     # by design, so a curve is one case
     for seed in (0, 7):
         tasks = validate.suite(10_000, seed)
-        seeds = [case.args[-1] for case in tasks if case.args]
-        assert len(seeds) == 8
+        seeds = _case_seeds(tasks)
+        assert len(seeds) == 11
         assert len(set(seeds)) == len(seeds)
-        assert _ber_seeds(tasks) == [montecarlo.stream_seed(seed + 3, i)
-                                     for i in range(len(validate.BER_CASES))]
+        ber_seeds = [case.args[-1] for case in tasks
+                     if case.func is validate._ber_curve]
+        assert ber_seeds == [
+            montecarlo.stream_seed(montecarlo.stream_seed(seed, 3), i)
+            for i in range(len(validate.BER_CASES))]
 
 
-def test_next_suite_seed_shares_no_ber_draw():
-    # a curve's seed mixes the suite seed with the curve's index, so the
-    # suites of neighbouring seeds draw independently
+def test_nearby_suite_seeds_share_no_case_seed():
+    # a case's seed mixes the suite seed, its group and its law, so suites
+    # whose seeds differ by 1, 100 or 200 draw independently
     for seed in (0, 7, 11):
-        assert not set(_ber_seeds(validate.suite(10_000, seed))) & set(
-            _ber_seeds(validate.suite(10_000, seed + 1)))
+        seeds = [_case_seeds(validate.suite(10_000, seed + k))
+                 for k in (0, 1, 100, 200)]
+        assert len(set().union(*seeds)) == sum(map(len, seeds)), seed
+
+
+def test_ks_case_tests_the_transmission_noise(monkeypatch):
+    # each KS law tests y - sent of the transmission the Monte Carlo draws,
+    # on the law's own seed, at c = 1
+    drawn = []
+
+    def transmitted(scheme, n_bits, seed):
+        drawn.append((scheme.system, scheme.noise, seed))
+        return montecarlo.simulate_transmission(scheme, n_bits, seed)
+
+    monkeypatch.setattr(validate, "simulate_transmission", transmitted)
+    results = validate.check_sampling_ks(10_000, seed=3)
+    assert drawn == [(system, stable.StableParams(0.0, 1.0, 0.5, beta),
+                      montecarlo.stream_seed(3, i))
+                     for i, (system, beta) in enumerate(validate.KS_LAWS)]
+    assert all(r.passed for r in results), [r.detail for r in results]
 
 
 def test_ber_curve_point_is_ber_monte_carlo_on_that_point_alone(monkeypatch):

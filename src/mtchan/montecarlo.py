@@ -1,5 +1,7 @@
-"""The Monte Carlo oracle: sampling stable laws, and simulated transmissions
-whose errors are counted against the analytic BER.
+"""The Monte Carlo oracle: sampling stable laws, alpha = 1/2 as the Levy
+difference a1/Z1^2 - a2/Z2^2 the transmission draws (_noise) and other alphas
+by Chambers-Mallows-Stuck, and simulated transmissions whose errors are
+counted against the analytic BER.
 
 This is the one module that imports numpy; the analytic commands never load
 it.  The transmission works in the detector's standardized coordinates u =
@@ -28,27 +30,16 @@ from .systems import (MC_MIN_BITS, BinaryScheme, DetectorState, ml_threshold,
 # sampling
 # ---------------------------------------------------------------------------
 
-def _standard_levy(rng: np.random.Generator, n: int) -> np.ndarray:
-    # standard Levy as 1 / Z^2
-    z = rng.standard_normal(n)
-    np.multiply(z, z, out=z)
-    return np.divide(1.0, z, out=z)
-
-
 def _standard_sample(alpha: float, beta: float, n: int,
                      rng: np.random.Generator) -> np.ndarray:
-    if alpha == 2.0:
-        return rng.standard_normal(n) * math.sqrt(2.0)
-    if alpha == 0.5 and beta == 1.0:
-        return _standard_levy(rng, n)
-    if alpha == 0.5 and beta == -1.0:
-        return -_standard_levy(rng, n)
-    if alpha == 1.0:
-        # beta = 0 guaranteed by construction: standard Cauchy
-        u = (rng.random(n) - 0.5) * math.pi
-        return np.tan(u)
-
-    # Chambers-Mallows-Stuck transform, alpha != 1
+    if alpha == 0.5:
+        # the Monte Carlo's own noise: the Levy difference a1/Z1^2 - a2/Z2^2,
+        # one Z per delay of nonzero scale
+        scales = system_c_component_scales(1.0, beta)
+        return _noise(scales, [np.square(rng.standard_normal(n))
+                               for a in scales if a])
+    # Chambers-Mallows-Stuck transform: at alpha = 1 (beta = 0 by
+    # construction) it is tan(u), at alpha = 2 it is N(0, 2)
     u = (rng.random(n) - 0.5) * math.pi
     w = rng.exponential(size=n)
     zeta = beta * math.tan(math.pi * alpha / 2.0)

@@ -1,7 +1,8 @@
 """Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
 vs numerical inversion, the noise of simulated transmissions vs the alpha =
-1/2 CDF by Kolmogorov-Smirnov, geometric power vs a Monte Carlo log-moment
-oracle, and analytic BER vs one simulated draw per (system, beta) curve.
+1/2 CDF by Kolmogorov-Smirnov, and within Z_GATE standard errors geometric
+power vs a Monte Carlo log-moment oracle (on the closed-form Var log|X|) and
+analytic BER vs one simulated draw per (system, beta) curve.
 
 Each check returns a CheckResult; the CLI `validate` command prints one
 line per check and the test suite asserts on the same objects.  A
@@ -28,6 +29,8 @@ from .stable import (StableParams, StandardStable, _cdf_numeric, _levy_std_cdf,
 
 #: significance level shared by all KS checks
 KS_SIGNIFICANCE = 1e-3
+#: z-gate of the geometric-power and BER checks: 0.27% false alarms each
+Z_GATE = 3.0
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,6 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
 KS_LAWS = ((System.A, 1.0), (System.C, 0.0), (System.C, 0.25), (System.C, 0.75))
 #: the geometric-power check's laws, (alpha, beta)
 GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
-#: ... and its relative tolerance
-GEOMETRIC_POWER_REL_TOL = 0.02
 #: the BER check's (system, beta) curves, each counted on one draw
 BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
 #: ... and its G-SNRs
@@ -142,21 +143,27 @@ def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     return [r for case in _cases(_ks_law, KS_LAWS, n, seed) for r in case()]
 
 
+def _log_abs_variance(alpha: float, beta: float) -> float:
+    # Var log|X| of a stable law, (pi^2/12)(1 + 2/alpha^2) - theta^2/alpha^2
+    # with theta = atan(beta tan(pi alpha/2)) (Zolotarev 1986; Kuruoglu 2001)
+    theta = math.atan(beta * math.tan(math.pi * alpha / 2.0))
+    return math.pi ** 2 / 12.0 * (1.0 + 2.0 / alpha ** 2) - (theta / alpha) ** 2
+
+
 def _geometric_power_law(alpha: float, beta: float, n: int,
                          seed: int) -> list[CheckResult]:
     params = StableParams(0.0, 1.0, alpha, beta)
-    xs = sample(params, n, seed)
-    mc = math.exp(float(np.mean(np.log(np.abs(xs)))))
+    log_mc = float(np.mean(np.log(np.abs(sample(params, n, seed)))))
     ref = geometric_power(params)
-    rel = abs(mc - ref) / ref
+    z = abs(log_mc - math.log(ref)) / math.sqrt(_log_abs_variance(alpha, beta) / n)
     return [CheckResult(
         f"geometric power MC oracle (alpha={alpha}, beta={beta})",
-        rel <= GEOMETRIC_POWER_REL_TOL,
-        f"mc={mc:.6f} closed={ref:.6f} rel dev={rel:.4f}")]
+        z <= Z_GATE, f"mc={math.exp(log_mc):.6f} closed={ref:.6f} z={z:.2f}")]
 
 
 def check_geometric_power_mc(n: int = 1_000_000, seed: int = 7) -> list[CheckResult]:
-    """exp(mean(log|X|)) over n variates vs the closed-form geometric power."""
+    """exp(mean(log|X|)) over n variates vs the closed-form geometric power S0:
+    z = |mean(log|X|) - log S0| / sqrt(Var log|X| / n) <= Z_GATE."""
     cases = _cases(_geometric_power_law, GEOMETRIC_POWER_LAWS, n, seed)
     return [r for case in cases for r in case()]
 
@@ -169,14 +176,14 @@ def _ber_curve(system: System, beta: float, n_bits: int,
     analytic = [systems.ber_analytic(*point) for point in zip(schemes, states)]
     return [CheckResult(
         f"BER analytic vs MC ({system.value}, beta={beta}, gsnr={gsnr})",
-        z <= 3.0, f"analytic={a:.6f} mc={mc:.6f} z={z:.2f}")
+        z <= Z_GATE, f"analytic={a:.6f} mc={mc:.6f} z={z:.2f}")
         for gsnr, a, (mc, stderr) in zip(BER_GSNRS, analytic, curve)
         for z in [abs(a - mc) / stderr]]
 
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
                              seed: int = 11) -> list[CheckResult]:
-    """Analytic BER vs Monte Carlo within 3 binomial standard errors."""
+    """Analytic BER vs Monte Carlo within Z_GATE binomial standard errors."""
     return [r for case in _cases(_ber_curve, BER_CASES, n_bits, seed) for r in case()]
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from mtchan import stable
-from mtchan.montecarlo import sample
+from mtchan.montecarlo import _noise, sample
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _cdf_numeric, _int_laplace, _int_taylor,
@@ -17,6 +17,7 @@ from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            _pdf_numeric, _zw, _zw_laplace, _zw_taylor,
                            _zw_weideman, cdf, pdf, std_cdf, std_pdf,
                            tail_coefficient)
+from mtchan.systems import system_c_component_scales
 
 LEVY = StandardStable(0.5, 1.0)
 SYM_HALF = StandardStable(0.5, 0.0)
@@ -300,13 +301,32 @@ def test_sample_gaussian_moments():
     assert np.var(a) == pytest.approx(2.0, abs=0.05)
 
 
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_alpha_half_sample_is_the_monte_carlo_noise(beta):
+    # alpha = 1/2 draws the Levy difference the transmission draws, one
+    # squared normal per delay of nonzero scale; at beta = +-1 that is the
+    # one-sided stream +-1/Z^2
+    n, seed = 1000, 17
+    xs = sample(StableParams(2.0, 3.0, 0.5, beta), n, seed)
+    rng = np.random.default_rng(seed)
+    scales = system_c_component_scales(1.0, beta)
+    squares = [np.square(rng.standard_normal(n)) for a in scales if a]
+    np.testing.assert_array_equal(xs, 2.0 + 3.0 * _noise(scales, squares))
+    if abs(beta) == 1.0:
+        z = np.random.default_rng(seed).standard_normal(n)
+        np.testing.assert_array_equal(xs, 2.0 + 3.0 * (beta / (z * z)))
+
+
 @pytest.mark.parametrize("alpha,beta,n", [
-    (0.5, 1.0, 20_000), (0.5, -1.0, 20_000), (1.0, 0.0, 20_000),
-    (2.0, 0.0, 20_000), (0.5, 0.5, 20_000),
+    (0.5, 1.0, 20_000), (0.5, -1.0, 20_000), (0.5, 0.0, 20_000),
+    (0.5, 0.5, 20_000), (0.5, -0.5, 20_000), (1.0, 0.0, 20_000),
+    (2.0, 0.0, 20_000),
     (0.7, -0.3, 1_000)])  # std_cdf by Nolan's inversion, ~1 ms a point
 def test_sample_distribution_matches_std_cdf(alpha, beta, n):
-    # each branch of the sampler: Levy and its mirror, Cauchy, Gaussian and
-    # Chambers-Mallows-Stuck, against the CDF by Kolmogorov-Smirnov
+    # both routes of the sampler against the CDF by Kolmogorov-Smirnov:
+    # alpha = 1/2 as the Levy difference a1/Z1^2 - a2/Z2^2, one-sided at
+    # beta = +-1, and every other alpha by Chambers-Mallows-Stuck, Cauchy
+    # and Gaussian included
     from scipy import stats
     s = StandardStable(alpha, beta)
     xs = sample(StableParams(0.0, 1.0, alpha, beta), n, 1)

@@ -157,3 +157,49 @@ def test_ber_check_fails_a_ber_two_percent_off(monkeypatch):
     results = validate.check_ber_analytic_vs_mc(10 ** 6, seed=0)
     assert len(results) == 9
     assert not any(r.passed for r in results), [r.detail for r in results]
+
+
+# ---------------------------------------------------------------------------
+# the statistical gates: false-alarm rate and power
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha,beta,variance", [
+    (0.5, 0.0, 7.402), (0.5, 1.0, 4.935), (0.5, 0.5, 6.542), (2.0, 0.0, 1.234)])
+def test_log_abs_variance_matches_the_sample_variance(alpha, beta, variance):
+    v = validate._log_abs_variance(alpha, beta)
+    assert v == pytest.approx(variance, abs=1e-3)
+    xs = montecarlo.sample(stable.StableParams(0.0, 1.0, alpha, beta), 4_000_000, 3)
+    assert np.var(np.log(np.abs(xs))) == pytest.approx(v, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [10_000, 20_000])
+def test_geometric_power_gate_false_alarms(n):
+    # on correct code each z-gate fails 0.27% of the time: 0.54 expected
+    # failures in 200, where the old 2% gate failed 69 (n = 1e4) and 39
+    # (n = 2e4)
+    failed = [r for seed in range(50)
+              for r in validate.check_geometric_power_mc(n, seed) if not r.passed]
+    assert len(failed) <= 2, [r.detail for r in failed]
+
+
+def test_geometric_power_check_fails_a_power_two_percent_off(monkeypatch):
+    # power at the default draw count: a geometric power 2% off is 7-18
+    # standard errors out, where the old 2% gate passed three of the laws
+    geometric_power = validate.geometric_power
+    monkeypatch.setattr(validate, "geometric_power",
+                        lambda params: 1.02 * geometric_power(params))
+    results = validate.check_geometric_power_mc(10 ** 6, montecarlo.stream_seed(0, 2))
+    assert len(results) == 4
+    assert not any(r.passed for r in results), [r.detail for r in results]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ks_check_fails_a_cdf_at_a_perturbed_beta(monkeypatch, seed):
+    # power at the default sample count: each law's noise against the CDF
+    # table of a skew 0.02 away fails the 1e-3 gate
+    make = validate.make_std_cdf_vectorized
+    monkeypatch.setattr(validate, "make_std_cdf_vectorized",
+                        lambda beta: make(beta - 0.02 if beta == 1.0 else beta + 0.02))
+    results = validate.check_sampling_ks(100_000, seed)
+    assert len(results) == 4
+    assert not any(r.passed for r in results), [r.detail for r in results]

@@ -3,6 +3,11 @@ difference a1/Z1^2 - a2/Z2^2 the transmission draws (_noise) and other alphas
 by Chambers-Mallows-Stuck, and simulated transmissions whose errors are
 counted against the analytic BER.
 
+Sampling draws _BLOCK variates at a time from one default_rng(seed)
+(_standard_blocks), so a block's temporaries bound its memory whatever n is.
+Up to _BLOCK variates, and at any n for the one-delay laws (alpha = 1/2,
+beta = +-1), that is the stream of one draw of n.
+
 This is the one module that imports numpy; the analytic commands never load
 it.  The transmission works in the detector's standardized coordinates u =
 y/c: it draws the standardized noise N and counts errors of U = s + N
@@ -26,6 +31,13 @@ from .systems import (MC_MIN_BITS, BinaryScheme, DetectorState, ml_threshold,
                       system_c_component_scales)
 
 
+#: bits per Monte Carlo draw: memory is bounded by it, whatever the bit count
+MC_CHUNK = 2 ** 20
+# variates sampled, or bits of a chunk counted, at a time: a block's draws and
+# temporaries stay small
+_BLOCK = 2 ** 16
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -36,8 +48,8 @@ def _standard_sample(alpha: float, beta: float, n: int,
         # the Monte Carlo's own noise: the Levy difference a1/Z1^2 - a2/Z2^2,
         # one Z per delay of nonzero scale
         scales = system_c_component_scales(1.0, beta)
-        return _noise(scales, [np.square(rng.standard_normal(n))
-                               for a in scales if a])
+        return _noise(scales, [np.multiply(z, z, out=z) for a in scales if a
+                               for z in [rng.standard_normal(n)]])
     # Chambers-Mallows-Stuck transform: at alpha = 1 (beta = 0 by
     # construction) it is tan(u), at alpha = 2 it is N(0, 2)
     u = (rng.random(n) - 0.5) * math.pi
@@ -53,16 +65,30 @@ def _standard_sample(alpha: float, beta: float, n: int,
     )
 
 
+def _standard_blocks(alpha: float, beta: float, n: int, seed):
+    # n standardized variates from one default_rng(seed), _BLOCK at a time
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, _BLOCK):
+        yield _standard_sample(alpha, beta, min(_BLOCK, n - start), rng)
+
+
 def sample(params: StableParams, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. variates; deterministic for a given seed."""
+    """Draw n i.i.d. variates; deterministic for a given seed.
+
+    They are mu + c*Z, the standardized variates Z drawn 2^16 at a time
+    from one default_rng(seed), so memory is the output and one block.  Up
+    to 2^16 variates, and at any n for alpha = 1/2 with beta = +-1, that is
+    the stream of one draw of n; other laws draw another stream above it.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.empty(0)
-    rng = np.random.default_rng(seed)
+    out = np.empty(n)
     # mu + c*Z is valid in this parameterization for every supported
     # (alpha, beta): the alpha = 1 shift correction vanishes at beta = 0
-    return params.mu + params.c * _standard_sample(params.alpha, params.beta, n, rng)
+    for k, z in enumerate(_standard_blocks(params.alpha, params.beta, n, seed)):
+        part = out[k * _BLOCK:k * _BLOCK + len(z)]
+        np.add(params.mu, np.multiply(params.c, z, out=part), out=part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +144,6 @@ def simulate_transmission(scheme: BinaryScheme, n_bits: int,
     s = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
     return (np.where(low, *scheme.symbols),
             scheme.noise.c * _observe(scheme, s, _noise(scales, squares)))
-
-
-#: bits per Monte Carlo draw: memory is bounded by it, whatever the bit count
-MC_CHUNK = 2 ** 20
-# bits of a chunk counted at a time: a block's draws and temporaries stay small
-_BLOCK = 2 ** 16
 
 
 def stream_seed(master_seed: int, stream: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from mtchan import stable
-from mtchan.montecarlo import _noise, sample
+from mtchan.montecarlo import _BLOCK, _noise, _standard_sample, sample
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _cdf_numeric, _int_laplace, _int_taylor,
@@ -315,6 +315,21 @@ def test_alpha_half_sample_is_the_monte_carlo_noise(beta):
     if abs(beta) == 1.0:
         z = np.random.default_rng(seed).standard_normal(n)
         np.testing.assert_array_equal(xs, 2.0 + 3.0 * (beta / (z * z)))
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (0.5, 1.0), (0.5, -1.0), (0.5, 0.0), (0.5, 0.5), (0.5, -0.5), (1.0, 0.0),
+    (2.0, 0.0), (0.7, -0.3)])
+def test_sample_up_to_a_block_is_one_draw(alpha, beta):
+    # sample draws _BLOCK variates at a time: up to one block, and at any n
+    # for the one-delay laws (one squared normal per variate, in the same
+    # order a block at a time as at once), that is the stream of
+    # _standard_sample's one draw of n
+    one_delay = alpha == 0.5 and abs(beta) == 1.0
+    for n in (1, 1000, _BLOCK) + ((3 * _BLOCK + 5,) if one_delay else ()):
+        xs = sample(StableParams(2.0, 3.0, alpha, beta), n, 17)
+        z = _standard_sample(alpha, beta, n, np.random.default_rng(17))
+        np.testing.assert_array_equal(xs, 2.0 + 3.0 * z)
 
 
 @pytest.mark.parametrize("alpha,beta,n", [

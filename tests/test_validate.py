@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,39 @@ def test_log_abs_variance_matches_the_sample_variance(alpha, beta, variance):
     assert v == pytest.approx(variance, abs=1e-3)
     xs = montecarlo.sample(stable.StableParams(0.0, 1.0, alpha, beta), 4_000_000, 3)
     assert np.var(np.log(np.abs(xs))) == pytest.approx(v, rel=0.01)
+
+
+@pytest.mark.parametrize("alpha,beta", validate.GEOMETRIC_POWER_LAWS)
+def test_geometric_power_oracle_reads_the_sample_draws(alpha, beta):
+    # over several blocks, the last one short, the check's log-mean is that
+    # of sample's draws, summed a block at a time
+    n, seed = 3 * montecarlo._BLOCK + 5, 5
+    xs = montecarlo.sample(stable.StableParams(0.0, 1.0, alpha, beta), n, seed)
+    log_mean = float(np.mean(np.log(np.abs(xs))))
+    assert validate._mean_log_abs(alpha, beta, n, seed) == pytest.approx(
+        log_mean, rel=1e-14, abs=0.0)
+    [result] = validate._geometric_power_law(alpha, beta, n, seed)
+    assert f"mc={math.exp(log_mean):.6f} " in result.detail
+
+
+def _peak_mib(call) -> float:
+    # numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("alpha,beta", validate.GEOMETRIC_POWER_LAWS)
+def test_sampling_memory_is_bounded_by_the_block(alpha, beta):
+    # at 10^6 draws the oracle holds one block's draws and temporaries, and
+    # sample its 7.6 MiB output besides
+    n = 10 ** 6
+    assert _peak_mib(lambda: validate._geometric_power_law(alpha, beta, n, 0)) <= 8.0
+    params = stable.StableParams(0.0, 1.0, alpha, beta)
+    assert _peak_mib(lambda: montecarlo.sample(params, n, 0)) <= 12.0
 
 
 @pytest.mark.parametrize("n", [10_000, 20_000])

@@ -334,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # mtchan makes no BLAS call, yet OpenBLAS starts a spinning helper thread
+    # per further CPU when numpy loads.  numpy loads after this (in
+    # _monte_carlo and cmd_validate) and pool workers inherit the setting;
+    # a user's own value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,12 +10,12 @@ beta = +-1), that is the stream of one draw of n.
 
 This is the one module that imports numpy; the analytic commands never load
 it.  The transmission works in the detector's standardized coordinates u =
-y/c: it draws the standardized noise N and counts errors of U = s + N
-(|s + N| for B), the observation whose law systems._law gives.  It draws in
-chunks of MC_CHUNK bits, chunk k from the generator PCG64(seed).jumped(k),
-and one chunk's draw serves every point counted on it, of any system and
-skew: a point's count depends on the seed and the bit count alone
-(chunk_errors).
+y/c: it draws the standardized noise N and counts the decisions on U = s + N
+(|s + N| for B), the observation whose law systems._law gives, as bounds
+on N.  It draws in chunks of MC_CHUNK bits, chunk k from the generator
+PCG64(seed).jumped(k), and one chunk's draw serves every point counted on
+it, of any system and skew: a point's count depends on the seed and the bit
+count alone (chunk_errors).
 """
 
 from __future__ import annotations
@@ -122,11 +122,13 @@ def _noise(scales: tuple[float, float], squares: list[np.ndarray]) -> np.ndarray
     return noise
 
 
-def _observe(scheme: BinaryScheme, s, noise: np.ndarray) -> np.ndarray:
-    # the observations in u = y/c: U = s + N for the standardized symbol(s)
-    # s, or |s + N| for B, the variable whose law _law gives
-    u = np.add(s, noise)
-    return np.abs(u, out=u) if scheme.system is System.B else u
+def _decided_low(noise: np.ndarray, bounds: tuple[float | None, float]) -> int:
+    # the draws decided low, counted on the noise N itself: U = s + N <= u is
+    # N <= u - s, and B's |s + N| <= u is -u - s <= N <= u - s; bounds is
+    # (-u - s or None, u - s)
+    lo, hi = bounds
+    n = int(np.count_nonzero(noise <= hi))
+    return n if lo is None else n - int(np.count_nonzero(noise < lo))
 
 
 def simulate_transmission(scheme: BinaryScheme, n_bits: int,
@@ -142,8 +144,11 @@ def simulate_transmission(scheme: BinaryScheme, n_bits: int,
     low, squares = next(_draw(np.random.default_rng(seed), n_bits, all(scales),
                               n_bits))
     s = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
-    return (np.where(low, *scheme.symbols),
-            scheme.noise.c * _observe(scheme, s, _noise(scales, squares)))
+    # y = c*U, U = s + N or |s + N| for B, the variable whose law _law gives
+    u = np.add(s, _noise(scales, squares))
+    if scheme.system is System.B:
+        np.abs(u, out=u)
+    return np.where(low, *scheme.symbols), scheme.noise.c * u
 
 
 def stream_seed(master_seed: int, stream: int) -> int:
@@ -159,31 +164,38 @@ def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
     The chunk has its own generator, PCG64(seed).jumped(k): it draws the
     bits, then Z1, then Z2 if some point has two delays, so a point's count
     depends on seed, k and n alone, whatever the other points.  Points of one
-    noise law share N; each counts U = s + N (|s + N| for B) against its
-    threshold over c, in the coordinates of ber_analytic.
+    noise law share the standardized noise N.  Each point decides a bit on N
+    itself, in the coordinates of ber_analytic: low where N <= u - s (A, C)
+    or -u - s <= N <= u - s (B), u its threshold over c and s the sent
+    symbol over c.  The count is thus the detector's decision on the exact
+    y = c*(s + N), up to one rounding of each bound, where
+    simulate_transmission returns y rounded: once ulp(delta/c) is no longer
+    small against N (A at 300 dB), deciding on that y is wrong.
     """
     scales = [system_c_component_scales(1.0, s.noise.beta) for s in schemes]
     rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
     laws: dict[tuple[float, float], list[int]] = {}
     for i, a in enumerate(scales):
         laws.setdefault(a, []).append(i)
-    points = [(scheme, *input_symbols(scheme.system, scheme.delta / scheme.noise.c),
-               state.threshold / scheme.noise.c)
-              for scheme, state in zip(schemes, states)]
+    # (low-sent, high-sent) bounds on N of a low decision, per point
+    bounds = []
+    for scheme, state in zip(schemes, states):
+        u = state.threshold / scheme.noise.c
+        bounds.append([(-u - s if scheme.system is System.B else None, u - s)
+                       for s in input_symbols(scheme.system,
+                                              scheme.delta / scheme.noise.c)])
     errors = [0] * len(schemes)
     for sent_low, squares in _draw(rng, n, any(all(a) for a in scales), _BLOCK):
-        # an error decides high (U > u) where low was sent, or low (U <= u)
-        # where high was sent
+        # an error decides high where low was sent, or low where high was sent
         n_low = int(np.count_nonzero(sent_low))
         halves = [[square.compress(side) for square in squares]
                   for side in (sent_low, ~sent_low)]
         for a, members in laws.items():
             noise_low, noise_high = (_noise(a, half) for half in halves)
             for i in members:
-                scheme, s_low, s_high, u = points[i]
-                kept = np.count_nonzero(_observe(scheme, s_low, noise_low) <= u)
-                flipped = np.count_nonzero(_observe(scheme, s_high, noise_high) <= u)
-                errors[i] += n_low - int(kept) + int(flipped)
+                kept, flipped = (_decided_low(noise, b) for noise, b
+                                 in zip((noise_low, noise_high), bounds[i]))
+                errors[i] += n_low - kept + flipped
     return errors
 
 

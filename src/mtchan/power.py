@@ -101,7 +101,8 @@ def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> fl
 def physics_to_channel(system: System, d: float, *D: float) -> StableParams:
     """Map distance d and diffusion coefficient(s) to the additive stable
     noise law: A and B take one coefficient D, C one per particle type
-    (D_a, D_b)."""
+    (D_a, D_b).  Each delay is a first passage, Levy with scale d^2/(2D);
+    C's noise is T_b - T_a, so beta > 0 when D_a > D_b (T_a is shorter)."""
     n = 2 if system is System.C else 1
     if len(D) != n:
         raise ValueError(f"system {system.value} takes {n} diffusion "

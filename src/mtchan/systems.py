@@ -164,6 +164,9 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     gap those signs at both ends; Brent then runs on it, and the threshold
     is wherever the noise changes sign (-0.96c for beta = 0.95 at -332 dB).
     Either way the BER is 1/2 to within 2e-15.  A NaN gap raises ValueError.
+    For one-sided noise, y = u*c can round across the support edge (from
+    ~390 dB); the threshold is clipped to that edge's symbol, the bound the
+    ML rule guarantees.
     """
     c = scheme.noise.c
     d = scheme.delta / c
@@ -177,7 +180,13 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
         else:
             u = min(max(sum(input_symbols(scheme.system, d)) / 2.0, lo), hi)
     low, high = scheme.symbols
-    return DetectorState(threshold=u * c, low_symbol=low, high_symbol=high)
+    threshold = u * c
+    # one-sided noise: no further in than the support edge's symbol
+    if scheme.noise.beta == 1.0:
+        threshold = max(threshold, high)
+    elif scheme.noise.beta == -1.0:
+        threshold = min(threshold, low)
+    return DetectorState(threshold=threshold, low_symbol=low, high_symbol=high)
 
 
 def detect(state: DetectorState, y: float) -> float:

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import pytest
 
@@ -578,6 +580,43 @@ def test_validate_loads_no_scipy(tmp_path):
     for workers in ("1", "2"):
         assert _python(code, *argv, workers, path=tmp_path).splitlines() == \
             ["[]", "True []"]
+
+
+def test_main_runs_blas_on_one_thread_unless_told_otherwise(capsys, monkeypatch):
+    # mtchan makes no BLAS call, so numpy's OpenBLAS gets one thread; a
+    # user's own value wins
+    argv = ["sweep", "--systems", "A", "--gsnr-db", "0", "--points", "1"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert run(argv, capsys)[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run(argv, capsys)[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the threads in /proc/self/task")
+def test_monte_carlo_sweep_runs_on_one_thread(monkeypatch):
+    # with the variable unset, importing numpy starts an OpenBLAS helper
+    # thread per further CPU, each spinning for CPU time no command uses
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = ("import contextlib, io, os, sys, mtchan.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert mtchan.cli.main(['sweep', '--points', '2', '--mc-samples',"
+            " '10000', '--workers', '1']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))\n")
+    assert _python(code) == "1\n"
+
+
+def test_sweep_monte_carlo_at_400_db_counts_no_errors(capsys):
+    # d = delta/c ~ 7e20: s + N rounds to s, so deciding on the rounded
+    # observation read ber_mc 0.5 and 0.4991 where the BER is 1.5e-11
+    code, out, _ = run(["sweep", "--systems", "A,C", "--betas", "1", "--gsnr-db",
+                        "400", "--points", "1", "--mc-samples", "10000"], capsys)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 2
+    assert [row[HEADER.split(",").index("ber_mc")] for row in rows] == ["0.0"] * 2
 
 
 def test_validate_output_independent_of_worker_count(capsys):

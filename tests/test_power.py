@@ -8,7 +8,8 @@ import mtchan
 from mtchan.power import (GSNR_MAX, System, g_snr,
                           geometric_power, geometric_power_alpha_half,
                           physics_to_channel, scale_for_gsnr, system_gsnr)
-from mtchan.stable import G_GAMMA, StableParams
+from mtchan.stable import G_GAMMA, StableParams, cdf
+from mtchan.systems import system_c_component_scales
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,36 @@ def test_system_b_quarter_gsnr_at_equal_physics():
 def test_physics_system_a():
     p = physics_to_channel(System.A, 4.0, 2.0)
     assert p == StableParams(0.0, 4.0, 0.5, 1.0)
+
+
+def test_physics_system_a_is_the_first_passage_law():
+    # reflection principle: a particle released at distance d, diffusing
+    # with coefficient D, first reaches the receiver by time t with
+    # probability erfc(d / sqrt(4 D t))
+    for d in (0.5, 1.0, 7.0):
+        for D in (0.1, 1.0, 30.0):
+            p = physics_to_channel(System.A, d, D)
+            for k in (0.003, 0.01, 0.1, 1.0, 10.0, 1e4):
+                t = k * d * d / D
+                assert cdf(p, t) == pytest.approx(
+                    math.erfc(d / math.sqrt(4.0 * D * t)), rel=1e-13)
+
+
+def test_physics_system_c_is_the_difference_of_two_first_passages():
+    # C's noise is T_b - T_a, each delay the first-passage law of scale
+    # d^2 / (2 D): Levy scales add in square root, and the skew is the
+    # positive delay's share, so beta > 0 where D_a > D_b
+    for d in (0.5, 2.0):
+        for d_a, d_b in [(1.0, 1.0), (4.0, 1.0), (1.0, 9.0), (0.3, 250.0)]:
+            root_a, root_b = (math.sqrt(d * d / (2.0 * D)) for D in (d_a, d_b))
+            p = physics_to_channel(System.C, d, d_a, d_b)
+            assert math.sqrt(p.c) == pytest.approx(root_a + root_b, rel=1e-14)
+            assert p.beta == pytest.approx(
+                (root_b - root_a) / (root_b + root_a), abs=1e-14)
+            assert (p.beta > 0.0) == (d_a > d_b)
+            # the positively signed delay of system_c_component_scales is T_b
+            assert system_c_component_scales(p.c, p.beta) == pytest.approx(
+                (root_b ** 2, root_a ** 2), rel=1e-13)
 
 
 def test_physics_system_b_is_four_times_a():

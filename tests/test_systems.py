@@ -125,6 +125,17 @@ def test_threshold_bracket_system_a():
         assert delta < th <= delta + c / 3.0 + 1e-9
 
 
+@pytest.mark.parametrize("db", (390.0, 3000.0))
+@pytest.mark.parametrize("system,beta", [("A", 1.0), ("C", 1.0), ("C", -1.0)])
+def test_one_sided_threshold_stays_past_the_support_edge(system, beta, db):
+    # the ML threshold of one-sided noise is the edge's symbol plus ~0.01c,
+    # which at these G-SNRs is far below ulp(delta): u*c rounded to
+    # 0.9999999999999999 < delta at 390 dB
+    s = scheme_for_gsnr(System(system), 1.0, 10.0 ** (db / 10.0), beta)
+    low, high = s.symbols
+    assert ml_threshold(s).threshold == (high if beta == 1.0 else low)
+
+
 def test_threshold_bracket_system_b():
     for delta, c in [(1.0, 1.0), (2.0, 0.3), (0.2, 5.0)]:
         th = ml_threshold(make("B", delta=delta, c=c)).threshold
@@ -371,6 +382,18 @@ def test_ber_monte_carlo_matches_the_reference_decisions(system, beta):
     p, stderr = ber_monte_carlo(s, 30_000, 11, state)
     assert (p, stderr) == (p_ref, math.sqrt(p_ref * (1.0 - p_ref) / 30_000))
     assert type(p) is float and type(stderr) is float
+
+
+@pytest.mark.parametrize("system,beta", [("A", 1.0), ("C", 1.0), ("C", 0.5),
+                                         ("B", 0.0)])
+def test_monte_carlo_decides_on_the_noise_at_high_gsnr(system, beta):
+    # at 300 dB d = delta/c > 2^52, so ulp(d) >= 1 and s + N rounds onto
+    # the threshold's float wherever N is below it: decided on the rounded
+    # observation, A counted 7,855 errors of 10^5 and C(1) 2,318.  The BER
+    # is 5e-9 to 1.2e-8, so 0 errors is all but certain
+    s = scheme_for_gsnr(System(system), 1.0, 1e30, beta)
+    assert ber_analytic(s) < 2e-8
+    assert ber_monte_carlo(s, 100_000, 1) == (0.0, 0.0)
 
 
 CURVES = [("A", 1.0), ("B", 0.0), ("C", 0.5), ("C", -1.0), ("C", 1.0)]

@@ -29,14 +29,12 @@ __all__ = [
     "physics_to_channel", "scale_for_gsnr", "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
     "ber_monte_carlo", "ber_monte_carlo_curve", "cond_pdf", "detect", "llr",
-    "ml_threshold", "scheme_for_gsnr", "simulate_transmission",
-    "system_c_component_scales",
+    "ml_threshold", "scheme_for_gsnr", "system_c_component_scales",
 ]
 
 #: the names resolved from montecarlo on first use, so that importing the
 #: package loads no numpy (PEP 562)
-_MONTE_CARLO = ("sample", "simulate_transmission", "ber_monte_carlo",
-                "ber_monte_carlo_curve")
+_MONTE_CARLO = ("sample", "ber_monte_carlo", "ber_monte_carlo_curve")
 
 
 def __getattr__(name: str):

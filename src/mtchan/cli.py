@@ -14,7 +14,6 @@ um^2/s; the library itself is unit-agnostic.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -73,6 +72,7 @@ def _run_tasks(tasks: list, workers: int) -> list:
     """Task results in task order: run here at one worker, else on a pool."""
     if workers <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
+    import concurrent.futures  # here, so that runs without a pool skip it and logging
     with concurrent.futures.ProcessPoolExecutor(min(workers, len(tasks))) as pool:
         return [f.result() for f in [pool.submit(task) for task in tasks]]
 

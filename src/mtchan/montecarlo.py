@@ -1,7 +1,7 @@
 """The Monte Carlo oracle: sampling stable laws, alpha = 1/2 as the Levy
-difference a1/Z1^2 - a2/Z2^2 the transmission draws (_noise) and other alphas
-by Chambers-Mallows-Stuck, and simulated transmissions whose errors are
-counted against the analytic BER.
+difference a1/Z1^2 - a2/Z2^2 the error counts draw (_noise) and other alphas
+by Chambers-Mallows-Stuck, and simulated bits whose errors are counted
+against the analytic BER.
 
 Sampling draws _BLOCK variates at a time from one default_rng(seed)
 (_standard_blocks), so a block's temporaries bound its memory whatever n is.
@@ -9,10 +9,10 @@ Up to _BLOCK variates, and at any n for the one-delay laws (alpha = 1/2,
 beta = +-1), that is the stream of one draw of n.
 
 This is the one module that imports numpy; the analytic commands never load
-it.  The transmission works in the detector's standardized coordinates u =
-y/c: it draws the standardized noise N and counts the decisions on U = s + N
+it.  The error counts work in the detector's standardized coordinates u =
+y/c: they draw the standardized noise N and count the decisions on U = s + N
 (|s + N| for B), the observation whose law systems._law gives, as bounds
-on N.  It draws in chunks of MC_CHUNK bits, chunk k from the generator
+on N.  They draw in chunks of MC_CHUNK bits, chunk k from the generator
 PCG64(seed).jumped(k), and one chunk's draw serves every point counted on
 it, of any system and skew: a point's count depends on the seed and the bit
 count alone (chunk_errors).
@@ -92,11 +92,11 @@ def sample(params: StableParams, n: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# transmission
+# error counting
 # ---------------------------------------------------------------------------
 
-def _draw(rng: np.random.Generator, n: int, two: bool, block: int):
-    # the draws of n bits, a block at a time: (low, squares), the mask of the
+def _draw(rng: np.random.Generator, n: int, two: bool):
+    # the draws of n bits, _BLOCK at a time: (low, squares), the mask of the
     # bits that sent the low symbol and [Z1^2] or, if two, [Z1^2, Z2^2].  The
     # bits, then Z1, then Z2 come in this fixed order, so the bits and Z1 are
     # the same whether or not Z2 is drawn.  Drawn a block at a time, Z2 is
@@ -104,12 +104,12 @@ def _draw(rng: np.random.Generator, n: int, two: bool, block: int):
     low = rng.integers(0, 2, n) == 0
     z1 = rng.standard_normal(n)
     np.multiply(z1, z1, out=z1)
-    for start in range(0, n, block):
-        squares = [z1[start:start + block]]
+    for start in range(0, n, _BLOCK):
+        squares = [z1[start:start + _BLOCK]]
         if two:
             z = rng.standard_normal(len(squares[0]))
             squares.append(np.multiply(z, z, out=z))
-        yield low[start:start + block], squares
+        yield low[start:start + _BLOCK], squares
 
 
 def _noise(scales: tuple[float, float], squares: list[np.ndarray]) -> np.ndarray:
@@ -131,26 +131,6 @@ def _decided_low(noise: np.ndarray, bounds: tuple[float | None, float]) -> int:
     return n if lo is None else n - int(np.count_nonzero(noise < lo))
 
 
-def simulate_transmission(scheme: BinaryScheme, n_bits: int,
-                          seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw equiprobable symbols and push them through the physical channel.
-
-    Returns (sent symbols, observations y = c*U); deterministic for a given
-    seed.  Up to MC_CHUNK bits, these are the draws ber_monte_carlo counts.
-    """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    scales = system_c_component_scales(1.0, scheme.noise.beta)
-    low, squares = next(_draw(np.random.default_rng(seed), n_bits, all(scales),
-                              n_bits))
-    s = np.where(low, *input_symbols(scheme.system, scheme.delta / scheme.noise.c))
-    # y = c*U, U = s + N or |s + N| for B, the variable whose law _law gives
-    u = np.add(s, _noise(scales, squares))
-    if scheme.system is System.B:
-        np.abs(u, out=u)
-    return np.where(low, *scheme.symbols), scheme.noise.c * u
-
-
 def stream_seed(master_seed: int, stream: int) -> int:
     """An independent seed mixed from (master seed, stream number)."""
     return int(np.random.SeedSequence((master_seed, stream)).generate_state(1)[0])
@@ -168,9 +148,7 @@ def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
     itself, in the coordinates of ber_analytic: low where N <= u - s (A, C)
     or -u - s <= N <= u - s (B), u its threshold over c and s the sent
     symbol over c.  The count is thus the detector's decision on the exact
-    y = c*(s + N), up to one rounding of each bound, where
-    simulate_transmission returns y rounded: once ulp(delta/c) is no longer
-    small against N (A at 300 dB), deciding on that y is wrong.
+    y = c*(s + N), up to one rounding of each bound, at any G-SNR.
     """
     scales = [system_c_component_scales(1.0, s.noise.beta) for s in schemes]
     rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
@@ -185,7 +163,7 @@ def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
                        for s in input_symbols(scheme.system,
                                               scheme.delta / scheme.noise.c)])
     errors = [0] * len(schemes)
-    for sent_low, squares in _draw(rng, n, any(all(a) for a in scales), _BLOCK):
+    for sent_low, squares in _draw(rng, n, any(all(a) for a in scales)):
         # an error decides high where low was sent, or low where high was sent
         n_low = int(np.count_nonzero(sent_low))
         halves = [[square.compress(side) for square in squares]

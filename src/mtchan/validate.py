@@ -1,6 +1,6 @@
 """Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
-vs numerical inversion, the noise of simulated transmissions vs the alpha =
-1/2 CDF by Kolmogorov-Smirnov, and within Z_GATE standard errors geometric
+vs numerical inversion, the sampled alpha = 1/2 noise the Monte Carlo counts
+vs its CDF by Kolmogorov-Smirnov, and within Z_GATE standard errors geometric
 power vs a Monte Carlo log-moment oracle (on the closed-form Var log|X|) and
 analytic BER vs one simulated draw per (system, beta) curve.
 
@@ -8,9 +8,10 @@ Each check returns a CheckResult; the CLI `validate` command prints one
 line per check and the test suite asserts on the same objects.  A
 statistical group is one case per law, law i on stream_seed(group seed, i),
 and group g (1 KS, 2 geometric power, 3 BER) on stream_seed(suite seed, g).
-The geometric-power oracle reads the draws of montecarlo.sample at mu = 0,
-c = 1, a block of 2^16 at a time, so its memory does not grow with n; the
-KS check sorts its whole sample.
+The KS and geometric-power checks read the draws of montecarlo.sample at
+mu = 0, c = 1, drawn a block of 2^16 at a time: the geometric-power oracle
+sums each block, so its memory does not grow with n, and the KS check sorts
+the whole sample in place.
 Neither importing this module nor running its checks loads any part of scipy.
 """
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .montecarlo import (_standard_blocks, ber_monte_carlo_curve,
-                         simulate_transmission, stream_seed)
+from .montecarlo import (_standard_blocks, ber_monte_carlo_curve, sample,
+                         stream_seed)
 from .power import System, geometric_power
 from .stable import (StableParams, StandardStable, _cdf_numeric, _levy_std_cdf,
                      _levy_std_pdf, _pdf_numeric, std_cdf, std_pdf,
@@ -62,7 +63,7 @@ def make_std_cdf_vectorized(beta: float):
         hi, lo = x > 1e4, x < -1e4
         out[hi] = 1.0 - c_tail * (1.0 + beta) * x[hi] ** -0.5
         out[lo] = c_tail * (1.0 - beta) * np.abs(x[lo]) ** -0.5
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return cdf_vec
 
@@ -70,11 +71,15 @@ def make_std_cdf_vectorized(beta: float):
 def _ks_test(samples: np.ndarray, cdf_callable) -> tuple[float, float]:
     """Exact one-sample Kolmogorov-Smirnov D and its p-value: Kolmogorov's
     limit law Q(lam) = 2 sum_j (-1)^(j-1) exp(-2 j^2 lam^2) at Stephens'
-    (1970) lam = (sqrt(n) + 0.12 + 0.11/sqrt(n)) D."""
-    f = cdf_callable(np.sort(samples))
-    n = len(f)
-    i = np.arange(1.0, n + 1.0)
-    d = float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+    (1970) lam = (sqrt(n) + 0.12 + 0.11/sqrt(n)) D.  Sorts samples in place."""
+    samples.sort()
+    n = len(samples)
+    # g = F(x_(i)) - i/n, formed in place: D = max(i/n - F, F - (i - 1)/n)
+    # over i is max(-min g, max g + 1/n)
+    g = cdf_callable(samples)
+    steps = np.arange(1.0, n + 1.0)
+    g -= np.divide(steps, n, out=steps)
+    d = float(max(-np.min(g), np.max(g) + 1.0 / n))
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
     # below 0.2, Q > 1 - 1e-12 and the series converges slowly
     p = 1.0 if lam < 0.2 else min(1.0, 2.0 * sum(
@@ -113,8 +118,8 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     return results
 
 
-#: the KS check's noise laws, (system, beta); C at beta = 0 is B's noise law
-KS_LAWS = ((System.A, 1.0), (System.C, 0.0), (System.C, 0.25), (System.C, 0.75))
+#: the KS check's alpha = 1/2 noise betas: A's (1), B's (0) and two of C's
+KS_LAWS = (1.0, 0.0, 0.25, 0.75)
 #: the geometric-power check's laws, (alpha, beta)
 GEOMETRIC_POWER_LAWS = ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))
 #: the BER check's (system, beta) curves, each counted on one draw
@@ -129,21 +134,20 @@ def _cases(check, laws, n: int, seed: int) -> list[functools.partial]:
             for i, law in enumerate(laws)]
 
 
-def _ks_law(system: System, beta: float, n: int, seed: int) -> list[CheckResult]:
-    # the standardized noise y - sent of n bits sent at c = 1, drawn as the
-    # Monte Carlo draws it
-    scheme = systems.BinaryScheme(system, 1.0, StableParams(0.0, 1.0, 0.5, beta))
-    sent, y = simulate_transmission(scheme, n, seed)
-    d, p = _ks_test(y - sent, make_std_cdf_vectorized(beta))
-    return [CheckResult(
-        f"transmission noise vs std_cdf ({system.value}, beta={beta})",
-        p >= KS_SIGNIFICANCE, f"KS D={d:.5f} p={p:.5f}")]
+def _ks_law(beta: float, n: int, seed: int) -> list[CheckResult]:
+    # n draws of the standardized noise, the Levy difference the Monte Carlo
+    # counts its errors on
+    d, p = _ks_test(sample(StableParams(0.0, 1.0, 0.5, beta), n, seed),
+                    make_std_cdf_vectorized(beta))
+    return [CheckResult(f"sampled noise vs std_cdf (beta={beta})",
+                        p >= KS_SIGNIFICANCE, f"KS D={d:.5f} p={p:.5f}")]
 
 
 def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
-    """KS tests of the channel noise simulate_transmission draws, one per
-    KS_LAWS law, against the alpha = 1/2 CDF."""
-    return [r for case in _cases(_ks_law, KS_LAWS, n, seed) for r in case()]
+    """KS tests of the alpha = 1/2 noise sample draws, one per KS_LAWS beta,
+    against its CDF."""
+    # zip gives each beta as a one-element law
+    return [r for case in _cases(_ks_law, zip(KS_LAWS), n, seed) for r in case()]
 
 
 def _log_abs_variance(alpha: float, beta: float) -> float:
@@ -209,7 +213,8 @@ def suite(mc_samples: int, seed: int) -> list[functools.partial]:
     KS law, geometric-power law and BER curve, each on the seed run_all
     gives it, so that the calls can run in any process."""
     return ([functools.partial(check_levy_closed_vs_numeric)]
-            + _cases(_ks_law, KS_LAWS, _ks_samples(mc_samples), stream_seed(seed, 1))
+            + _cases(_ks_law, zip(KS_LAWS), _ks_samples(mc_samples),
+                     stream_seed(seed, 1))
             + _cases(_geometric_power_law, GEOMETRIC_POWER_LAWS, mc_samples,
                      stream_seed(seed, 2))
             + _cases(_ber_curve, BER_CASES, mc_samples, stream_seed(seed, 3)))

@@ -412,9 +412,11 @@ def test_lowest_normal_gsnr_runs(capsys):
 
 
 def test_analytic_grid_skips_the_pool(monkeypatch):
+    import concurrent.futures
+
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed")
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     points = [(System.C, b, 1.0, g) for b in (0.5, 0.9) for g in (1.0, 2.0)]
     assert [r.gsnr_db for r in cli._compute_grid(points, 0, 0, 4)] == (
         [0.0, 10.0 * math.log10(2.0)] * 2)
@@ -558,6 +560,19 @@ def test_import_cli_skips_validate_dependencies():
         "    print(loaded(), numpy())\n")
     assert _python(code).splitlines() == (
         ["[] False"] * (len(calls) + len(runs)) + ["[] True"])
+
+
+def test_analytic_sweep_loads_no_pool_machinery():
+    # concurrent.futures, and the logging it imports, load only where a pool
+    # runs: neither the import nor an analytic sweep loads them
+    code = ("import contextlib, io, sys, mtchan.cli\n"
+            "pool = lambda: [m for m in ('concurrent.futures', 'logging')"
+            " if m in sys.modules]\n"
+            "print(pool())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert mtchan.cli.main(['sweep', '--points', '3']) == 0\n"
+            "print(pool())\n")
+    assert _python(code).splitlines() == ["[]", "[]"]
 
 
 def test_validate_loads_no_scipy(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from mtchan import montecarlo, systems
 from mtchan.montecarlo import (MC_CHUNK, ber_monte_carlo, ber_monte_carlo_curve,
-                               simulate_transmission)
+                               sample)
 from mtchan.power import System, input_symbols
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
@@ -264,42 +264,26 @@ def test_ber_local_minimality():
 
 
 # ---------------------------------------------------------------------------
-# simulation
+# the channel law and the Monte Carlo
 # ---------------------------------------------------------------------------
-
-def test_simulate_shapes_and_determinism():
-    s = make("C", beta=0.5)
-    sent1, y1 = simulate_transmission(s, 500, 11)
-    sent2, y2 = simulate_transmission(s, 500, 11)
-    np.testing.assert_array_equal(sent1, sent2)
-    np.testing.assert_array_equal(y1, y2)
-    assert sent1.shape == y1.shape == (500,)
-    assert set(np.unique(sent1)) <= set(s.symbols)
-
-
-def test_simulate_supports():
-    _, y_a = simulate_transmission(make("A"), 5000, 1)
-    sent_a, _ = simulate_transmission(make("A"), 5000, 1)
-    assert np.all(y_a > sent_a)  # strictly positive delay
-    _, y_b = simulate_transmission(make("B"), 5000, 2)
-    assert np.all(y_b >= 0.0)  # folded output
-
 
 LAW_CASES = [("A", 1.0), ("B", 0.0), ("C", -1.0), ("C", 0.5), ("C", 1.0)]
 
 
 @pytest.mark.parametrize("system,beta", LAW_CASES)
 def test_law_matches_the_channel(system, beta):
-    # the analytic law of y given a symbol (B's fold included) is the law
-    # of the observations the channel simulation produces for it
+    # the analytic law of U = y/c given a standardized symbol s (B's fold
+    # included) is the law of s + N, |s + N| for B, on the sampled noise N
     scheme = scheme_for_gsnr(System(system), 1.0, 10.0, beta)
-    c = scheme.noise.c
-    sent, y = simulate_transmission(scheme, 20_000, 5)
-    for symbol in scheme.symbols:
-        cdf = lambda v: np.array([systems._law(scheme, symbol / c, x / c, "cdf")
-                                  for x in v])
-        _, p = _ks_test(y[sent == symbol], cdf)
-        assert p >= 1e-3, (symbol, p)
+    noise = sample(StableParams(0.0, 1.0, 0.5, scheme.noise.beta), 20_000, 5)
+    symbols = input_symbols(scheme.system, scheme.delta / scheme.noise.c)
+    for s, half in zip(symbols, (noise[:10_000], noise[10_000:])):
+        u = s + half
+        if scheme.system is System.B:
+            np.abs(u, out=u)
+        cdf = lambda v: np.array([systems._law(scheme, s, x, "cdf") for x in v])
+        _, p = _ks_test(u, cdf)
+        assert p >= 1e-3, (s, p)
 
 
 @pytest.mark.parametrize("system,beta", LAW_CASES)
@@ -333,55 +317,16 @@ def test_ber_monte_carlo_matches_analytic():
     assert stderr == pytest.approx(math.sqrt(mc * (1.0 - mc) / 200_000), rel=1e-12)
 
 
-def _ref_levy(rng, n, scale):
-    # reference sampler: scale / Z^2, and no draw at all for scale 0
-    if scale == 0.0:
-        return np.zeros(n)
-    z = rng.standard_normal(n)
-    return scale / (z * z)
-
-
 @pytest.mark.parametrize("system,beta,expected", [
     ("A", 1.0, (0.1182, 0.0022828574199892557)),
     ("B", 0.0, (0.2195, 0.002926770831479636)),
     ("C", 1.0, (0.1182, 0.0022828574199892557)),
 ])
 def test_monte_carlo_stream_unchanged(system, beta, expected):
-    # the observations stay bitwise c*(s + a1/Z1^2 - a2/Z2^2), |.| for B, on
-    # the reference sampler's draws at c = 1, and ber_mc stays as pinned; C at
-    # beta = 1 draws nothing for its scale-0 delay
+    # ber_mc stays as pinned on the draws of seed 7; C at beta = 1 draws
+    # nothing for its scale-0 delay, and so counts A's errors
     s = scheme_for_gsnr(System(system), 1.0, 3.0, beta)
-    sent, y = simulate_transmission(s, 20_000, 7)
-    rng = np.random.default_rng(7)
-    ref_sent = np.where(rng.integers(0, 2, 20_000) == 0, *s.symbols)
-    c = s.noise.c
-    if system == "A":
-        noise = _ref_levy(rng, 20_000, 1.0)
-    elif system == "B":
-        noise = _ref_levy(rng, 20_000, 0.25) - _ref_levy(rng, 20_000, 0.25)
-    else:
-        a_pos, a_neg = system_c_component_scales(1.0, beta)
-        noise = _ref_levy(rng, 20_000, a_pos) - _ref_levy(rng, 20_000, a_neg)
-    ref_u = ref_sent / c + noise
-    ref_y = c * (np.abs(ref_u) if system == "B" else ref_u)
-    np.testing.assert_array_equal(sent, ref_sent)
-    np.testing.assert_array_equal(y, ref_y)
     assert ber_monte_carlo(s, 20_000, 7) == expected
-
-
-@pytest.mark.parametrize("system,beta", [("A", 1.0), ("B", 0.0), ("C", 0.5),
-                                         ("C", -1.0)])
-def test_ber_monte_carlo_matches_the_reference_decisions(system, beta):
-    # the error count equals the reference's decided != sent, and both
-    # results are Python floats, whose repr the CSV prints
-    s = scheme_for_gsnr(System(system), 1.0, 3.0, beta)
-    state = ml_threshold(s)
-    sent, y = simulate_transmission(s, 30_000, 11)
-    decided = np.where(y <= state.threshold, state.low_symbol, state.high_symbol)
-    p_ref = float(np.mean(decided != sent))
-    p, stderr = ber_monte_carlo(s, 30_000, 11, state)
-    assert (p, stderr) == (p_ref, math.sqrt(p_ref * (1.0 - p_ref) / 30_000))
-    assert type(p) is float and type(stderr) is float
 
 
 @pytest.mark.parametrize("system,beta", [("A", 1.0), ("C", 1.0), ("C", 0.5),
@@ -457,8 +402,10 @@ def test_curve_counts_every_chunk(system, beta, monkeypatch):
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
     schemes, states = _curve(system, beta)
-    assert ber_monte_carlo_curve(schemes, states, 10_000, 9) == _ref_errors(
-        schemes, states, 10_000, 9, 4096)
+    results = ber_monte_carlo_curve(schemes, states, 10_000, 9)
+    assert results == _ref_errors(schemes, states, 10_000, 9, 4096)
+    # Python floats, whose repr the CSV prints
+    assert all(type(x) is float for point in results for x in point)
 
 
 def test_curve_runs_one_task_per_chunk(monkeypatch):
@@ -545,11 +492,6 @@ def test_curve_needs_a_state_per_scheme_and_enough_bits():
 def test_ber_monte_carlo_minimum_size():
     with pytest.raises(ValueError):
         ber_monte_carlo(make("A"), 9999, 0)
-
-
-def test_simulate_minimum_size():
-    with pytest.raises(ValueError):
-        simulate_transmission(make("A"), 0, 0)
 
 
 def test_ber_record_validation():

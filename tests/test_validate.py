@@ -109,20 +109,23 @@ def test_nearby_suite_seeds_share_no_case_seed():
         assert len(set().union(*seeds)) == sum(map(len, seeds)), seed
 
 
-def test_ks_case_tests_the_transmission_noise(monkeypatch):
-    # each KS law tests y - sent of the transmission the Monte Carlo draws,
-    # on the law's own seed, at c = 1
+def test_ks_case_tests_the_sampled_noise(monkeypatch):
+    # KS case i tests n draws of sample at alpha = 1/2 and the law's beta,
+    # mu = 0 and c = 1, on the law's own seed: the Levy difference the Monte
+    # Carlo counts its errors on
     drawn = []
 
-    def transmitted(scheme, n_bits, seed):
-        drawn.append((scheme.system, scheme.noise, seed))
-        return montecarlo.simulate_transmission(scheme, n_bits, seed)
+    def sampled(params, n, seed):
+        drawn.append((params, n, seed))
+        return montecarlo.sample(params, n, seed)
 
-    monkeypatch.setattr(validate, "simulate_transmission", transmitted)
+    monkeypatch.setattr(validate, "sample", sampled)
     results = validate.check_sampling_ks(10_000, seed=3)
-    assert drawn == [(system, stable.StableParams(0.0, 1.0, 0.5, beta),
+    assert drawn == [(stable.StableParams(0.0, 1.0, 0.5, beta), 10_000,
                       montecarlo.stream_seed(3, i))
-                     for i, (system, beta) in enumerate(validate.KS_LAWS)]
+                     for i, beta in enumerate(validate.KS_LAWS)]
+    assert [r.name for r in results] == [
+        f"sampled noise vs std_cdf (beta={beta})" for beta in validate.KS_LAWS]
     assert all(r.passed for r in results), [r.detail for r in results]
 
 
@@ -206,6 +209,15 @@ def test_sampling_memory_is_bounded_by_the_block(alpha, beta):
     assert _peak_mib(lambda: validate._geometric_power_law(alpha, beta, n, 0)) <= 8.0
     params = stable.StableParams(0.0, 1.0, alpha, beta)
     assert _peak_mib(lambda: montecarlo.sample(params, n, 0)) <= 12.0
+
+
+@pytest.mark.parametrize("beta", validate.KS_LAWS)
+def test_ks_memory_is_the_sample_and_two_arrays(beta):
+    # at 10^6 draws a KS case holds the sample, sorted in place, and at most
+    # two more arrays of its size (3 x 7.6 MiB): the CDF table's arcsinh and
+    # output, then F - i/n and i/n.  Drawing a transmission whole and forming
+    # the statistic out of place peaked at 53-54 MiB
+    assert _peak_mib(lambda: validate._ks_law(beta, 10 ** 6, 0)) <= 25.0
 
 
 @pytest.mark.parametrize("n", [10_000, 20_000])

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 EULER_GAMMA = 0.5772156649015329
@@ -83,32 +83,39 @@ def _check_shape(alpha: float, beta: float) -> None:
         raise ValueError("alpha = 1 with beta != 0 is not supported")
 
 
-@dataclass(frozen=True)
-class StandardStable:
+class StandardStable(namedtuple("StandardStable", "alpha beta")):
     """A stable law with mu = 0, c = 1; identified by (alpha, beta)."""
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_shape(self.alpha, self.beta)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class StableParams:
+class StableParams(namedtuple("StableParams", "mu c alpha beta",
+                              defaults=(0.0, 1.0, 0.5, 0.0))):
     """Full 4-parameter stable law: location mu, scale c, exponent alpha, skew beta."""
 
-    mu: float = 0.0
-    c: float = 1.0
-    alpha: float = 0.5
-    beta: float = 0.0
+    # no __slots__ = (): cached_property keeps standard in a __dict__
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not _HALF_TINY <= self.c < math.inf:
             raise ValueError(f"c must be a finite normal float > 0, got {self.c!r}")
         _check_shape(self.alpha, self.beta)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @cached_property  # the detector reads it at every density evaluation
     def standard(self) -> StandardStable:

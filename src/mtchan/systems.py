@@ -11,20 +11,18 @@ resolves here too, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .power import System, input_symbols, noise_beta, scale_for_gsnr
 from .stable import StableParams, StandardStable, _brent, std_cdf, std_pdf
 
-@dataclass(frozen=True)
-class BinaryScheme:
+class BinaryScheme(namedtuple("BinaryScheme", "system delta noise")):
     """One binary modulation instance: system, symbol separation, noise law."""
 
-    system: System
-    delta: float
-    noise: StableParams
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta <= 0.0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.noise.mu != 0.0 or self.noise.alpha != 0.5:
@@ -33,6 +31,11 @@ class BinaryScheme:
         if self.noise.beta != required:
             raise ValueError(
                 f"system {self.system.value} requires beta = {required}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def symbols(self) -> tuple[float, float]:
@@ -48,36 +51,32 @@ def scheme_for_gsnr(system: System, delta: float, gsnr: float,
                         StableParams(0.0, c, 0.5, noise_beta(system, beta)))
 
 
-@dataclass(frozen=True)
-class DetectorState:
+class DetectorState(namedtuple("DetectorState",
+                                "threshold low_symbol high_symbol")):
     """ML threshold plus decision convention: y <= threshold decides low_symbol."""
 
-    threshold: float
-    low_symbol: float
-    high_symbol: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BerRecord:
+class BerRecord(namedtuple(
+        "BerRecord", "gsnr_db system beta delta c threshold ber_analytic"
+        " ber_mc mc_stderr samples", defaults=(None, None, None))):
     """One experiment row for the BER tables/sweeps."""
 
-    gsnr_db: float
-    system: System
-    beta: float
-    delta: float
-    c: float
-    threshold: float
-    ber_analytic: float
-    ber_mc: float | None = None
-    mc_stderr: float | None = None
-    samples: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.ber_analytic <= 1.0):
             raise ValueError(f"ber out of range: {self.ber_analytic}")
         if (self.ber_mc is None) != (self.mc_stderr is None) or (
                 self.ber_mc is None) != (self.samples is None):
             raise ValueError("Monte Carlo fields must be present together")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _law(scheme: BinaryScheme, s: float, u: float, kind: str) -> float:

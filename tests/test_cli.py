@@ -564,10 +564,11 @@ def test_import_cli_skips_validate_dependencies():
 
 def test_analytic_sweep_loads_no_pool_machinery():
     # concurrent.futures, and the logging it imports, load only where a pool
-    # runs: neither the import nor an analytic sweep loads them
+    # runs; the records are named tuples, so dataclasses and the inspect it
+    # imports never load: neither the import nor an analytic sweep loads them
     code = ("import contextlib, io, sys, mtchan.cli\n"
-            "pool = lambda: [m for m in ('concurrent.futures', 'logging')"
-            " if m in sys.modules]\n"
+            "pool = lambda: [m for m in ('concurrent.futures', 'logging',"
+            " 'dataclasses', 'inspect') if m in sys.modules]\n"
             "print(pool())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert mtchan.cli.main(['sweep', '--points', '3']) == 0\n"

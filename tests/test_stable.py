@@ -186,6 +186,7 @@ def test_tail_coefficient_levy_consistency():
 def test_pdf_cdf_rescaling():
     params = StableParams(2.0, 3.0, 0.5, 0.5)
     s = params.standard
+    assert params.standard is s  # computed once, then cached
     for x in (-1.0, 2.0, 5.0, 20.0):
         assert pdf(params, x) == pytest.approx(
             std_pdf(s, (x - 2.0) / 3.0) / 3.0, abs=1e-14)
@@ -373,6 +374,11 @@ def test_invalid_scale_location():
         StableParams(math.inf, 1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         StableParams(0.0, math.nan, 0.5, 0.0)
+    # a copy with a field changed is checked as a new law is
+    with pytest.raises(ValueError, match="c must be"):
+        StableParams()._replace(c=-1.0)
+    with pytest.raises(ValueError, match="beta must be"):
+        SYM_HALF._replace(beta=1.5)
 
 
 def test_degenerate_scale_rejected_for_evaluation():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
                             _bracket, _brent, _density_gap, ber_analytic,
                             cond_pdf, detect, llr, ml_threshold,
                             scheme_for_gsnr, system_c_component_scales)
-from mtchan.validate import _ks_test
+from mtchan.validate import CheckResult, _ks_test
 
 
 def make(system: str, delta: float = 1.0, c: float = 1.0,
@@ -46,6 +47,64 @@ def test_scheme_validation():
         BinaryScheme(System.A, 1.0, StableParams(1.0, 1.0, 0.5, 1.0))  # mu
     with pytest.raises(ValueError):
         BinaryScheme(System.A, 1.0, StableParams(0.0, 0.0, 0.5, 1.0))  # c
+    with pytest.raises(ValueError, match="delta must be"):
+        make("A")._replace(delta=0.0)
+
+
+@pytest.mark.parametrize("record,field", [
+    (StandardStable(0.5, 0.0), "beta"),
+    (StableParams(), "c"),
+    (make("A"), "delta"),
+    (DetectorState(0.5, 0.0, 1.0), "threshold"),
+    (BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 0.5, 0.1), "ber_analytic"),
+    (CheckResult("check", True, ""), "passed"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_record_fields_are_read_only(record, field):
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) is value
+
+
+def test_records_are_named_tuples():
+    # equal to the tuple of their fields; _replace copies with one changed
+    law = StableParams()
+    assert repr(law) == "StableParams(mu=0.0, c=1.0, alpha=0.5, beta=0.0)"
+    assert law == (0.0, 1.0, 0.5, 0.0) and law[1] == law.c == 1.0
+    assert law._replace(beta=0.25) == StableParams(0.0, 1.0, 0.5, 0.25)
+    assert make("B")._replace(delta=2.0).symbols == (0.0, 2.0)
+
+
+def _cached(law):
+    law.standard  # pickled with the instance's cached standard law
+    return law
+
+
+@pytest.mark.parametrize("record", [
+    StableParams(0.0, 2.0, 0.5, 0.3), _cached(StableParams(1.0, 3.0, 0.7, -1.0)),
+    make("C", c=3.0, beta=-0.5), DetectorState(0.25, -1.0, 1.0),
+], ids=["law", "law-cached", "scheme", "state"])
+def test_pool_records_survive_pickling(record):
+    # a pool task carries schemes, their noise laws and detector states
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+    if isinstance(record, StableParams):
+        assert copy.standard == record.standard
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((StableParams, (0.0, -1.0, 0.5, 0.0)), "c must be"),
+    ((BinaryScheme, (System.A, 0.0, StableParams(0.0, 1.0, 0.5, 1.0))),
+     "delta must be"),
+    ((BinaryScheme, (System.A, 1.0, StableParams(0.0, 1.0, 0.5, 0.0))),
+     "requires beta"),
+])
+def test_unpickling_checks_the_fields(fields, message):
+    # tuple.__new__ builds the record around its checks; loading its
+    # pickle runs them
+    data = pickle.dumps(tuple.__new__(*fields))
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(data)
 
 
 def test_scheme_for_gsnr_forces_noise_beta():
@@ -499,6 +558,8 @@ def test_ber_record_validation():
         BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 1.0, ber_analytic=1.5)
     with pytest.raises(ValueError):
         BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 1.0, 0.1, ber_mc=0.1)
+    with pytest.raises(ValueError, match="present together"):
+        BerRecord(0.0, System.A, 1.0, 1.0, 1.0, 1.0, 0.1)._replace(samples=10)
 
 
 def test_threshold_high_gsnr_converges_to_tail_balance():

@@ -5,7 +5,8 @@ Modules:
   power       geometric power, G-SNR and the physics -> noise-parameter map
   systems     conditional densities, ML thresholds, analytic BER
   montecarlo  sampling and the Monte Carlo BER oracle, the one module on numpy
-  validate    dual-route cross checks (closed form vs numeric, KS, MC oracles)
+  validate    dual-route cross checks (closed form vs numeric, KS, quadrature,
+              MC oracles)
   plotting    dependency-free SVG figures
   cli         `mtchan` command-line front end
 """

@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the oracle/cross-check suite")
     _add_common(p)
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
+    p.add_argument("--mc-samples", type=int, default=1_000_000,
+                   help="bits per BER curve; the KS tests draw a tenth, at least 10^4")
     p.set_defaults(func=cmd_validate)
 
     return parser

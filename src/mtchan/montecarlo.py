@@ -100,8 +100,10 @@ def _draw(rng: np.random.Generator, n: int, two: bool):
     # bits that sent the low symbol and [Z1^2] or, if two, [Z1^2, Z2^2].  The
     # bits, then Z1, then Z2 come in this fixed order, so the bits and Z1 are
     # the same whether or not Z2 is drawn.  Drawn a block at a time, Z2 is
-    # the same stream as drawn at once, so only the mask and Z1 span all n
-    low = rng.integers(0, 2, n) == 0
+    # the same stream as drawn at once, so only the mask and Z1 span all n.
+    # Below 2^32 numpy draws int64 bits from the same buffered 32-bit words:
+    # int32 bits are the same bits in half the memory
+    low = rng.integers(0, 2, n, dtype=np.int32) == 0
     z1 = rng.standard_normal(n)
     np.multiply(z1, z1, out=z1)
     for start in range(0, n, _BLOCK):

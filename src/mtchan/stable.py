@@ -22,14 +22,15 @@ every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
     of |z|.
 
 Every other (alpha, beta) pair is handled by numerical inversion, which also
-serves as the oracle for the closed forms: Nolan's (1997) integral form, one
+serves as the oracle for the closed forms: Nolan's (1997) integral form, a
 finite, non-oscillatory integral over theta in (-theta0, pi/2) for each of
-the density and the mass beyond x, taken by the trapezoid rule in a variable
-that resolves either end of that range down to 1e-300 and falls double-
-exponentially away from the integrand's peak, found by a Brent solve.  Its
-target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
-power-law tails keep their digits; failure to reach it raises QuadratureError
-carrying the achieved relative error bound.
+the density and the mass beyond x, both taken in one pass by the trapezoid
+rule in a variable that resolves either end of that range down to 1e-300
+and falls double-exponentially away from the integrands' peak, found by one
+Brent solve.  Its target is a relative error of NUMERIC_TOL = 1e-10 of each
+value, so the power-law tails keep their digits; a value that misses it
+raises QuadratureError carrying the achieved relative error bound, and only
+where that value is asked for.
 
 This module and its evaluations load the standard library alone.
 """
@@ -363,27 +364,38 @@ _U_MAX = 700.0  # e^-|u| stays a normal float
 TRAPEZOID_HALVINGS = 14
 
 
-def _quad(f, reach: float) -> tuple[float, float]:
-    """(Int f over -reach..reach, its error bound) by the trapezoid rule.
+def _quad(f, reach: float) -> tuple[list[float], list[float]]:
+    """([Int f_i over -reach..reach], [their error bounds]) by the trapezoid
+    rule, f_i the components of the tuple f returns at each node.
 
-    Starts from 9 nodes and halves the step, adding the midpoints, until two
-    successive sums agree to NUMERIC_TOL of the value or TRAPEZOID_HALVINGS
-    halvings are spent; their difference is the bound.  On a double-
-    exponentially decaying integrand the sums converge geometrically
-    (Trefethen & Weideman 2014), so the finer one is far inside the bound.
-    w = 0 is a node at every level: a peak there narrower than the step
-    halves the sum at each halving until the step resolves it.
+    Starts from 9 nodes and halves the step, adding the midpoints.  Each
+    component stops, and is summed no further, once two of its successive
+    sums agree to NUMERIC_TOL of its value, or when TRAPEZOID_HALVINGS
+    halvings are spent; their difference is its bound.  A component is
+    summed with the same sum() over the same nodes as if it were integrated
+    alone.  On a double-exponentially decaying integrand the sums converge
+    geometrically (Trefethen & Weideman 2014), so the finer one is far
+    inside the bound.  w = 0 is a node at every level: a peak there narrower
+    than the step halves the sum at each halving until the step resolves it.
     """
     h = reach / 4.0
-    val = h * (0.5 * (f(-reach) + f(reach)) + sum(f(h * k) for k in range(-3, 4)))
+    ends = zip(f(-reach), f(reach))
+    inner = zip(*[f(h * k) for k in range(-3, 4)])
+    vals = [h * (0.5 * (a + b) + sum(mid)) for (a, b), mid in zip(ends, inner)]
+    errs = [math.inf] * len(vals)
+    live = range(len(vals))
     for level in range(TRAPEZOID_HALVINGS):
         h *= 0.5
         n = 8 << level  # the nodes are now h*j, |j| <= n; the new ones odd j
-        prev, val = val, 0.5 * val + h * sum(f(h * j) for j in range(1 - n, n, 2))
-        err = abs(val - prev)
-        if err <= NUMERIC_TOL * abs(val):
+        new = list(zip(*[f(h * j) for j in range(1 - n, n, 2)]))
+        for i in live:
+            prev = vals[i]
+            vals[i] = 0.5 * prev + h * sum(new[i])
+            errs[i] = abs(vals[i] - prev)
+        live = [i for i in live if not errs[i] <= NUMERIC_TOL * abs(vals[i])]
+        if not live:
             break
-    return val, err
+    return vals, errs
 
 
 #: iteration cap of the Brent solve (scipy.optimize.brentq's default)
@@ -452,10 +464,21 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
-def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
-    """f(x) if density, else the mass 1 - F(x) above x; x >= 0, alpha != 1."""
+def _bounded(kind: str, value: float, integral: float, err: float):
+    # value, or the QuadratureError that refuses it where the integral it
+    # came from missed NUMERIC_TOL
+    if err > NUMERIC_TOL * integral:
+        return QuadratureError(f"{kind} inversion did not converge",
+                               err / integral if integral else math.inf)
+    return value
+
+
+def _nolan(alpha: float, beta: float, x: float) -> tuple:
+    """(f(x), 1 - F(x)), the density and the mass above x, from one pass;
+    x >= 0, alpha != 1.  Each is a float, or the QuadratureError refusing it
+    where its integral missed NUMERIC_TOL."""
     if alpha < 1.0 and beta == -1.0:
-        return 0.0  # the support is x <= 0
+        return 0.0, 0.0  # the support is x <= 0
     t = -math.tan(math.pi * (1.0 - 0.5 * alpha))  # tan(pi*alpha/2), 0 at alpha = 2
     # width = pi/2 + theta0 of the range, and the angles lam = pi - width and
     # kappa = pi - alpha*width, each exactly 0 where the law has a light tail
@@ -468,10 +491,9 @@ def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
         width = (math.pi - kappa) / alpha
         lam = math.pi - width
     if x == 0.0:
-        if density:
-            return (math.gamma(1.0 + 1.0 / alpha) * math.sin(lam)
-                    / (math.pi * (1.0 + (beta * t) ** 2) ** (0.5 / alpha)))
-        return width / math.pi
+        return (math.gamma(1.0 + 1.0 / alpha) * math.sin(lam)
+                / (math.pi * (1.0 + (beta * t) ** 2) ** (0.5 / alpha)),
+                width / math.pi)
     r = 1.0 / (alpha - 1.0)
     c0 = alpha * r * math.log(x) - 0.5 * r * math.log1p((beta * t) ** 2)
 
@@ -495,38 +517,56 @@ def _nolan(alpha: float, beta: float, x: float, density: bool) -> float:
         peak = _brent(h, -_U_MAX, _U_MAX, h(-_U_MAX), h(_U_MAX), 1e-3)
     except ValueError:  # x so near 0 or so large that the peak is out of range
         peak = 0.0
-    if density:
-        kernel = lambda g: g * math.exp(-g)
-    else:
-        # of exp(-g) and -expm1(-g), which sum to 1, integrate the one that
-        # vanishes at u = 0, where dtheta/du peaks, so its mass is all near
-        # the peak; the other is width minus it
-        use_exp = log_g(0.0)[0] >= 0.0
-        kernel = (lambda g: math.exp(-g)) if use_exp else (lambda g: -math.expm1(-g))
+    # the mass: of exp(-g) and -expm1(-g), which sum to 1, integrate the one
+    # that vanishes at u = 0, where dtheta/du peaks, so its mass is all near
+    # the peak; the other is width minus it
+    use_exp = log_g(0.0)[0] >= 0.0
 
     def integrand(w):
+        # the density's g*exp(-g) and the mass's kernel, on one log g
         log_gu, jac = log_g(peak + math.sinh(w))  # exp(-g) is 0 past g = e^709
-        return kernel(math.exp(min(log_gu, 709.0))) * jac * math.cosh(w)
+        g = math.exp(min(log_gu, 709.0))
+        e, scale = math.exp(-g), math.cosh(w)
+        return (g * e * jac * scale,
+                (e if use_exp else -math.expm1(-g)) * jac * scale)
 
     # away from the peak, w = 0, the integrand falls at least as fast as
     # exp(-min(1, alpha/(1-alpha))*|u - peak|): reach covers it to 2^-52
     reach = math.asinh(36.0 * max(1.0, 1.0 / alpha - 1.0))
-    val, err = _quad(integrand, reach)
-    if err > NUMERIC_TOL * val:
-        raise QuadratureError(f"{'PDF' if density else 'CDF'} inversion did not "
-                              "converge", err / val if val else math.inf)
-    if density:
-        return abs(alpha * r) * val / (math.pi * x)
-    return (val if use_exp == (alpha > 1.0) else width - val) / math.pi
+    (dens, tail), (dens_err, tail_err) = _quad(integrand, reach)
+    return (_bounded("PDF", abs(alpha * r) * dens / (math.pi * x), dens, dens_err),
+            _bounded("CDF", (tail if use_exp == (alpha > 1.0) else width - tail)
+                     / math.pi, tail, tail_err))
+
+
+def _numeric(alpha: float, beta: float, x: float) -> tuple:
+    # (f(x), F(x)) of the standard law from one Nolan pass, each a float or
+    # the QuadratureError refusing it
+    if x < 0.0:
+        return _nolan(alpha, -beta, -x)
+    density, mass = _nolan(alpha, beta, x)
+    return density, mass if isinstance(mass, QuadratureError) else 1.0 - mass
+
+
+def _checked(value):
+    if isinstance(value, QuadratureError):
+        raise value
+    return value
 
 
 def _pdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return _nolan(alpha, -beta if x < 0.0 else beta, abs(x), True)
+    return _checked(_numeric(alpha, beta, x)[0])
 
 
 def _cdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return (_nolan(alpha, -beta, -x, False) if x < 0.0
-            else 1.0 - _nolan(alpha, beta, x, False))
+    return _checked(_numeric(alpha, beta, x)[1])
+
+
+def _pdf_cdf_numeric(alpha: float, beta: float, x: float) -> tuple[float, float]:
+    """(f(x), F(x)) from one Nolan pass.  Raises the density's
+    QuadratureError if it missed NUMERIC_TOL, else the CDF's if that did."""
+    density, cdf_x = _numeric(alpha, beta, x)
+    return _checked(density), _checked(cdf_x)
 
 
 # ---------------------------------------------------------------------------

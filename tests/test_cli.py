@@ -38,7 +38,8 @@ def test_single_law_commands_are_gone(argv, capsys):
 def test_quadrature_failure_exits_1(capsys, monkeypatch):
     # a check failure with a message, not a traceback
     from mtchan import stable
-    monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: (1.0, 1.0))
+    # every integral misses its bound: a pass refuses both kinds, the density first
+    monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: ([1.0, 1.0], [1.0, 1.0]))
     code, out, err = run(["validate", "--workers", "1", "--mc-samples",
                           "10000"], capsys)
     assert code == 1

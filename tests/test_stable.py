@@ -14,9 +14,9 @@ from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _cdf_numeric, _int_laplace, _int_taylor,
                            _int_weideman, _levy_std_cdf, _levy_std_pdf,
-                           _pdf_numeric, _zw, _zw_laplace, _zw_taylor,
-                           _zw_weideman, cdf, pdf, std_cdf, std_pdf,
-                           tail_coefficient)
+                           _pdf_cdf_numeric, _pdf_numeric, _zw, _zw_laplace,
+                           _zw_taylor, _zw_weideman, cdf, pdf, std_cdf,
+                           std_pdf, tail_coefficient)
 from mtchan.systems import system_c_component_scales
 
 LEVY = StandardStable(0.5, 1.0)
@@ -590,7 +590,7 @@ def test_quadrature_error_survives_pickling():
 def test_trapezoid_rule_on_decaying_integrals():
     for f, reach, exact in [(lambda x: math.exp(-x * x), 10.0, math.sqrt(math.pi)),
                             (lambda x: 1.0 / math.cosh(x), 40.0, math.pi)]:
-        value, err = stable._quad(f, reach)
+        (value,), (err,) = stable._quad(lambda w: (f(w),), reach)
         assert err <= stable.NUMERIC_TOL * value
         assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
 
@@ -603,18 +603,34 @@ def test_trapezoid_rule_resolves_a_spike_at_zero():
         g = math.exp(min(3000.0 * w, 700.0))
         return g * math.exp(-g)
 
-    value, err = stable._quad(spike, 1.0)
+    (value,), (err,) = stable._quad(lambda w: (spike(w),), 1.0)
     assert err <= stable.NUMERIC_TOL * value
     assert value == pytest.approx(1.0 / 3000.0, rel=1e-12, abs=0.0)
 
 
+def test_trapezoid_rule_integrates_each_component_as_if_alone():
+    # the Gaussian converges at 65 nodes, the spike at 32,769: the Gaussian
+    # stops there, and neither component's sum or bound depends on the other
+    def spike(w):
+        g = math.exp(min(3000.0 * w, 700.0))
+        return g * math.exp(-g)
+
+    gauss = lambda w: math.exp(-40.0 * w * w)
+    vals, errs = stable._quad(lambda w: (gauss(w), spike(w)), 1.0)
+    alone = [stable._quad(lambda w: (f(w),), 1.0) for f in (gauss, spike)]
+    assert vals == [v for (v,), _ in alone] and errs == [e for _, (e,) in alone]
+
+
 def _quadpack(f, reach):
-    # the same integral by scipy's QUADPACK, to 2e-14 relative: an accuracy
-    # oracle, held well below NUMERIC_TOL
+    # each component of f's values by scipy's QUADPACK, to 2e-14 relative:
+    # an accuracy oracle, held well below NUMERIC_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(f, -reach, reach, points=(0.0,), epsabs=0.0,
-                              epsrel=2e-14, limit=2000)[:2]
+        vals, errs = zip(*[integrate.quad(lambda w: f(w)[i], -reach, reach,
+                                          points=(0.0,), epsabs=0.0,
+                                          epsrel=2e-14, limit=2000)[:2]
+                           for i in range(len(f(0.0)))])
+    return list(vals), list(errs)
 
 
 def test_numeric_inversion_pinned_value():
@@ -628,14 +644,13 @@ def test_numeric_inversion_pinned_value():
 def test_numeric_inversion_matches_quadpack(alpha, monkeypatch):
     half = np.logspace(-3.0, 8.0, 23)
     xs = [float(x) for x in np.concatenate([-half[::-1], half])]
-    cases = [(fn, beta, x) for fn in (_pdf_numeric, _cdf_numeric)
-             for beta in (-1.0, -0.5, 0.0, 0.5, 1.0) for x in xs]
+    cases = [(beta, x) for beta in (-1.0, -0.5, 0.0, 0.5, 1.0) for x in xs]
     with monkeypatch.context() as m:
         m.setattr(stable, "_quad", _quadpack)
-        refs = [fn(alpha, beta, x) for fn, beta, x in cases]
-    for (fn, beta, x), ref in zip(cases, refs):
-        assert fn(alpha, beta, x) == pytest.approx(ref, rel=1e-13, abs=0.0), \
-            (fn.__name__, beta, x)
+        refs = [_pdf_cdf_numeric(alpha, beta, x) for beta, x in cases]
+    for (beta, x), ref in zip(cases, refs):
+        assert _pdf_cdf_numeric(alpha, beta, x) == pytest.approx(
+            ref, rel=1e-13, abs=0.0), (beta, x)
 
 
 def test_inversion_refuses_where_rounding_swamps_the_integrand():
@@ -644,6 +659,33 @@ def test_inversion_refuses_where_rounding_swamps_the_integrand():
     with pytest.raises(QuadratureError) as exc:
         _pdf_numeric(0.999, -0.999, 10.0)
     assert exc.value.achieved > stable.NUMERIC_TOL
+
+
+# _pdf_numeric and _cdf_numeric, repr-exact: integrating both kinds in one
+# pass must not move a bit of either
+PINNED = [
+    ((0.5, 1.0, 0.05), 0.0016199821912178212, 7.744216431015971e-06),
+    ((0.5, 0.5, -3.3), 0.008865192409136767, 0.08108975813979151),
+    ((1.5, 0.3, 1.0), 0.16235873175932347, 0.7842147394768568),
+    ((0.7, -0.5, 1e4), 2.036304779419938e-08, 0.9997086804991471),
+    ((1.9, 1.0, -10.0), 4.766218332243139e-14, 7.511187857720085e-15),
+]
+
+
+@pytest.mark.parametrize("args,density,cdf_x", PINNED,
+                         ids=[str(args) for args, _, _ in PINNED])
+def test_inversion_is_pinned_bitwise(args, density, cdf_x):
+    assert _pdf_numeric(*args) == density
+    assert _cdf_numeric(*args) == cdf_x
+    assert _pdf_cdf_numeric(*args) == (density, cdf_x)
+
+
+def test_each_kind_is_refused_on_its_own_bound():
+    # one pass integrates both kinds; the density's failure is not the CDF's
+    args = (0.999, -0.999, 10.0)
+    with pytest.raises(QuadratureError, match="^PDF inversion"):
+        _pdf_numeric(*args)
+    assert _cdf_numeric(*args) == 0.9999995067088635
 
 
 # Nolan's density integral near alpha = 1, where its peak in w is only

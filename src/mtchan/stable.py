@@ -27,10 +27,11 @@ finite, non-oscillatory integral over theta in (-theta0, pi/2) for each of
 the density and the mass beyond x, both taken in one pass by the trapezoid
 rule in a variable that resolves either end of that range down to 1e-300
 and falls double-exponentially away from the integrands' peak, found by one
-Brent solve.  Its target is a relative error of NUMERIC_TOL = 1e-10 of each
-value, so the power-law tails keep their digits; a value that misses it
-raises QuadratureError carrying the achieved relative error bound, and only
-where that value is asked for.
+Brent solve; validate's geometric-power quadrature shares its range and
+sines (_theta_range) and its rule (_quad).  Its target is a relative error
+of NUMERIC_TOL = 1e-10 of each value, so the power-law tails keep their
+digits; a value that misses it raises QuadratureError carrying the achieved
+relative error bound, and only where that value is asked for.
 
 This module and its evaluations load the standard library alone.
 """
@@ -352,37 +353,84 @@ def _gauss_std_cdf(x: float) -> float:
 #   exp(-g) (alpha > 1) or Int -expm1(-g) (alpha < 1), over -theta0..pi/2.
 # g is monotone from 0 (or a floor, at a light tail) to infinity; the
 # integrands peak near g = 1 (or twice the floor), for large or small x within
-# a hair of an end.  So theta is carried as its distance d = width/(1 + e^|u|)
-# to the nearer end, u its logit, and each factor of g as the sine of an angle
-# that vanishes only there: g keeps its precision down to d ~ 1e-300, and its
-# end power laws become exponentials in u, folded by u = u_peak + sinh(w).
+# a hair of an end.  So theta is carried as its distances e and f to the two
+# ends, through its logit u, and each factor of g as the sine of the smaller
+# of two angles that sum to pi, each a sum of nonnegative terms in e or f:
+# g keeps its precision down to a distance of ~1e-300, and its end power laws
+# become exponentials in u, folded by u = u_peak + sinh(w).
 
 _U_MAX = 700.0  # e^-|u| stays a normal float
+
+
+def _theta_range(alpha: float, beta: float) -> tuple:
+    """(t, width, lam, at) of the range -theta0..pi/2: t = tan(pi*alpha/2),
+    its width = pi/2 + theta0 and lam = pi/2 - theta0, and at(u), which
+    gives (sin(alpha*(theta0 + theta)), cos(theta), cos(alpha*theta0 +
+    (alpha - 1)*theta), dtheta/du) at the theta whose logit in the range is
+    u, |u| <= _U_MAX."""
+    if 0.9 < alpha < 1.1 and alpha != 1.0:
+        t = 1.0 / math.tan(0.5 * math.pi * (1.0 - alpha))  # exact 1 - alpha
+    else:
+        t = -math.tan(math.pi * (1.0 - 0.5 * alpha))  # 0 at alpha = 2
+    # kappa = pi - alpha*width and the smaller of width and lam each from its
+    # own atan2, the larger as pi minus it: each is 0 exactly where it
+    # vanishes (for alpha < 1, width at beta = -1 and lam at beta = 1; kappa
+    # at beta = -1 and alpha > 1 or at alpha = 2), none cancels near alpha =
+    # 1, and width/pi is 1 exactly where lam is 0
+    sign = 1.0 if alpha < 1.0 else -1.0
+    y, x = (1.0 + beta) * abs(t), sign * (1.0 - beta * t * t)
+    kappa = math.atan2(y, -x)
+    if sign * beta >= 0.0:  # theta0 >= 0
+        lam = math.atan2((1.0 - beta) * abs(t), sign * (1.0 + beta * t * t)) / alpha
+        width = math.pi - lam
+    else:
+        width = math.atan2(y, x) / alpha
+        lam = math.pi - width
+
+    def at(u):
+        q = math.exp(-min(abs(u), _U_MAX))
+        near, far = width * q / (1.0 + q), width / (1.0 + q)
+        e, f = (near, far) if u < 0.0 else (far, near)  # theta = e - theta0
+        # each factor's angle and the angle that sums with it to pi; the
+        # smaller is picked by a comparison, as min() would cost a call
+        a, a_sup = alpha * e, kappa + alpha * f
+        c, c_sup = lam + e, f
+        b, b_sup = f + alpha * e, (lam + (1.0 - alpha) * e if alpha < 1.0
+                                   else kappa + (alpha - 1.0) * f)
+        return (math.sin(a if a < a_sup else a_sup),
+                math.sin(c if c < c_sup else c_sup),
+                math.sin(b if b < b_sup else b_sup), near / (1.0 + q))
+
+    return t, width, lam, at
+
 
 #: halvings of the trapezoid step before the inversion refuses: 9 nodes at
 #: first, at most 8*2^14 + 1 = 131,073
 TRAPEZOID_HALVINGS = 14
 
 
-def _quad(f, reach: float) -> tuple[list[float], list[float]]:
+def _quad(f, reach: float, floors=()) -> tuple[list[float], list[float]]:
     """([Int f_i over -reach..reach], [their error bounds]) by the trapezoid
     rule, f_i the components of the tuple f returns at each node.
 
     Starts from 9 nodes and halves the step, adding the midpoints.  Each
     component stops, and is summed no further, once two of its successive
-    sums agree to NUMERIC_TOL of its value, or when TRAPEZOID_HALVINGS
-    halvings are spent; their difference is its bound.  A component is
-    summed with the same sum() over the same nodes as if it were integrated
-    alone.  On a double-exponentially decaying integrand the sums converge
-    geometrically (Trefethen & Weideman 2014), so the finer one is far
-    inside the bound.  w = 0 is a node at every level: a peak there narrower
-    than the step halves the sum at each halving until the step resolves it.
+    sums agree to NUMERIC_TOL of its value, or of floors[i] if larger (for
+    an integral that may be 0; components past the end of floors have
+    none), or when TRAPEZOID_HALVINGS halvings are spent; their difference
+    is its bound.  A component is summed with the same sum() over the same
+    nodes as if it were integrated alone.  On a double-exponentially
+    decaying integrand the sums converge geometrically (Trefethen & Weideman
+    2014), so the finer one is far inside the bound.  w = 0 is a node at
+    every level: a peak there narrower than the step halves the sum at each
+    halving until the step resolves it.
     """
     h = reach / 4.0
     ends = zip(f(-reach), f(reach))
     inner = zip(*[f(h * k) for k in range(-3, 4)])
     vals = [h * (0.5 * (a + b) + sum(mid)) for (a, b), mid in zip(ends, inner)]
     errs = [math.inf] * len(vals)
+    floors = tuple(floors) + (0.0,) * (len(vals) - len(floors))
     live = range(len(vals))
     for level in range(TRAPEZOID_HALVINGS):
         h *= 0.5
@@ -392,7 +440,8 @@ def _quad(f, reach: float) -> tuple[list[float], list[float]]:
             prev = vals[i]
             vals[i] = 0.5 * prev + h * sum(new[i])
             errs[i] = abs(vals[i] - prev)
-        live = [i for i in live if not errs[i] <= NUMERIC_TOL * abs(vals[i])]
+        live = [i for i in live
+                if not errs[i] <= NUMERIC_TOL * max(abs(vals[i]), floors[i])]
         if not live:
             break
     return vals, errs
@@ -474,41 +523,27 @@ def _bounded(kind: str, value: float, integral: float, err: float):
 
 
 def _nolan(alpha: float, beta: float, x: float) -> tuple:
-    """(f(x), 1 - F(x)), the density and the mass above x, from one pass;
-    x >= 0, alpha != 1.  Each is a float, or the QuadratureError refusing it
-    where its integral missed NUMERIC_TOL."""
+    """(f(x), F(x)) of the standard law from one pass, alpha != 1.  Each is
+    a float, or the QuadratureError refusing it where its integral missed
+    NUMERIC_TOL."""
+    above = x < 0.0  # then F(x) is the mass above -x of the mirrored law
+    if above:
+        beta, x = -beta, -x
     if alpha < 1.0 and beta == -1.0:
-        return 0.0, 0.0  # the support is x <= 0
-    t = -math.tan(math.pi * (1.0 - 0.5 * alpha))  # tan(pi*alpha/2), 0 at alpha = 2
-    # width = pi/2 + theta0 of the range, and the angles lam = pi - width and
-    # kappa = pi - alpha*width, each exactly 0 where the law has a light tail
-    if alpha < 1.0:
-        lam = math.atan2((1.0 - beta) * t, 1.0 + beta * t * t) / alpha
-        width = math.pi - lam
-        kappa = math.pi - alpha * width
-    else:
-        kappa = math.atan2(-(1.0 + beta) * t, 1.0 - beta * t * t)
-        width = (math.pi - kappa) / alpha
-        lam = math.pi - width
+        return 0.0, 0.0 if above else 1.0  # the support is x <= 0
+    t, width, lam, at = _theta_range(alpha, beta)
     if x == 0.0:
         return (math.gamma(1.0 + 1.0 / alpha) * math.sin(lam)
                 / (math.pi * (1.0 + (beta * t) ** 2) ** (0.5 / alpha)),
-                width / math.pi)
+                (width if above else lam) / math.pi)
     r = 1.0 / (alpha - 1.0)
     c0 = alpha * r * math.log(x) - 0.5 * r * math.log1p((beta * t) ** 2)
 
     def log_g(u):
         # (log g, dtheta/du) at the theta whose logit is u, |u| <= _U_MAX
-        q = math.exp(-min(abs(u), _U_MAX))
-        d = width * q / (1.0 + q)
-        if u < 0.0:
-            cos_t, sin_a = math.sin(lam + d), math.sin(alpha * d)
-            cos_b = math.sin(lam + (1.0 - alpha) * d)
-        else:
-            cos_t, sin_a = math.sin(d), math.sin(kappa + alpha * d)
-            cos_b = math.sin(kappa + (alpha - 1.0) * d)
+        sin_a, cos_t, cos_b, jac = at(u)
         return (c0 + alpha * r * math.log(cos_t / sin_a)
-                + math.log(cos_b / cos_t), d / (1.0 + q))
+                + math.log(cos_b / cos_t), jac)
 
     # the peak: g = 1, or twice g's floor at its small end (a light tail)
     target = max(log_g(math.copysign(_U_MAX, alpha - 1.0))[0] + math.log(2.0), 0.0)
@@ -519,7 +554,9 @@ def _nolan(alpha: float, beta: float, x: float) -> tuple:
         peak = 0.0
     # the mass: of exp(-g) and -expm1(-g), which sum to 1, integrate the one
     # that vanishes at u = 0, where dtheta/du peaks, so its mass is all near
-    # the peak; the other is width minus it
+    # the peak; the other is width minus it.  pi*F(0) = lam, so F(x) beyond 0
+    # is lam plus the mass from 0 to x, where 1 minus the mass above x would
+    # lose F's digits as it nears 0
     use_exp = log_g(0.0)[0] >= 0.0
 
     def integrand(w):
@@ -534,18 +571,12 @@ def _nolan(alpha: float, beta: float, x: float) -> tuple:
     # exp(-min(1, alpha/(1-alpha))*|u - peak|): reach covers it to 2^-52
     reach = math.asinh(36.0 * max(1.0, 1.0 / alpha - 1.0))
     (dens, tail), (dens_err, tail_err) = _quad(integrand, reach)
+    if use_exp == (alpha > 1.0):  # tail is the mass above x
+        mass = tail if above else math.pi - tail
+    else:  # ... or the mass between 0 and x
+        mass = width - tail if above else lam + tail
     return (_bounded("PDF", abs(alpha * r) * dens / (math.pi * x), dens, dens_err),
-            _bounded("CDF", (tail if use_exp == (alpha > 1.0) else width - tail)
-                     / math.pi, tail, tail_err))
-
-
-def _numeric(alpha: float, beta: float, x: float) -> tuple:
-    # (f(x), F(x)) of the standard law from one Nolan pass, each a float or
-    # the QuadratureError refusing it
-    if x < 0.0:
-        return _nolan(alpha, -beta, -x)
-    density, mass = _nolan(alpha, beta, x)
-    return density, mass if isinstance(mass, QuadratureError) else 1.0 - mass
+            _bounded("CDF", mass / math.pi, tail, tail_err))
 
 
 def _checked(value):
@@ -555,17 +586,17 @@ def _checked(value):
 
 
 def _pdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return _checked(_numeric(alpha, beta, x)[0])
+    return _checked(_nolan(alpha, beta, x)[0])
 
 
 def _cdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return _checked(_numeric(alpha, beta, x)[1])
+    return _checked(_nolan(alpha, beta, x)[1])
 
 
 def _pdf_cdf_numeric(alpha: float, beta: float, x: float) -> tuple[float, float]:
     """(f(x), F(x)) from one Nolan pass.  Raises the density's
     QuadratureError if it missed NUMERIC_TOL, else the CDF's if that did."""
-    density, cdf_x = _numeric(alpha, beta, x)
+    density, cdf_x = _nolan(alpha, beta, x)
     return _checked(density), _checked(cdf_x)
 
 

@@ -9,9 +9,10 @@ Each check returns a CheckResult; the CLI `validate` command prints one
 line per check and the test suite asserts on the same objects.  A
 statistical group is one case per law, law i on stream_seed(group seed, i),
 and group g (1 KS, 3 BER) on stream_seed(suite seed, g); the geometric-power
-group is deterministic and draws nothing.  The KS check reads the draws of
-montecarlo.sample at mu = 0, c = 1, drawn a block of 2^16 at a time, and
-sorts the whole sample in place.
+group is deterministic, draws nothing, and sums stable._theta_range's sines
+by stable._quad.  The KS check reads the draws of montecarlo.sample at mu =
+0, c = 1, drawn a block of 2^16 at a time, and sorts the whole sample in
+place.
 Neither importing this module nor running its checks loads any part of scipy.
 """
 
@@ -27,8 +28,8 @@ from . import systems
 from .montecarlo import ber_monte_carlo_curve, sample, stream_seed
 from .power import System, geometric_power
 from .stable import (EULER_GAMMA, StableParams, StandardStable,
-                     _levy_std_cdf, _levy_std_pdf, _pdf_cdf_numeric, std_cdf,
-                     std_pdf, tail_coefficient)
+                     _levy_std_cdf, _levy_std_pdf, _pdf_cdf_numeric, _quad,
+                     _theta_range, std_cdf, std_pdf, tail_coefficient)
 
 #: significance level shared by all KS checks
 KS_SIGNIFICANCE = 1e-3
@@ -169,69 +170,28 @@ GEOMETRIC_POWER_TOL = 1e-12
 # + k^2 pi^2/6.  A's log singularities lie at u = -b and at or beyond the
 # ends +-pi/2, so Int A and Int A^2 are taken on (-b, pi/2) and on (-pi/2,
 # -b), which is (-b, pi/2) of the mirrored law: A at (u, beta) is A at (-u,
-# -beta).  The rule is stable._quad's, halving the step of a trapezoid sum in
-# a double-exponential variable, with an absolute test on Int A: _quad's test
-# is relative, and Int A over a piece is 0 at beta = 0, where A is even.
-
-#: of the tanh-sinh nodes t, |t| <= 4: past 4 a node is within 1e-37 of the
-#: piece's width from an end, where A^2 times the weight is below 1e-29
-_TANH_SINH_REACH = 4.0
-#: halvings of the step 1/2 before the rule stops regardless: 16,385 nodes
-_TANH_SINH_HALVINGS = 10
-#: the rule stops when a halving moves Int A by at most this times the width
-#: and Int A^2 by at most this of itself
-_TANH_SINH_TOL = 1e-14
+# -beta).  (-b, pi/2) is Nolan's theta range and A's three factors are his,
+# so both come from stable._theta_range, and the rule is stable._quad's in
+# t, u's logit being pi sinh t, with an absolute floor of the width on Int
+# A, which is 0 at beta = 0, where A is even.  Past |t| = 4 a node is
+# within 1e-37 of the width from an end, where A^2 times the weight is
+# below 1e-29.
 
 
 def _log_abs_moments_above(alpha: float, beta: float) -> tuple[float, float]:
-    """(Int A, Int A^2) over u in (-b, pi/2), by the trapezoid rule in t of
-    the tanh-sinh map u = -b + e, e = w/(1 + exp(-pi sinh t)), f = w - e."""
-    t = -math.tan(math.pi * (1.0 - 0.5 * alpha))  # tan(pi*alpha/2), 0 at alpha = 2
-    sign = 1.0 if alpha < 1.0 else -1.0
-    # the width w = pi/2 + b, lam = pi/2 - b and kappa = pi - alpha*w, each
-    # from its own atan2, so each is 0 exactly where it vanishes (w at beta =
-    # -1 and alpha < 1, kappa at beta = -1 and alpha > 1 or at alpha = 2)
-    y, x = (1.0 + beta) * abs(t), sign * (1.0 - beta * t * t)
-    w, kappa = math.atan2(y, x) / alpha, math.atan2(y, -x)
-    lam = math.atan2((1.0 - beta) * abs(t), sign * (1.0 + beta * t * t)) / alpha
-    if w == 0.0:
+    """(Int A, Int A^2) over u in (-b, pi/2)."""
+    _, width, _, at = _theta_range(alpha, beta)
+    if width == 0.0:
         return 0.0, 0.0
     k = (1.0 - alpha) / alpha
 
-    def a_of(e, f):
-        # each factor is the sine of an angle in (0, pi), linear in u, taken
-        # from the end where it is the smaller: the angles of each pair sum
-        # to pi, and e and f keep their digits down to 1e-37 of w
-        sin_a = math.sin(min(alpha * e, kappa + alpha * f))
-        cos_u = math.sin(min(lam + e, f))
-        cos_b = math.sin(min(lam + (1.0 - alpha) * e, alpha * w + (1.0 - alpha) * f)
-                         if alpha < 1.0 else
-                         min(kappa + (alpha - 1.0) * f, w + (alpha - 1.0) * e))
-        return math.log(sin_a) - math.log(cos_u) / alpha + k * math.log(cos_b)
+    def integrand(t):
+        sin_a, cos_u, cos_b, jac = at(math.pi * math.sinh(t))
+        a = math.log(sin_a) - math.log(cos_u) / alpha + k * math.log(cos_b)
+        jac *= math.pi * math.cosh(t)  # du/dt
+        return a * jac, a * a * jac
 
-    def sums(ts):
-        s1 = s2 = 0.0
-        for ti in ts:
-            q = math.exp(-math.pi * abs(math.sinh(ti)))
-            near, far = w * q / (1.0 + q), w / (1.0 + q)
-            a = a_of(near, far) if ti < 0.0 else a_of(far, near)
-            jac = math.pi * w * math.cosh(ti) * q / (1.0 + q) ** 2  # du/dt
-            s1 += a * jac
-            s2 += a * a * jac
-        return s1, s2
-
-    h = 0.5
-    n = int(_TANH_SINH_REACH / h)  # the nodes are h*j, |j| <= n
-    s1, s2 = sums(h * j for j in range(-n, n + 1))
-    m1, m2 = h * s1, h * s2
-    for _ in range(_TANH_SINH_HALVINGS):
-        h, n = 0.5 * h, 2 * n
-        s1, s2 = sums(h * j for j in range(1 - n, n, 2))
-        p1, p2 = m1, m2
-        m1, m2 = 0.5 * m1 + h * s1, 0.5 * m2 + h * s2
-        if abs(m1 - p1) <= _TANH_SINH_TOL * w and abs(m2 - p2) <= _TANH_SINH_TOL * m2:
-            break
-    return m1, m2
+    return tuple(_quad(integrand, 4.0, (width,))[0])
 
 
 def _log_abs_moments(alpha: float, beta: float) -> tuple[float, float]:

@@ -609,16 +609,33 @@ def test_trapezoid_rule_resolves_a_spike_at_zero():
 
 
 def test_trapezoid_rule_integrates_each_component_as_if_alone():
-    # the Gaussian converges at 65 nodes, the spike at 32,769: the Gaussian
-    # stops there, and neither component's sum or bound depends on the other
+    # the odd integrand's sums are rounding residues of 0: on a floor of 1 it
+    # stops at 17 nodes, without one it runs every halving.  The Gaussian
+    # converges at 65 nodes, the spike at 32,769: the Gaussian stops there,
+    # and no component's sum or bound depends on another's
     def spike(w):
         g = math.exp(min(3000.0 * w, 700.0))
         return g * math.exp(-g)
 
+    def counted(f):
+        nodes = []
+
+        def one_component(w):
+            nodes.append(w)
+            return (f(w),)
+        return nodes, one_component
+
+    odd = lambda w: w * math.exp(-40.0 * w * w)
     gauss = lambda w: math.exp(-40.0 * w * w)
-    vals, errs = stable._quad(lambda w: (gauss(w), spike(w)), 1.0)
-    alone = [stable._quad(lambda w: (f(w),), 1.0) for f in (gauss, spike)]
-    assert vals == [v for (v,), _ in alone] and errs == [e for _, (e,) in alone]
+    vals, errs = stable._quad(lambda w: (odd(w), gauss(w), spike(w)), 1.0, (1.0,))
+    alone = []
+    for f, floors, n in [(odd, (1.0,), 17), (gauss, (), 65), (spike, (), 32_769),
+                         (odd, (), 8 * 2 ** stable.TRAPEZOID_HALVINGS + 1)]:
+        nodes, f = counted(f)
+        alone.append(stable._quad(f, 1.0, floors))
+        assert len(nodes) == n
+    assert abs(vals[0]) <= stable.NUMERIC_TOL and errs[0] <= stable.NUMERIC_TOL
+    assert vals == [v for (v,), _ in alone[:3]] and errs == [e for _, (e,) in alone[:3]]
 
 
 def _quadpack(f, reach):
@@ -653,21 +670,17 @@ def test_numeric_inversion_matches_quadpack(alpha, monkeypatch):
             ref, rel=1e-13, abs=0.0), (beta, x)
 
 
-def test_inversion_refuses_where_rounding_swamps_the_integrand():
-    # alpha/(alpha - 1) = -999 multiplies the rounding of log g: the error
-    # bound cannot reach NUMERIC_TOL, and the inversion says so
-    with pytest.raises(QuadratureError) as exc:
-        _pdf_numeric(0.999, -0.999, 10.0)
-    assert exc.value.achieved > stable.NUMERIC_TOL
-
-
 # _pdf_numeric and _cdf_numeric, repr-exact: integrating both kinds in one
-# pass must not move a bit of either
+# pass must not move a bit of either.  Relative errors (density, CDF)
+# against 40-digit mpmath values of Nolan's integrals, or at (0.5, 1, 0.05)
+# against the Levy law's, are 2.3e-15, 2.8e-15; 3.9e-16, 1.7e-16; 0,
+# 1.4e-16; 6.5e-16, 0; and 2.5e-15, 2.5e-15.  The alpha = 1/2 rows are
+# within 2.3e-15 of their closed forms
 PINNED = [
-    ((0.5, 1.0, 0.05), 0.0016199821912178212, 7.744216431015971e-06),
-    ((0.5, 0.5, -3.3), 0.008865192409136767, 0.08108975813979151),
+    ((0.5, 1.0, 0.05), 0.0016199821912178205, 7.744216431044066e-06),
+    ((0.5, 0.5, -3.3), 0.008865192409136777, 0.08108975813979154),
     ((1.5, 0.3, 1.0), 0.16235873175932347, 0.7842147394768568),
-    ((0.7, -0.5, 1e4), 2.036304779419938e-08, 0.9997086804991471),
+    ((0.7, -0.5, 1e4), 2.0363047794199393e-08, 0.9997086804991471),
     ((1.9, 1.0, -10.0), 4.766218332243139e-14, 7.511187857720085e-15),
 ]
 
@@ -681,11 +694,13 @@ def test_inversion_is_pinned_bitwise(args, density, cdf_x):
 
 
 def test_each_kind_is_refused_on_its_own_bound():
-    # one pass integrates both kinds; the density's failure is not the CDF's
-    args = (0.999, -0.999, 10.0)
+    # one pass integrates both kinds; the density's failure is not the CDF's.
+    # At alpha 0.9998 the density's peak needs a step below the finest one;
+    # the CDF is mpmath's 0.9999999001932688 (40 digits) to the last digit
+    args = (0.9998, -0.999, 10.0)
     with pytest.raises(QuadratureError, match="^PDF inversion"):
         _pdf_numeric(*args)
-    assert _cdf_numeric(*args) == 0.9999995067088635
+    assert _cdf_numeric(*args) == 0.9999999001932688
 
 
 # Nolan's density integral near alpha = 1, where its peak in w is only
@@ -705,7 +720,9 @@ def test_each_kind_is_refused_on_its_own_bound():
 #
 # with alpha, beta and x as mpf.  Each value must be right to 1e-10 or
 # refused; only alpha 0.9999, whose peak needs a step below the finest
-# one, may be refused.
+# one, may be refused.  At a skew of +-0.999, alpha/(alpha - 1) multiplies
+# the rounding of each factor of g: those rows keep their digits only as
+# long as no factor cancels.
 NEAR_ONE = [
     ((0.999, 0.0, 1.0), 0.15902987189144563, False),
     ((1.001, 0.0, 1.0), 0.15927987176910896, False),
@@ -713,6 +730,11 @@ NEAR_ONE = [
     ((0.9999, 0.0, 1.0), 0.15914244237933964, True),
     ((0.999, 0.999, 10.0), 8.0810274981527495e-10, False),
     ((0.999, 0.5, 1e7), 4.8504880096797436e-15, False),
+    ((0.999, -0.999, 10.0), 7.5907863207386429e-10, False),
+    ((0.995, -0.999, 10.0), 1.666350606163063e-08, False),
+    ((0.99, 0.999, 1.0), 7.89362742612493e-08, False),
+    ((0.999, 0.999, 1.0), 7.854709937392899e-10, False),
+    ((0.995, 0.999, 3.0), 2.0266562971422817e-08, False),
 ]
 
 
@@ -725,3 +747,13 @@ def test_inversion_near_alpha_one_is_right_or_refused(args, ref, may_refuse):
         assert may_refuse
         return
     assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+# values on a grid of alpha 0.5..1.9, beta in {+-1, +-0.999, +-0.5, 0} and
+# |x| in {1e-2, 1, 10, 1e4} that were refused while the range's width was
+# formed as pi minus an angle near pi: five mirror pairs
+@pytest.mark.parametrize("alpha,x", [(0.995, 0.01), (0.999, 0.01), (0.999, 1.0),
+                                     (0.999, 10.0), (0.999, 1e4)])
+def test_inversion_at_full_skew_near_alpha_one_returns(alpha, x):
+    density = _pdf_numeric(alpha, -0.999, x)
+    assert density > 0.0 and _pdf_numeric(alpha, 0.999, -x) == density

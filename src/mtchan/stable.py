@@ -24,14 +24,14 @@ every beta (the channel noise), the Gaussian (alpha = 2) and the Cauchy
 Every other (alpha, beta) pair is handled by numerical inversion, which also
 serves as the oracle for the closed forms: Nolan's (1997) integral form, a
 finite, non-oscillatory integral over theta in (-theta0, pi/2) for each of
-the density and the mass beyond x, both taken in one pass by the trapezoid
-rule in a variable that resolves either end of that range down to 1e-300
-and falls double-exponentially away from the integrands' peak, found by one
-Brent solve; validate's geometric-power quadrature shares its range and
-sines (_theta_range) and its rule (_quad).  Its target is a relative error
-of NUMERIC_TOL = 1e-10 of each value, so the power-law tails keep their
-digits; a value that misses it raises QuadratureError carrying the achieved
-relative error bound, and only where that value is asked for.
+the density and the mass beyond x.  A call integrates the kinds it asks
+for, in one pass, by the trapezoid rule in a variable that resolves either
+end of that range down to 1e-300 and falls double-exponentially away from
+the integrands' peak, found by one Brent solve; validate's geometric-power
+quadrature shares its range and sines (_theta_range) and its rule (_quad).
+Its target is a relative error of NUMERIC_TOL = 1e-10 of each value, so the
+power-law tails keep their digits; the call that asks for a value that
+misses it raises QuadratureError carrying the achieved relative error bound.
 
 This module and its evaluations load the standard library alone.
 """
@@ -513,29 +513,21 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
-def _bounded(kind: str, value: float, integral: float, err: float):
-    # value, or the QuadratureError that refuses it where the integral it
-    # came from missed NUMERIC_TOL
-    if err > NUMERIC_TOL * integral:
-        return QuadratureError(f"{kind} inversion did not converge",
-                               err / integral if integral else math.inf)
-    return value
-
-
-def _nolan(alpha: float, beta: float, x: float) -> tuple:
-    """(f(x), F(x)) of the standard law from one pass, alpha != 1.  Each is
-    a float, or the QuadratureError refusing it where its integral missed
-    NUMERIC_TOL."""
+def _nolan(alpha: float, beta: float, x: float, kinds: slice) -> tuple:
+    """(f(x), F(x))[kinds] of the standard law, alpha != 1, from one pass
+    that integrates only those kinds: slice(0, 1) the density, slice(1, 2)
+    the CDF, slice(0, 2) both.  Raises QuadratureError for the first of
+    them, density before CDF, whose integral missed NUMERIC_TOL."""
     above = x < 0.0  # then F(x) is the mass above -x of the mirrored law
     if above:
         beta, x = -beta, -x
     if alpha < 1.0 and beta == -1.0:
-        return 0.0, 0.0 if above else 1.0  # the support is x <= 0
+        return (0.0, 0.0 if above else 1.0)[kinds]  # the support is x <= 0
     t, width, lam, at = _theta_range(alpha, beta)
     if x == 0.0:
         return (math.gamma(1.0 + 1.0 / alpha) * math.sin(lam)
                 / (math.pi * (1.0 + (beta * t) ** 2) ** (0.5 / alpha)),
-                (width if above else lam) / math.pi)
+                (width if above else lam) / math.pi)[kinds]
     r = 1.0 / (alpha - 1.0)
     c0 = alpha * r * math.log(x) - 0.5 * r * math.log1p((beta * t) ** 2)
 
@@ -565,39 +557,24 @@ def _nolan(alpha: float, beta: float, x: float) -> tuple:
         g = math.exp(min(log_gu, 709.0))
         e, scale = math.exp(-g), math.cosh(w)
         return (g * e * jac * scale,
-                (e if use_exp else -math.expm1(-g)) * jac * scale)
+                (e if use_exp else -math.expm1(-g)) * jac * scale)[kinds]
 
     # away from the peak, w = 0, the integrand falls at least as fast as
     # exp(-min(1, alpha/(1-alpha))*|u - peak|): reach covers it to 2^-52
     reach = math.asinh(36.0 * max(1.0, 1.0 / alpha - 1.0))
-    (dens, tail), (dens_err, tail_err) = _quad(integrand, reach)
+    integrals, errs = _quad(integrand, reach)
+    for kind, integral, err in zip(("PDF", "CDF")[kinds], integrals, errs):
+        if err > NUMERIC_TOL * integral:
+            raise QuadratureError(f"{kind} inversion did not converge",
+                                  err / integral if integral else math.inf)
+    both = [0.0, 0.0]  # an integral not asked for stays 0
+    both[kinds] = integrals
+    dens, tail = both
     if use_exp == (alpha > 1.0):  # tail is the mass above x
         mass = tail if above else math.pi - tail
     else:  # ... or the mass between 0 and x
         mass = width - tail if above else lam + tail
-    return (_bounded("PDF", abs(alpha * r) * dens / (math.pi * x), dens, dens_err),
-            _bounded("CDF", mass / math.pi, tail, tail_err))
-
-
-def _checked(value):
-    if isinstance(value, QuadratureError):
-        raise value
-    return value
-
-
-def _pdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return _checked(_nolan(alpha, beta, x)[0])
-
-
-def _cdf_numeric(alpha: float, beta: float, x: float) -> float:
-    return _checked(_nolan(alpha, beta, x)[1])
-
-
-def _pdf_cdf_numeric(alpha: float, beta: float, x: float) -> tuple[float, float]:
-    """(f(x), F(x)) from one Nolan pass.  Raises the density's
-    QuadratureError if it missed NUMERIC_TOL, else the CDF's if that did."""
-    density, cdf_x = _nolan(alpha, beta, x)
-    return _checked(density), _checked(cdf_x)
+    return (abs(alpha * r) * dens / (math.pi * x), mass / math.pi)[kinds]
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +595,7 @@ def std_pdf(s: StandardStable, x: float) -> float:
         return _levy_std_pdf(-x)
     if s.alpha == 0.5:
         return _half_pdf(s.beta, x)
-    return _pdf_numeric(s.alpha, s.beta, x)
+    return _nolan(s.alpha, s.beta, x, slice(0, 1))[0]
 
 
 def std_cdf(s: StandardStable, x: float) -> float:
@@ -638,7 +615,7 @@ def std_cdf(s: StandardStable, x: float) -> float:
         return math.erf(math.sqrt(-0.5 / x)) if x < 0.0 else 1.0
     if s.alpha == 0.5:
         return _half_cdf(s.beta, x)
-    return _cdf_numeric(s.alpha, s.beta, x)
+    return _nolan(s.alpha, s.beta, x, slice(1, 2))[0]
 
 
 def _far_tail(params: StableParams, x: float, density: bool) -> float:

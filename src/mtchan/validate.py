@@ -28,7 +28,7 @@ from . import systems
 from .montecarlo import ber_monte_carlo_curve, sample, stream_seed
 from .power import System, geometric_power
 from .stable import (EULER_GAMMA, StableParams, StandardStable,
-                     _levy_std_cdf, _levy_std_pdf, _pdf_cdf_numeric, _quad,
+                     _levy_std_cdf, _levy_std_pdf, _nolan, _quad,
                      _theta_range, std_cdf, std_pdf, tail_coefficient)
 
 #: significance level shared by all KS checks
@@ -91,7 +91,7 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     pass per point gives both the density and the CDF."""
     # the two spacings share x = 2, inverted once
     xs = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 50.0, 40)[1:]])
-    levy = [(x, _pdf_cdf_numeric(0.5, 1.0, x)) for x in map(float, xs)]
+    levy = [(x, _nolan(0.5, 1.0, x, slice(0, 2))) for x in map(float, xs)]
     dev_pdf = max(abs(f - _levy_std_pdf(x)) for x, (f, _) in levy)
     dev_cdf = max(abs(cdf_x - _levy_std_cdf(x)) for x, (_, cdf_x) in levy)
     at_zero = abs(std_pdf(StandardStable(0.5, 0.0), 0.0) - 2.0 / math.pi)
@@ -107,7 +107,7 @@ def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
     xs = [float(x) for x in np.concatenate([-half[::-1], half])]
     for beta in (0.0, 0.5, -0.75):
         s = StandardStable(0.5, beta)
-        numeric = [_pdf_cdf_numeric(0.5, beta, x) for x in xs]
+        numeric = [_nolan(0.5, beta, x, slice(0, 2)) for x in xs]
         for k, (what, closed) in enumerate((("pdf", std_pdf), ("cdf", std_cdf))):
             dev = max(abs(closed(s, x) - pair[k]) for x, pair in zip(xs, numeric))
             results.append(CheckResult(

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import sys
 
@@ -12,11 +13,10 @@ from mtchan import stable
 from mtchan.montecarlo import _BLOCK, _noise, _standard_sample, sample
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
-                           _cdf_numeric, _int_laplace, _int_taylor,
-                           _int_weideman, _levy_std_cdf, _levy_std_pdf,
-                           _pdf_cdf_numeric, _pdf_numeric, _zw, _zw_laplace,
-                           _zw_taylor, _zw_weideman, cdf, pdf, std_cdf,
-                           std_pdf, tail_coefficient)
+                           _int_laplace, _int_taylor, _int_weideman,
+                           _levy_std_cdf, _levy_std_pdf, _nolan, _zw,
+                           _zw_laplace, _zw_taylor, _zw_weideman, cdf, pdf,
+                           std_cdf, std_pdf, tail_coefficient)
 from mtchan.systems import system_c_component_scales
 
 LEVY = StandardStable(0.5, 1.0)
@@ -109,15 +109,25 @@ def test_levy_pdf_relative_error_vs_mpmath(mp):
 # numerical inversion vs closed forms / internal consistency
 # ---------------------------------------------------------------------------
 
+def nolan_pdf(alpha, beta, x):
+    # the density alone by numerical inversion, as std_pdf asks for it
+    return _nolan(alpha, beta, x, slice(0, 1))[0]
+
+
+def nolan_cdf(alpha, beta, x):
+    # the CDF alone by numerical inversion, as std_cdf asks for it
+    return _nolan(alpha, beta, x, slice(1, 2))[0]
+
+
 def test_numeric_pdf_matches_levy():
     for x in (0.05, 0.2, 1.0 / 3.0, 1.0, 5.0, 50.0):
-        assert _pdf_numeric(0.5, 1.0, x) == pytest.approx(
+        assert nolan_pdf(0.5, 1.0, x) == pytest.approx(
             _levy_std_pdf(x), abs=1e-8)
 
 
 def test_numeric_cdf_matches_levy():
     for x in (0.05, 0.2, 1.0, 5.0, 50.0):
-        assert _cdf_numeric(0.5, 1.0, x) == pytest.approx(
+        assert nolan_cdf(0.5, 1.0, x) == pytest.approx(
             _levy_std_cdf(x), abs=1e-8)
 
 
@@ -539,7 +549,7 @@ def test_numeric_pdf_matches_half_closed_forms_relative(beta):
     for x in np.concatenate([-half, half]):
         ref = std_pdf(s, float(x))
         if ref >= 1e-12:
-            assert _pdf_numeric(0.5, beta, float(x)) == pytest.approx(
+            assert nolan_pdf(0.5, beta, float(x)) == pytest.approx(
                 ref, rel=1e-10, abs=0.0), x
 
 
@@ -548,11 +558,11 @@ def test_numeric_inversion_at_alpha_2_is_gaussian(beta):
     # alpha = 2 is N(0, 2) whatever beta; the numeric route knows no shortcut
     for x in (0.0, 0.1, 1.0, 3.0, 10.0, 30.0):
         for v in (x, -x):
-            assert _pdf_numeric(2.0, beta, v) == pytest.approx(
+            assert nolan_pdf(2.0, beta, v) == pytest.approx(
                 std_pdf(GAUSS, v), rel=1e-10, abs=0.0), v
-        assert _cdf_numeric(2.0, beta, -x) == pytest.approx(
+        assert nolan_cdf(2.0, beta, -x) == pytest.approx(
             std_cdf(GAUSS, -x), rel=1e-10, abs=0.0), -x
-        assert _cdf_numeric(2.0, beta, x) == pytest.approx(
+        assert nolan_cdf(2.0, beta, x) == pytest.approx(
             std_cdf(GAUSS, x), rel=0.0, abs=1e-15), x
 
 
@@ -564,10 +574,10 @@ def test_numeric_tails_follow_the_leading_power_law(alpha, beta):
     c = tail_coefficient(alpha)
     for x in (1e5, -1e5, 1e8, -1e8):
         weight = c * (1.0 + math.copysign(beta, x))
-        assert _pdf_numeric(alpha, beta, x) == pytest.approx(
+        assert nolan_pdf(alpha, beta, x) == pytest.approx(
             alpha * weight * abs(x) ** (-1.0 - alpha), rel=1e-3), x
         if abs(x) < 1e6:
-            cdf_x = _cdf_numeric(alpha, beta, x)
+            cdf_x = nolan_cdf(alpha, beta, x)
             mass = 1.0 - cdf_x if x > 0.0 else cdf_x
             assert mass == pytest.approx(weight * abs(x) ** -alpha, rel=1e-3), x
 
@@ -640,7 +650,9 @@ def test_trapezoid_rule_integrates_each_component_as_if_alone():
 
 def _quadpack(f, reach):
     # each component of f's values by scipy's QUADPACK, to 2e-14 relative:
-    # an accuracy oracle, held well below NUMERIC_TOL
+    # an accuracy oracle, held well below NUMERIC_TOL.  The components'
+    # adaptive rules share most nodes, where f is evaluated once
+    f = functools.lru_cache(maxsize=None)(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         vals, errs = zip(*[integrate.quad(lambda w: f(w)[i], -reach, reach,
@@ -664,18 +676,18 @@ def test_numeric_inversion_matches_quadpack(alpha, monkeypatch):
     cases = [(beta, x) for beta in (-1.0, -0.5, 0.0, 0.5, 1.0) for x in xs]
     with monkeypatch.context() as m:
         m.setattr(stable, "_quad", _quadpack)
-        refs = [_pdf_cdf_numeric(alpha, beta, x) for beta, x in cases]
+        refs = [_nolan(alpha, beta, x, slice(0, 2)) for beta, x in cases]
     for (beta, x), ref in zip(cases, refs):
-        assert _pdf_cdf_numeric(alpha, beta, x) == pytest.approx(
+        assert _nolan(alpha, beta, x, slice(0, 2)) == pytest.approx(
             ref, rel=1e-13, abs=0.0), (beta, x)
 
 
-# _pdf_numeric and _cdf_numeric, repr-exact: integrating both kinds in one
-# pass must not move a bit of either.  Relative errors (density, CDF)
-# against 40-digit mpmath values of Nolan's integrals, or at (0.5, 1, 0.05)
-# against the Levy law's, are 2.3e-15, 2.8e-15; 3.9e-16, 1.7e-16; 0,
-# 1.4e-16; 6.5e-16, 0; and 2.5e-15, 2.5e-15.  The alpha = 1/2 rows are
-# within 2.3e-15 of their closed forms
+# the density alone, the CDF alone and both, repr-exact: integrating both
+# kinds in one pass must not move a bit of either.  Relative errors
+# (density, CDF) against 40-digit mpmath values of Nolan's integrals, or at
+# (0.5, 1, 0.05) against the Levy law's, are 2.3e-15, 2.8e-15; 3.9e-16,
+# 1.7e-16; 0, 1.4e-16; 6.5e-16, 0; and 2.5e-15, 2.5e-15.  The alpha = 1/2
+# rows are within 2.3e-15 of their closed forms
 PINNED = [
     ((0.5, 1.0, 0.05), 0.0016199821912178205, 7.744216431044066e-06),
     ((0.5, 0.5, -3.3), 0.008865192409136777, 0.08108975813979154),
@@ -688,19 +700,39 @@ PINNED = [
 @pytest.mark.parametrize("args,density,cdf_x", PINNED,
                          ids=[str(args) for args, _, _ in PINNED])
 def test_inversion_is_pinned_bitwise(args, density, cdf_x):
-    assert _pdf_numeric(*args) == density
-    assert _cdf_numeric(*args) == cdf_x
-    assert _pdf_cdf_numeric(*args) == (density, cdf_x)
+    assert nolan_pdf(*args) == density
+    assert nolan_cdf(*args) == cdf_x
+    assert _nolan(*args, slice(0, 2)) == (density, cdf_x)
 
 
-def test_each_kind_is_refused_on_its_own_bound():
-    # one pass integrates both kinds; the density's failure is not the CDF's.
-    # At alpha 0.9998 the density's peak needs a step below the finest one;
-    # the CDF is mpmath's 0.9999999001932688 (40 digits) to the last digit
+def test_each_kind_is_refused_on_its_own_bound(monkeypatch):
+    # a call integrates the kinds it asks for; the density's failure is not
+    # the CDF's.  At alpha 0.9998 the density's peak needs a step below the
+    # finest one; the CDF is mpmath's 0.9999999001932688 (40 digits) to the
+    # last digit
     args = (0.9998, -0.999, 10.0)
     with pytest.raises(QuadratureError, match="^PDF inversion"):
-        _pdf_numeric(*args)
-    assert _cdf_numeric(*args) == 0.9999999001932688
+        nolan_pdf(*args)
+    with pytest.raises(QuadratureError, match="^PDF inversion"):
+        _nolan(*args, slice(0, 2))
+    assert nolan_cdf(*args) == 0.9999999001932688
+    # the CDF alone stops once it has converged, where a pass that takes
+    # the density too keeps halving until the density's ~1e-3 wide peak
+    # near alpha = 1 is resolved, and one level past the CDF at alpha = 1/2
+    quad, nodes = stable._quad, []
+
+    def counted(f, *rest):
+        return quad(lambda w: nodes.append(w) or f(w), *rest)
+
+    monkeypatch.setattr(stable, "_quad", counted)
+    for args, alone, both in [((0.999, -0.999, 10.0), 32_769, 65_537),
+                              ((0.5, 0.0, 3.0), 129, 257)]:
+        nodes.clear()
+        cdf_x = nolan_cdf(*args)
+        assert len(nodes) == alone, args
+        nodes.clear()
+        assert _nolan(*args, slice(0, 2))[1] == cdf_x
+        assert len(nodes) == both, args
 
 
 # Nolan's density integral near alpha = 1, where its peak in w is only
@@ -742,7 +774,7 @@ NEAR_ONE = [
                          ids=[str(args) for args, _, _ in NEAR_ONE])
 def test_inversion_near_alpha_one_is_right_or_refused(args, ref, may_refuse):
     try:
-        value = _pdf_numeric(*args)
+        value = nolan_pdf(*args)
     except QuadratureError:
         assert may_refuse
         return
@@ -755,5 +787,5 @@ def test_inversion_near_alpha_one_is_right_or_refused(args, ref, may_refuse):
 @pytest.mark.parametrize("alpha,x", [(0.995, 0.01), (0.999, 0.01), (0.999, 1.0),
                                      (0.999, 10.0), (0.999, 1e4)])
 def test_inversion_at_full_skew_near_alpha_one_returns(alpha, x):
-    density = _pdf_numeric(alpha, -0.999, x)
-    assert density > 0.0 and _pdf_numeric(alpha, 0.999, -x) == density
+    density = nolan_pdf(alpha, -0.999, x)
+    assert density > 0.0 and nolan_pdf(alpha, 0.999, -x) == density

@@ -177,6 +177,57 @@ def test_log_abs_variance_matches_the_sample_variance(alpha, beta, variance):
     assert np.var(np.log(np.abs(xs))) == pytest.approx(v, rel=0.01)
 
 
+def _normal_cdf(zs):
+    return np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in zs])
+
+
+def _pooled_ber_passes(mc, stderr, analytic) -> tuple[bool, float, float]:
+    # the pooled test's two gates on z = (mc - analytic)/stderr, one row per
+    # draw: |t| <= 3.5 on the per-draw mean z (a draw's three points are
+    # correlated, its draws are not), and a KS test of every z against
+    # N(0, 1) at KS_SIGNIFICANCE
+    z = (mc - analytic) / stderr
+    means = z.mean(axis=1)
+    t = means.mean() / (means.std(ddof=1) / math.sqrt(len(means)))
+    _, p = validate._ks_test(z.ravel(), _normal_cdf)
+    return abs(t) <= 3.5 and p >= validate.KS_SIGNIFICANCE, t, p
+
+
+def test_ber_checks_are_calibrated_over_300_suite_seeds():
+    # validate's nine BER points at 10^4 bits over suite seeds 0-299, each
+    # curve on the seed the suite gives it: 900 draws, 2,700 signed z.
+    # Pooled, they resolve a bias of 3e-3 in the analytic BER, where one run
+    # at 10^6 bits needs ~2%.  The seeds are fixed, so the test is
+    # deterministic: t = +0.45 and KS p = 0.83 here.  Scaled by 1.003 and
+    # 0.997 the analytic BER reads t = -4.65 and +5.56, both at p < 1e-9
+    n = 10_000
+    curves = []
+    for system, beta in validate.BER_CASES:
+        schemes = [systems.scheme_for_gsnr(system, 1.0, g, beta)
+                   for g in validate.BER_GSNRS]
+        states = [systems.ml_threshold(scheme) for scheme in schemes]
+        curves.append((schemes, states, [systems.ber_analytic(*point)
+                                         for point in zip(schemes, states)]))
+    mc, stderr, analytic = [], [], []
+    for seed in range(300):
+        tasks = [t for t in validate.suite(n, seed) if t.func is validate._ber_curve]
+        for task, case, (schemes, states, ber) in zip(tasks, validate.BER_CASES,
+                                                      curves):
+            assert task.args[:2] == case
+            points = montecarlo.ber_monte_carlo_curve(schemes, states, n,
+                                                      task.args[-1])
+            mc.append([p for p, _ in points])
+            stderr.append([e for _, e in points])
+            analytic.append(ber)
+    mc, stderr, analytic = map(np.array, (mc, stderr, analytic))
+    passed, t, p = _pooled_ber_passes(mc, stderr, analytic)
+    assert passed, (t, p)
+    # power: systems.ber_analytic 0.3% off fails on the same draws
+    for scale in (1.003, 0.997):
+        passed, t, p = _pooled_ber_passes(mc, stderr, scale * analytic)
+        assert not passed, (scale, t, p)
+
+
 # ---------------------------------------------------------------------------
 # geometric power by quadrature: accuracy, power and determinism
 # ---------------------------------------------------------------------------

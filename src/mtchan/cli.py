@@ -58,16 +58,6 @@ def point_seed(master_seed: int, index: int) -> int:
     return montecarlo.stream_seed(master_seed, 0)
 
 
-def _monte_carlo(schemes, states, n_bits: int, seed: int,
-                 workers: int) -> list[tuple[float, float]]:
-    """(ber_mc, stderr) of each point, all counted on the one draw of
-    point_seed; each chunk of the draw is a pool task."""
-    from . import montecarlo  # here, so that the analytic commands skip numpy
-    return montecarlo.ber_monte_carlo_curve(
-        schemes, states, n_bits, montecarlo.stream_seed(seed, 0),
-        functools.partial(_run_tasks, workers=workers))
-
-
 def _run_tasks(tasks: list, workers: int) -> list:
     """Task results in task order: run here at one worker, else on a pool."""
     if workers <= 1 or len(tasks) <= 1:
@@ -82,12 +72,17 @@ def _compute_grid(points, mc_samples: int = 0, seed: int = 0,
     """One record per (system, beta, delta, gsnr) point, in order.  The
     thresholds and analytic BER are computed here, as a point costs less
     than starting a worker; only Monte Carlo chunks, if mc_samples > 0, go
-    to the pool."""
+    to the pool.  Every point's (ber_mc, stderr) is counted on the one draw
+    of point_seed."""
     schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
                for system, beta, delta, gsnr in points]
     states = [ml_threshold(s) for s in schemes]
-    mcs = (_monte_carlo(schemes, states, mc_samples, seed, workers)
-           if mc_samples else [(None, None)] * len(points))
+    mcs = [(None, None)] * len(points)
+    if mc_samples:
+        from . import montecarlo  # here, so that the analytic commands skip numpy
+        mcs = montecarlo.ber_monte_carlo_curve(
+            schemes, states, mc_samples, montecarlo.stream_seed(seed, 0),
+            functools.partial(_run_tasks, workers=workers))
     return [BerRecord(
         gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
         beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # mtchan makes no BLAS call, yet OpenBLAS starts a spinning helper thread
     # per further CPU when numpy loads.  numpy loads after this (in
-    # _monte_carlo and cmd_validate) and pool workers inherit the setting;
+    # _compute_grid and cmd_validate) and pool workers inherit the setting;
     # a user's own value wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()

@@ -3,8 +3,8 @@ difference a1/Z1^2 - a2/Z2^2 the error counts draw (_noise) and other alphas
 by Chambers-Mallows-Stuck, and simulated bits whose errors are counted
 against the analytic BER.
 
-Sampling draws _BLOCK variates at a time from one default_rng(seed)
-(_standard_blocks), so a block's temporaries bound its memory whatever n is.
+Sampling (sample) draws _BLOCK variates at a time from one
+default_rng(seed), so a block's temporaries bound its memory whatever n is.
 Up to _BLOCK variates, and at any n for the one-delay laws (alpha = 1/2,
 beta = +-1), that is the stream of one draw of n.
 
@@ -65,13 +65,6 @@ def _standard_sample(alpha: float, beta: float, n: int,
     )
 
 
-def _standard_blocks(alpha: float, beta: float, n: int, seed):
-    # n standardized variates from one default_rng(seed), _BLOCK at a time
-    rng = np.random.default_rng(seed)
-    for start in range(0, n, _BLOCK):
-        yield _standard_sample(alpha, beta, min(_BLOCK, n - start), rng)
-
-
 def sample(params: StableParams, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. variates; deterministic for a given seed.
 
@@ -83,10 +76,12 @@ def sample(params: StableParams, n: int, seed) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     out = np.empty(n)
+    rng = np.random.default_rng(seed)
     # mu + c*Z is valid in this parameterization for every supported
     # (alpha, beta): the alpha = 1 shift correction vanishes at beta = 0
-    for k, z in enumerate(_standard_blocks(params.alpha, params.beta, n, seed)):
-        part = out[k * _BLOCK:k * _BLOCK + len(z)]
+    for start in range(0, n, _BLOCK):
+        part = out[start:start + _BLOCK]
+        z = _standard_sample(params.alpha, params.beta, len(part), rng)
         np.add(params.mu, np.multiply(params.c, z, out=part), out=part)
     return out
 

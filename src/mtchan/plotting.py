@@ -94,8 +94,10 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]])
         lx = _WIDTH - _MARGIN_R + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.8"/>')
+        # the XML escapes by hand: importing html or xml would slow the CLI
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{text}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -332,15 +332,6 @@ def _half_cdf(beta: float, x: float) -> float:
     return min(max(1.0 - mass if x > 0.0 else -mass, 0.0), 1.0)
 
 
-def _gauss_std_pdf(x: float) -> float:
-    # alpha = 2 standard stable is N(0, 2)
-    return math.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
-
-
-def _gauss_std_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-0.5 * x)
-
-
 # ---------------------------------------------------------------------------
 # numerical inversion: Nolan's (1997) integral over theta
 # ---------------------------------------------------------------------------
@@ -585,8 +576,8 @@ def std_pdf(s: StandardStable, x: float) -> float:
     """Density of the standard stable law (mu = 0, c = 1) at x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if s.alpha == 2.0:
-        return _gauss_std_pdf(x)
+    if s.alpha == 2.0:  # N(0, 2)
+        return math.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
     if s.alpha == 1.0:
         return 1.0 / (math.pi * (1.0 + x * x))
     if s.alpha == 0.5 and s.beta == 1.0:
@@ -603,7 +594,7 @@ def std_cdf(s: StandardStable, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if s.alpha == 2.0:
-        return _gauss_std_cdf(x)
+        return 0.5 * math.erfc(-0.5 * x)
     if s.alpha == 1.0:
         if x < 0.0:
             return math.atan2(1.0, -x) / math.pi  # 1/2 + atan(x)/pi cancels here

@@ -1,5 +1,5 @@
-"""Binary signaling over the three timing systems: conditional densities,
-ML thresholds and analytic BER.
+"""Binary signaling over the three timing systems: ML thresholds and
+analytic BER.
 
 All detector math is done in standardized coordinates u = y/c with
 separation delta_std = delta/c, so results at a fixed G-SNR are invariant
@@ -96,29 +96,6 @@ def _law(scheme: BinaryScheme, s: float, u: float, kind: str) -> float:
     return (std_pdf if kind == "pdf" else std_cdf)(law, u - s)
 
 
-def cond_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
-    """Density of the observation given the transmitted symbol s: f(y - s),
-    f the noise density, or for B the folded f(y - s) + f(-y - s) on y >= 0."""
-    if symbol not in scheme.symbols:
-        raise ValueError(f"symbol {symbol} not in alphabet {scheme.symbols}")
-    c = scheme.noise.c
-    return _law(scheme, symbol / c, y / c, "pdf") / c
-
-
-def llr(scheme: BinaryScheme, y: float) -> float:
-    """log f(y | low symbol) - log f(y | high symbol); +/-inf on support edges."""
-    low, high = scheme.symbols
-    p_low = cond_pdf(scheme, low, y)
-    p_high = cond_pdf(scheme, high, y)
-    if p_low == 0.0 and p_high == 0.0:
-        raise ValueError(f"observation y = {y} is impossible under both symbols")
-    if p_high == 0.0:
-        return math.inf
-    if p_low == 0.0:
-        return -math.inf
-    return math.log(p_low) - math.log(p_high)
-
-
 def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:
     # f(y|low) - f(y|high) in standardized units u = y/c, d = delta/c
     low, high = input_symbols(scheme.system, d)
@@ -186,11 +163,6 @@ def ml_threshold(scheme: BinaryScheme) -> DetectorState:
     elif scheme.noise.beta == -1.0:
         threshold = min(threshold, low)
     return DetectorState(threshold=threshold, low_symbol=low, high_symbol=high)
-
-
-def detect(state: DetectorState, y: float) -> float:
-    """Threshold rule; ties go to the low symbol."""
-    return state.low_symbol if y <= state.threshold else state.high_symbol
 
 
 def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> float:

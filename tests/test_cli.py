@@ -132,14 +132,17 @@ def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
     # the CLI counts its one draw through ber_monte_carlo_curve, whatever
     # the worker count: three chunks here or on the pool
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
-    schemes = [scheme_for_gsnr(system, 1.0, gsnr, beta)
-               for system, beta in ((System.A, 1.0), (System.C, 0.5))
-               for gsnr in (1.0, 10.0)]
+    points = [(system, beta, 1.0, gsnr)
+              for system, beta in ((System.A, 1.0), (System.C, 0.5))
+              for gsnr in (1.0, 10.0)]
+    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
+               for system, beta, delta, gsnr in points]
     states = [ml_threshold(s) for s in schemes]
     curve = montecarlo.ber_monte_carlo_curve(
         schemes, states, 10_000, montecarlo.stream_seed(6, 0))
     for workers in (1, 2):
-        assert cli._monte_carlo(schemes, states, 10_000, 6, workers) == curve
+        records = cli._compute_grid(points, 10_000, 6, workers)
+        assert [(r.ber_mc, r.mc_stderr) for r in records] == curve
 
 
 @pytest.mark.parametrize("args", [

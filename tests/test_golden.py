@@ -1,4 +1,5 @@
-"""Committed outputs of the sweeps and table1, regenerated in-process.
+"""Committed outputs of the sweeps and table1, regenerated in-process, and
+of demos 01 and 02 (checked by test_demos).
 
 Text and integers (counts, exit codes, sample sizes) must match exactly and
 floats to GOLDEN_RTOL relative, so a change to any output shows as a diff to
@@ -15,6 +16,7 @@ import io
 import math
 import pathlib
 import re
+import tempfile
 
 import pytest
 
@@ -99,6 +101,14 @@ def regenerate() -> None:
             err_file.write_text(err)
         elif err_file.exists():
             err_file.unlink()
+    from test_demos import DEMOS, PINNED, run_demo
+    for demo in DEMOS:
+        if demo.name in PINNED:
+            with tempfile.TemporaryDirectory() as cwd:
+                proc = run_demo(demo, pathlib.Path(cwd))
+            if proc.returncode != 0:
+                raise SystemExit(f"{demo.name} exited {proc.returncode}: {proc.stderr}")
+            (GOLDEN / PINNED[demo.name]).write_text(proc.stdout)
 
 
 if __name__ == "__main__":

@@ -36,3 +36,13 @@ def test_title_and_axis_labels(tmp_path):
     texts = re.findall(r'<text [^>]*font-size="1[35]"[^>]*>([^<]*)</text>',
                        path.read_text())
     assert texts == ["BER vs G-SNR", "G-SNR (dB)", "BER"]
+
+
+def test_labels_are_escaped_into_well_formed_xml(tmp_path):
+    from xml.dom import minidom
+
+    path = tmp_path / "ber.svg"
+    plotting.write_ber_svg(str(path), [("a<b & c>d", [0.0, 10.0], [0.3, 0.02])])
+    texts = [node.firstChild.data for node in
+             minidom.parse(str(path)).getElementsByTagName("text")]
+    assert texts[-1] == "a<b & c>d"

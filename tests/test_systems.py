@@ -11,9 +11,9 @@ from mtchan.montecarlo import (MC_CHUNK, ber_monte_carlo, ber_monte_carlo_curve,
 from mtchan.power import System, input_symbols
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
-                            _bracket, _brent, _density_gap, ber_analytic,
-                            cond_pdf, detect, llr, ml_threshold,
-                            scheme_for_gsnr, system_c_component_scales)
+                            _bracket, _brent, _density_gap, _law,
+                            ber_analytic, ml_threshold, scheme_for_gsnr,
+                            system_c_component_scales)
 from mtchan.validate import CheckResult, _ks_test
 
 
@@ -117,59 +117,54 @@ def test_scheme_for_gsnr_forces_noise_beta():
 # conditional densities
 # ---------------------------------------------------------------------------
 
+def observed_pdf(scheme: BinaryScheme, symbol: float, y: float) -> float:
+    # the density of the observation y given the sent symbol, in y's units
+    c = scheme.noise.c
+    return _law(scheme, symbol / c, y / c, "pdf") / c
+
+
 def test_cond_pdf_system_a():
     s = make("A", c=2.0)
     # observation below the transmitted symbol is impossible
-    assert cond_pdf(s, 0.0, -0.1) == 0.0
-    assert cond_pdf(s, 1.0, 0.9) == 0.0
-    assert cond_pdf(s, 0.0, 0.5) == pytest.approx(
+    assert observed_pdf(s, 0.0, -0.1) == 0.0
+    assert observed_pdf(s, 1.0, 0.9) == 0.0
+    assert observed_pdf(s, 0.0, 0.5) == pytest.approx(
         std_pdf(StandardStable(0.5, 1.0), 0.25) / 2.0, abs=1e-14)
 
 
 def test_cond_pdf_system_b_boundary_and_fold():
     s = make("B", c=1.0)
-    assert cond_pdf(s, 0.0, -1.0) == 0.0
+    assert observed_pdf(s, 0.0, -1.0) == 0.0
     # at y = 0 the folded density is its limit from above, f(-s) + f(-s)
-    assert cond_pdf(s, 0.0, 0.0) == pytest.approx(4.0 / math.pi, abs=1e-10)
-    assert cond_pdf(s, s.delta, 0.0) == pytest.approx(
-        cond_pdf(s, s.delta, 1e-12), rel=1e-12)
+    assert observed_pdf(s, 0.0, 0.0) == pytest.approx(4.0 / math.pi, abs=1e-10)
+    assert observed_pdf(s, s.delta, 0.0) == pytest.approx(
+        observed_pdf(s, s.delta, 1e-12), rel=1e-12)
     sym = StandardStable(0.5, 0.0)
     # folded density: contributions from +y and -y
-    assert cond_pdf(s, 1.0, 0.4) == pytest.approx(
+    assert observed_pdf(s, 1.0, 0.4) == pytest.approx(
         std_pdf(sym, -0.6) + std_pdf(sym, -1.4), abs=1e-10)
 
 
 def test_cond_pdf_system_c():
     s = make("C", beta=0.0)
-    assert cond_pdf(s, 1.0, 1.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
-    assert cond_pdf(s, -1.0, -1.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
-
-
-def test_cond_pdf_rejects_foreign_symbol():
-    with pytest.raises(ValueError):
-        cond_pdf(make("A"), 0.5, 1.0)
+    assert observed_pdf(s, 1.0, 1.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
+    assert observed_pdf(s, -1.0, -1.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # LLR
 # ---------------------------------------------------------------------------
 
-def test_llr_signs_and_edges():
-    s = make("A")
-    # only the low symbol can explain y in (0, delta)
-    assert llr(s, 0.5) == math.inf
-    th = ml_threshold(s).threshold
-    assert llr(s, (1.0 + th) / 2.0 + 1e-9) != 0.0
-    assert llr(s, th - 0.05) > 0.0 > llr(s, th + 0.05)
-    with pytest.raises(ValueError):
-        llr(s, -1.0)  # impossible under both symbols
-
-
 def test_llr_zero_at_threshold():
+    # the two conditional densities meet at the threshold: their gap is a
+    # hair of the low symbol's density there
     for s in (make("A"), make("B"), make("C", beta=0.5),
               make("C", beta=0.95, delta=3.0, c=0.2)):
-        th = ml_threshold(s).threshold
-        assert abs(llr(s, th)) < 1e-8
+        c = s.noise.c
+        d = s.delta / c
+        u = ml_threshold(s).threshold / c
+        low = input_symbols(s.system, d)[0]
+        assert abs(_density_gap(s, u, d)) <= 1e-8 * _law(s, low, u, "pdf")
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +251,6 @@ def test_ber_high_gsnr_tail_limit(system, beta, db):
     d = s.delta / s.noise.c
     ratio = ber_analytic(s) * math.sqrt(d) / _tail_limit(system, beta)
     assert ratio == pytest.approx(1.0, abs=1e-12)
-
-
-def test_detect_tie_goes_low():
-    s = make("A")
-    state = ml_threshold(s)
-    assert detect(state, state.threshold) == 0.0
-    assert detect(state, state.threshold + 1e-9) == 1.0
-    assert detect(state, -5.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +580,9 @@ BRENTQ_RTOL = 8.881784197001252e-16
     ("C", 0.25)])
 def test_threshold_bracket_scan(system, beta):
     # from -60 to 300 dB (past 297 dB, d + 1/3 rounds to d for system A)
-    # the LLR flips across the threshold within the solver tolerance, and
-    # threshold/delta moves monotonically onto its tail-balance limit;
+    # the density gap flips across the threshold within the solver
+    # tolerance, and threshold/delta moves monotonically onto its
+    # tail-balance limit;
     # the in-house Brent solve returns the very float scipy's brentq does
     optimize = pytest.importorskip("scipy.optimize")
     if system == "B":
@@ -617,7 +605,8 @@ def test_threshold_bracket_scan(system, beta):
                 lambda u: _density_gap(s, u, d), lo, hi,
                 xtol=1e-12 * max(d, 1.0), rtol=BRENTQ_RTOL), db
         h = 2.0 * c * 1e-12 * max(d, 1.0) + 8.0 * math.ulp(th)
-        assert llr(s, th - h) > 0.0 > llr(s, th + h), db
+        assert (_density_gap(s, (th - h) / c, d) > 0.0
+                > _density_gap(s, (th + h) / c, d)), db
         gaps.append(side * (th / s.delta - limit))
     assert all(g >= 0.0 for g in gaps), gaps
     assert all(a >= b for a, b in zip(gaps, gaps[1:])), gaps

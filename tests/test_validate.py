@@ -228,6 +228,34 @@ def test_ber_checks_are_calibrated_over_300_suite_seeds():
         assert not passed, (scale, t, p)
 
 
+def test_ks_checks_are_calibrated_over_300_suite_seeds():
+    # validate's four KS cases at 10^4 draws over suite seeds 0-299, each on
+    # the seed the suite gives it: 1,200 p values, Uniform(0, 1) on correct
+    # code.  Pooled, they resolve CDF tables at a skew 0.005 off, where the
+    # single-case gates catch 4 of the 1,200 cases.  The seeds are fixed, so
+    # the test is deterministic: KS p = 0.215 here, and 1.8e-9 at the shift
+    n = 10_000
+    tables = {beta: [validate.make_std_cdf_vectorized(b)
+                     for b in (beta, beta - 0.005)]
+              for beta in validate.KS_LAWS}
+    p_values = []
+    for seed in range(300):
+        tasks = [t for t in validate.suite(n, seed) if t.func is validate._ks_law]
+        for task, beta in zip(tasks, validate.KS_LAWS, strict=True):
+            assert task.args[:2] == (beta, n)
+            draws = montecarlo.sample(stable.StableParams(0.0, 1.0, 0.5, beta),
+                                      n, task.args[-1])
+            p_values.append([validate._ks_test(draws, table)[1]
+                             for table in tables[beta]])
+    correct, shifted = np.array(p_values).T
+    # Uniform(0, 1)'s CDF is the identity, copied: _ks_test writes into it
+    _, p = validate._ks_test(correct, np.copy)
+    assert p >= validate.KS_SIGNIFICANCE, p
+    # power: tables built at beta - 0.005 fail on the same draws
+    _, p = validate._ks_test(shifted, np.copy)
+    assert p < validate.KS_SIGNIFICANCE, p
+
+
 # ---------------------------------------------------------------------------
 # geometric power by quadrature: accuracy, power and determinism
 # ---------------------------------------------------------------------------

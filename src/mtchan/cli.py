@@ -38,21 +38,21 @@ CSV_HEADER = ["gsnr_db", "system", "beta", "delta", "c", "threshold",
 TABLE1_REFERENCE = {0.0: 0.1458, 0.2: 0.1428, 0.5: 0.1287, 0.8: 0.1069, 1.0: 0.0857}
 TABLE1_GSNR = 10.0
 
-#: the default sweep: SWEEP_POINTS G-SNRs evenly spaced in dB between these
+#: the default sweep: SWEEP_POINTS G-SNRs evenly spaced in dB between these,
+#: system C at the skews SWEEP_BETAS
 SWEEP_GSNR_DB = (-10.0, 20.0)
 SWEEP_POINTS = 31
+SWEEP_BETAS = "0,0.25,0.5,0.75,0.95"
 
 
 def point_seed(master_seed: int, index: int) -> int:
-    """Seed of the Monte Carlo draw behind point `index` of a sweep.
-
-    A grid of one delta, as every sweep is, counts all its points on one
-    draw of bits and noise, so the seed is the same for every index.  A
-    point's count depends on the seed and the bit count alone, whatever the
-    other points (see `montecarlo.chunk_errors`), so the Monte Carlo columns
-    of point `index` are `ber_monte_carlo` on that point with this seed, at
-    any bit count.  `index` is taken so that a caller recomputing a sweep point
-    by point, as `bench/traced.py` does, gets each point's draw.
+    """Seed of the Monte Carlo draw behind point `index` of a sweep: the same
+    for every index, as a sweep counts all its points on one draw of noise.
+    A point's count depends on the seed and the bit count alone (see
+    `montecarlo.chunk_errors`), so its Monte Carlo columns are
+    `ber_monte_carlo` on that point with this seed, at any bit count.
+    `index` is taken so that a caller recomputing a sweep point by point, as
+    `bench/traced.py` does, gets each point's draw.
     """
     from . import montecarlo
     return montecarlo.stream_seed(master_seed, 0)
@@ -72,8 +72,8 @@ def _compute_grid(points, mc_samples: int = 0, seed: int = 0,
     """One record per (system, beta, delta, gsnr) point, in order.  The
     thresholds and analytic BER are computed here, as a point costs less
     than starting a worker; only Monte Carlo chunks, if mc_samples > 0, go
-    to the pool.  Every point's (ber_mc, stderr) is counted on the one draw
-    of point_seed."""
+    to the pool.  Every point's (ber_mc, stderr) is the paired count of
+    ber_monte_carlo_curve on the one draw of point_seed."""
     schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
                for system, beta, delta, gsnr in points]
     states = [ml_threshold(s) for s in schemes]
@@ -143,6 +143,7 @@ _SKEW = (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]")
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _FINITE = (math.isfinite, "finite")
 _MC_BITS = (lambda n: n == 0 or n >= MC_MIN_BITS, f"0 or >= {MC_MIN_BITS}")
+_EVEN = (lambda n: n % 2 == 0, "even, one low and one high bit per noise draw")
 
 
 def _require(flag: str, values, check) -> None:
@@ -228,10 +229,14 @@ def cmd_sweep(args) -> int:
     if not names or not set(names) <= set(System.__members__):
         raise ValueError(f"--systems must be a list of A, B, C, got {args.systems!r}")
     systems_sel = [System(name) for name in names]
-    betas_c = _float_list(args.betas, "--betas")
+    if args.betas is not None and System.C not in systems_sel:
+        raise ValueError(f"--betas needs C in --systems, got {args.systems!r}")
+    betas_c = _float_list(SWEEP_BETAS if args.betas is None else args.betas,
+                          "--betas")
     _require("--betas", betas_c, _SKEW)
     _require("--delta", [args.delta], _POSITIVE)
     _require("--mc-samples", [args.mc_samples], _MC_BITS)
+    _require("--mc-samples", [args.mc_samples], _EVEN)
     _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
@@ -257,6 +262,7 @@ def cmd_validate(args) -> int:
     workers = _resolve_workers(args)
     _require("--mc-samples", [args.mc_samples],
              (lambda n: n >= MC_MIN_BITS, f">= {MC_MIN_BITS}"))
+    _require("--mc-samples", [args.mc_samples], _EVEN)
     _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     tasks = validate.suite(args.mc_samples, args.seed)
     results = [r for rs in _run_tasks(tasks, workers) for r in rs]
@@ -308,22 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--output", help="CSV file (default: stdout)")
     p.add_argument("--systems", default="A,B,C")
-    p.add_argument("--betas", default="0,0.25,0.5,0.75,0.95",
-                   help="system C skew values")
+    p.add_argument("--betas", help=f"system C skews (default {SWEEP_BETAS})")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--gsnr-db", type=float, nargs="+",
                    help="dB grid endpoints (one value = single point; default "
                         f"{SWEEP_GSNR_DB[0]:g} {SWEEP_GSNR_DB[1]:g})")
     p.add_argument("--points", type=int,
                    help=f"points between two --gsnr-db endpoints (default {SWEEP_POINTS})")
-    p.add_argument("--mc-samples", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, default=0,
+                   help="Monte Carlo bits per point: 0 or an even count")
     p.add_argument("--plot", help="write an SVG figure to this path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the oracle/cross-check suite")
     _add_common(p)
     p.add_argument("--mc-samples", type=int, default=1_000_000,
-                   help="bits per BER curve; the KS tests draw a tenth, at least 10^4")
+                   help="bits per BER curve, even; KS tests draw a tenth, at least 10^4")
     p.set_defaults(func=cmd_validate)
 
     return parser

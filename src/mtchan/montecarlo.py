@@ -3,19 +3,14 @@ difference a1/Z1^2 - a2/Z2^2 the error counts draw (_noise) and other alphas
 by Chambers-Mallows-Stuck, and simulated bits whose errors are counted
 against the analytic BER.
 
-Sampling (sample) draws _BLOCK variates at a time from one
-default_rng(seed), so a block's temporaries bound its memory whatever n is.
-Up to _BLOCK variates, and at any n for the one-delay laws (alpha = 1/2,
-beta = +-1), that is the stream of one draw of n.
-
 This is the one module that imports numpy; the analytic commands never load
 it.  The error counts work in the detector's standardized coordinates u =
-y/c: they draw the standardized noise N and count the decisions on U = s + N
-(|s + N| for B), the observation whose law systems._law gives, as bounds
-on N.  They draw in chunks of MC_CHUNK bits, chunk k from the generator
-PCG64(seed).jumped(k), and one chunk's draw serves every point counted on
-it, of any system and skew: a point's count depends on the seed and the bit
-count alone (chunk_errors).
+y/c: they draw the standardized noise N, n/2 draws for n bits, and decide
+each as if the low and as if the high symbol were sent, on the regions of N
+systems._low_region gives.  They draw in chunks of MC_CHUNK, chunk k from
+the generator PCG64(seed).jumped(k), and one chunk's draw serves every point
+counted on it, of any system and skew: a point's count depends on the seed
+and the bit count alone (chunk_errors).
 """
 
 from __future__ import annotations
@@ -25,15 +20,15 @@ import math
 
 import numpy as np
 
-from .power import System, input_symbols
+from .power import input_symbols
 from .stable import StableParams
-from .systems import (MC_MIN_BITS, BinaryScheme, DetectorState, ml_threshold,
-                      system_c_component_scales)
+from .systems import (MC_MIN_BITS, BinaryScheme, DetectorState, _low_region,
+                      ml_threshold, system_c_component_scales)
 
 
-#: bits per Monte Carlo draw: memory is bounded by it, whatever the bit count
+#: noise draws (two bits each) per Monte Carlo chunk: memory is bounded by it
 MC_CHUNK = 2 ** 20
-# variates sampled, or bits of a chunk counted, at a time: a block's draws and
+# variates sampled, or draws of a chunk counted, at a time: a block's draws and
 # temporaries stay small
 _BLOCK = 2 ** 16
 
@@ -90,25 +85,6 @@ def sample(params: StableParams, n: int, seed) -> np.ndarray:
 # error counting
 # ---------------------------------------------------------------------------
 
-def _draw(rng: np.random.Generator, n: int, two: bool):
-    # the draws of n bits, _BLOCK at a time: (low, squares), the mask of the
-    # bits that sent the low symbol and [Z1^2] or, if two, [Z1^2, Z2^2].  The
-    # bits, then Z1, then Z2 come in this fixed order, so the bits and Z1 are
-    # the same whether or not Z2 is drawn.  Drawn a block at a time, Z2 is
-    # the same stream as drawn at once, so only the mask and Z1 span all n.
-    # Below 2^32 numpy draws int64 bits from the same buffered 32-bit words:
-    # int32 bits are the same bits in half the memory
-    low = rng.integers(0, 2, n, dtype=np.int32) == 0
-    z1 = rng.standard_normal(n)
-    np.multiply(z1, z1, out=z1)
-    for start in range(0, n, _BLOCK):
-        squares = [z1[start:start + _BLOCK]]
-        if two:
-            z = rng.standard_normal(len(squares[0]))
-            squares.append(np.multiply(z, z, out=z))
-        yield low[start:start + _BLOCK], squares
-
-
 def _noise(scales: tuple[float, float], squares: list[np.ndarray]) -> np.ndarray:
     # the standardized noise N = a1/Z1^2 + (-a2)/Z2^2: the delays of nonzero
     # scale take Z1 and then Z2, in order; a delay of scale 0 takes none
@@ -119,13 +95,11 @@ def _noise(scales: tuple[float, float], squares: list[np.ndarray]) -> np.ndarray
     return noise
 
 
-def _decided_low(noise: np.ndarray, bounds: tuple[float | None, float]) -> int:
-    # the draws decided low, counted on the noise N itself: U = s + N <= u is
-    # N <= u - s, and B's |s + N| <= u is -u - s <= N <= u - s; bounds is
-    # (-u - s or None, u - s)
-    lo, hi = bounds
+def _count(noise: np.ndarray, region: tuple[float | None, float]) -> int:
+    # the draws lo <= N <= hi of a region (lo or None, hi); none if lo > hi
+    lo, hi = region
     n = int(np.count_nonzero(noise <= hi))
-    return n if lo is None else n - int(np.count_nonzero(noise < lo))
+    return n if lo is None else max(n - int(np.count_nonzero(noise < lo)), 0)
 
 
 def stream_seed(master_seed: int, stream: int) -> int:
@@ -134,74 +108,83 @@ def stream_seed(master_seed: int, stream: int) -> int:
 
 
 def chunk_errors(schemes: list[BinaryScheme], states: list[DetectorState],
-                 seed, k: int, n: int) -> list[int]:
-    """Error count of each point, any schemes with their detectors, on chunk
-    k (of n bits) of the Monte Carlo draw of seed.
-
-    The chunk has its own generator, PCG64(seed).jumped(k): it draws the
-    bits, then Z1, then Z2 if some point has two delays, so a point's count
-    depends on seed, k and n alone, whatever the other points.  Points of one
-    noise law share the standardized noise N.  Each point decides a bit on N
-    itself, in the coordinates of ber_analytic: low where N <= u - s (A, C)
-    or -u - s <= N <= u - s (B), u its threshold over c and s the sent
-    symbol over c.  The count is thus the detector's decision on the exact
-    y = c*(s + N), up to one rounding of each bound, at any G-SNR.
-    """
+                 seed, k: int, m: int) -> list[tuple[int, int]]:
+    """(errors, both) of each point, any schemes with their detectors, on
+    chunk k (m noise draws N) of the Monte Carlo draw of seed: the errors of
+    its 2m bits, each N decided as if either symbol were sent, and the draws
+    on which both err.  The chunk's generator, PCG64(seed).jumped(k), draws
+    Z1, then Z2 if some point has two delays, so a point's counts depend on
+    seed, k and m alone.  Each point decides on N itself against
+    systems._low_region: the decision on the exact y = c*(s + N), up to one
+    rounding of each bound, at any G-SNR."""
     scales = [system_c_component_scales(1.0, s.noise.beta) for s in schemes]
     rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
     laws: dict[tuple[float, float], list[int]] = {}
     for i, a in enumerate(scales):
         laws.setdefault(a, []).append(i)
-    # (low-sent, high-sent) bounds on N of a low decision, per point
-    bounds = []
+    # per point: the low and the high symbol's regions of a low decision and,
+    # where high's leaves low's (B's, not A's or C's rays), their intersection
+    regions = []
     for scheme, state in zip(schemes, states):
         u = state.threshold / scheme.noise.c
-        bounds.append([(-u - s if scheme.system is System.B else None, u - s)
-                       for s in input_symbols(scheme.system,
-                                              scheme.delta / scheme.noise.c)])
-    errors = [0] * len(schemes)
-    for sent_low, squares in _draw(rng, n, any(all(a) for a in scales)):
-        # an error decides high where low was sent, or low where high was sent
-        n_low = int(np.count_nonzero(sent_low))
-        halves = [[square.compress(side) for square in squares]
-                  for side in (sent_low, ~sent_low)]
+        low, high = (_low_region(scheme, s, u) for s in input_symbols(
+            scheme.system, scheme.delta / scheme.noise.c))
+        regions.append((low, high, None if low[0] is None else (low[0], high[1])))
+    two = any(all(a) for a in laws)
+    z1 = rng.standard_normal(m)
+    np.multiply(z1, z1, out=z1)
+    counts = [[0, 0] for _ in schemes]
+    for start in range(0, m, _BLOCK):
+        squares = [z1[start:start + _BLOCK]]
+        if two:  # a block at a time, Z2 is the same stream as drawn at once
+            z = rng.standard_normal(len(squares[0]))
+            squares.append(np.multiply(z, z, out=z))
         for a, members in laws.items():
-            noise_low, noise_high = (_noise(a, half) for half in halves)
+            noise = _noise(a, squares)
             for i in members:
-                kept, flipped = (_decided_low(noise, b) for noise, b
-                                 in zip((noise_low, noise_high), bounds[i]))
-                errors[i] += n_low - kept + flipped
-    return errors
+                low, high, common = regions[i]
+                # low sent and decided high, or high sent and decided low
+                flipped = _count(noise, high)
+                counts[i][0] += len(noise) - _count(noise, low) + flipped
+                if common is not None:
+                    counts[i][1] += flipped - _count(noise, common)
+    return [tuple(c) for c in counts]
 
 
 def ber_monte_carlo_curve(schemes: list[BinaryScheme],
                           states: list[DetectorState], n_bits: int,
                           seed, run=None) -> list[tuple[float, float]]:
-    """Empirical BER and its binomial standard error at each point: any
-    schemes, with their detectors, counted on one draw of n_bits.
+    """Empirical BER and its standard error at each point: any schemes, with
+    their detectors, counted on one draw of m = n_bits/2 noise values, each
+    sending a low and a high bit.  With X a draw's errors (0, 1 or 2), the
+    BER is sum X / n_bits and the standard error the plug-in sqrt((sum X^2/m
+    - (sum X/m)^2)/(4m)), 0.0 on a zero count: no confidence bound.
 
-    The draw comes in chunks of MC_CHUNK bits, each from its own generator
+    The draw comes in chunks of MC_CHUNK, each from its own generator
     (chunk_errors), so memory is one chunk's and each point's estimate is
     ber_monte_carlo's on that point alone with the same seed; the errors of
-    points on one draw are correlated.  Each chunk is one task, a callable
-    returning its counts; run maps the task list to their counts in order
-    (by default, calling each here), so a pool may count the chunks.
+    points on one draw are correlated.  run maps the chunk tasks, callables
+    returning their counts, to the counts in order (by default, calling each
+    here), so a pool may count the chunks.
     """
-    if n_bits < MC_MIN_BITS:
-        raise ValueError(f"n_bits must be >= {MC_MIN_BITS}, got {n_bits}")
+    if n_bits < MC_MIN_BITS or n_bits % 2:
+        raise ValueError(f"n_bits must be even (a low and a high bit per noise "
+                         f"draw) and >= {MC_MIN_BITS}, got {n_bits}")
     if len(states) != len(schemes):
         raise ValueError("a curve needs one detector state per scheme")
+    m = n_bits // 2
     tasks = [functools.partial(chunk_errors, schemes, states, seed, k,
-                               min(MC_CHUNK, n_bits - start))
-             for k, start in enumerate(range(0, n_bits, MC_CHUNK))]
+                               min(MC_CHUNK, m - start))
+             for k, start in enumerate(range(0, m, MC_CHUNK))]
     counts = run(tasks) if run else [task() for task in tasks]
-    rates = [sum(errors) / n_bits for errors in zip(*counts)]
-    return [(p, math.sqrt(p * (1.0 - p) / n_bits)) for p in rates]
+    # sum X^2 = errors + 2*both, and m*sum X^2 - (sum X)^2 an integer >= 0
+    return [(e / n_bits, math.sqrt((m * (e + 2 * b) - e * e) / (4 * m ** 3)))
+            for e, b in (map(sum, zip(*point)) for point in zip(*counts))]
 
 
 def ber_monte_carlo(scheme: BinaryScheme, n_bits: int, seed,
                     state: DetectorState | None = None) -> tuple[float, float]:
-    """Empirical BER and its binomial standard error: the one-point curve."""
+    """Empirical BER and its standard error: the one-point curve."""
     if state is None:
         state = ml_threshold(scheme)
     return ber_monte_carlo_curve([scheme], [state], n_bits, seed)[0]

@@ -79,21 +79,28 @@ class BerRecord(namedtuple(
         return cls(*iterable)
 
 
+def _low_region(scheme: BinaryScheme, s: float,
+                u: float) -> tuple[float | None, float]:
+    # (lo, hi): the standardized noise lo <= N <= hi of a low decision when s
+    # is sent.  U = s + N <= u is N <= u - s, and B's |s + N| <= u also N >=
+    # -u - s; lo is None for A and C.  _law and the Monte Carlo both read it
+    return (-u - s if scheme.system is System.B else None), u - s
+
+
 def _law(scheme: BinaryScheme, s: float, u: float, kind: str) -> float:
-    # the law of U = y/c given the standardized symbol s, U = s + N or |s + N|
-    # for B: density ("pdf"), P(U <= u) ("cdf") or P(U > u) ("sf"), no 1 - F
+    # the law of U = y/c given the standardized symbol s, on its region of a
+    # low decision: density ("pdf"), P(U <= u) ("cdf") or P(U > u) ("sf"), no
+    # 1 - F: P(N > hi) is the CDF of -N ~ S(1/2, -beta) at -hi
     law = scheme.noise.standard
-    if scheme.system is System.B:  # N symmetric: P(N > x) = F(-x)
-        if u < 0.0:
-            return 1.0 if kind == "sf" else 0.0
-        if kind == "pdf":
-            return std_pdf(law, u - s) + std_pdf(law, -u - s)
-        if kind == "cdf":
-            return std_cdf(law, u - s) - std_cdf(law, -u - s)
-        return std_cdf(law, s - u) + std_cdf(law, -u - s)
-    if kind == "sf":  # P(N > x) is the CDF of -N ~ S(1/2, -beta) at -x
-        return std_cdf(StandardStable(0.5, -law.beta), s - u)
-    return (std_pdf if kind == "pdf" else std_cdf)(law, u - s)
+    if scheme.system is System.B and u < 0.0:
+        return 1.0 if kind == "sf" else 0.0
+    lo, hi = _low_region(scheme, s, u)
+    f = std_pdf if kind == "pdf" else std_cdf
+    value = (std_cdf(StandardStable(0.5, -law.beta), -hi) if kind == "sf"
+             else f(law, hi))
+    if lo is not None:  # B: the mass below lo decides high too
+        value = value - f(law, lo) if kind == "cdf" else value + f(law, lo)
+    return value
 
 
 def _density_gap(scheme: BinaryScheme, u: float, d: float) -> float:

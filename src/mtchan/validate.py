@@ -240,7 +240,7 @@ def _ber_curve(system: System, beta: float, n_bits: int,
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
                              seed: int = 11) -> list[CheckResult]:
-    """Analytic BER vs Monte Carlo within Z_GATE binomial standard errors."""
+    """Analytic BER vs Monte Carlo within Z_GATE paired-count standard errors."""
     return [r for case in _cases(_ber_curve, BER_CASES, n_bits, seed) for r in case()]
 
 

@@ -130,7 +130,7 @@ def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
 
 def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
     # the CLI counts its one draw through ber_monte_carlo_curve, whatever
-    # the worker count: three chunks here or on the pool
+    # the worker count: two chunks here or on the pool
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     points = [(system, beta, 1.0, gsnr)
               for system, beta in ((System.A, 1.0), (System.C, 0.5))
@@ -150,8 +150,9 @@ def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
 ], ids=["sweep"])
 def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
                                                          monkeypatch):
-    # 10,000 bits in chunks of 4096 are three pool tasks, the last partial;
-    # each point still equals ber_monte_carlo with the sweep's seed
+    # 10,000 bits are 5,000 draws, in chunks of 4096 two pool tasks, the
+    # last partial; each point still equals ber_monte_carlo with the sweep's
+    # seed
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     args = args + ["--mc-samples", "10000", "--seed", "4"]
     first, *others = _outputs_by_workers(args, tmp_path, capsys)
@@ -165,9 +166,9 @@ def test_mc_chunk_tasks_are_independent_of_worker_count(args, tmp_path, capsys,
 
 
 def test_sweep_mc_rows_within_four_stderr(capsys):
-    # each curve's points share one draw of a little over one chunk, so a
-    # partial last chunk is counted too
-    n = MC_CHUNK + 12345
+    # each curve's points share one draw of a little over one chunk of
+    # MC_CHUNK draws, two bits each, so a partial last chunk is counted too
+    n = 2 * (MC_CHUNK + 12345)
     code, out, _ = run(["sweep", "--betas", "-1,0.5,1", "--gsnr-db", "-10",
                         "20", "--points", "3", "--mc-samples", str(n),
                         "--workers", "2"], capsys)
@@ -249,6 +250,13 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
     (["sweep", "--betas", "0,x", "--points", "1"], "--betas takes comma-separated"),
     (["sweep", "--mc-samples", "5", "--points", "1"],
      "--mc-samples must be 0 or >= 10000"),
+    # each noise draw sends one low and one high bit
+    (["sweep", "--mc-samples", "10001", "--points", "1"],
+     "--mc-samples must be even, one low and one high bit per noise draw, "
+     "got 10001"),
+    # --betas sets C's skews only: without C it is refused, not ignored
+    (["sweep", "--systems", "A,B", "--betas", "0.5", "--points", "1"],
+     "--betas needs C in --systems, got 'A,B'"),
     (["sweep", "--systems", ","], "--systems must be a list of A, B, C"),
     (["sweep", "--systems", "A,D"], "--systems must be a list of A, B, C"),
     (["table1", "--gsnr", "nan"], "--gsnr must be finite and > 0"),
@@ -488,6 +496,15 @@ def test_validate_rejects_tiny_mc(capsys):
     code, _, err = run(["validate", "--mc-samples", "100"], capsys)
     assert code == 2
     assert "--mc-samples must be >= 10000, got 100" in err
+
+
+def test_validate_rejects_an_odd_mc(capsys):
+    # each noise draw sends one low and one high bit
+    code, out, err = run(["validate", "--mc-samples", "100001"], capsys)
+    assert code == 2
+    assert out == ""
+    assert ("--mc-samples must be even, one low and one high bit per noise "
+            "draw, got 100001") in err
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -356,17 +356,20 @@ def test_system_c_component_scales():
 
 
 def test_ber_monte_carlo_matches_analytic():
+    # A's draws err on one symbol at most, X in {0, 1}: with p = sum X/n and
+    # m = n/2 draws, the plug-in variance (2p - 4p^2)/(4m) is p(1 - 2p)/n
     s = scheme_for_gsnr(System.A, 1.0, 1.0)
     analytic = ber_analytic(s)
     mc, stderr = ber_monte_carlo(s, 200_000, 4)
     assert abs(mc - analytic) <= 4.0 * stderr
-    assert stderr == pytest.approx(math.sqrt(mc * (1.0 - mc) / 200_000), rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(mc * (1.0 - 2.0 * mc) / 200_000),
+                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("system,beta,expected", [
-    ("A", 1.0, (0.1182, 0.0022828574199892557)),
-    ("B", 0.0, (0.2195, 0.002926770831479636)),
-    ("C", 1.0, (0.1182, 0.0022828574199892557)),
+    ("A", 1.0, (0.1171, 0.0021174888429458132)),
+    ("B", 0.0, (0.2227, 0.0030431022000583547)),
+    ("C", 1.0, (0.1171, 0.0021174888429458132)),
 ])
 def test_monte_carlo_stream_unchanged(system, beta, expected):
     # ber_mc stays as pinned on the draws of seed 7; C at beta = 1 draws
@@ -417,34 +420,46 @@ def _ref_scales(s):
 
 
 def _ref_errors(schemes, states, n, seed, chunk):
-    # the reference: chunk k has its own generator PCG64(seed).jumped(k) and
-    # draws, all at once, the bits, Z1 and, if some point has two delays, Z2;
-    # a point's nonzero-scale delays take Z1 and then Z2; errors are summed
-    # over the chunks
-    errors = [0] * len(schemes)
+    # the reference: n bits are m = n/2 noise draws in chunks of `chunk`;
+    # chunk k has its own generator PCG64(seed).jumped(k) and draws, all at
+    # once, Z1 and, if some point has two delays, Z2; a point's nonzero-scale
+    # delays take Z1 and then Z2.  Each draw sends both symbols: y = s +
+    # delays in physical units (|y| for B) is decided for each, and X, the
+    # draw's errors (0, 1 or 2), gives the BER sum X/n and the plug-in
+    # standard error of its mean over the draws
+    m = n // 2
+    xs = [[] for _ in schemes]
     two = any(all(_ref_scales(s)) for s in schemes)
-    for k, start in enumerate(range(0, n, chunk)):
-        m = min(chunk, n - start)
+    for k, start in enumerate(range(0, m, chunk)):
+        size = min(chunk, m - start)
         rng = np.random.Generator(np.random.PCG64(seed).jumped(k))
-        bits = rng.integers(0, 2, m)
-        z = [rng.standard_normal(m) for _ in range(1 + two)]
+        z = [rng.standard_normal(size) for _ in range(1 + two)]
         for i, (s, st) in enumerate(zip(schemes, states)):
-            sent = np.where(bits == 0, *s.symbols)
             first, second = _ref_scales(s)
             draws = iter(z)
-            y = sent + (first / next(draws) ** 2 if first else 0.0)
-            y = y - (second / next(draws) ** 2 if second else 0.0)
-            if s.system is System.B:
-                y = np.abs(y)
-            decided = np.where(y <= st.threshold, st.low_symbol, st.high_symbol)
-            errors[i] += int(np.count_nonzero(decided != sent))
-    return [(e / n, math.sqrt(e / n * (1.0 - e / n) / n)) for e in errors]
+            delays = first / next(draws) ** 2 if first else 0.0
+            delays = delays - (second / next(draws) ** 2 if second else 0.0)
+            x = np.zeros(size, dtype=np.int64)
+            for sent in s.symbols:
+                y = sent + delays
+                if s.system is System.B:
+                    y = np.abs(y)
+                decided = np.where(y <= st.threshold, st.low_symbol,
+                                   st.high_symbol)
+                x += decided != sent
+            xs[i].append(x)
+    results = []
+    for x in map(np.concatenate, xs):
+        total, squares = int(x.sum()), int((x * x).sum())
+        results.append((total / n, math.sqrt((m * squares - total * total)
+                                             / (4 * m ** 3))))
+    return results
 
 
 @pytest.mark.parametrize("system,beta", CURVES)
 def test_curve_counts_every_chunk(system, beta, monkeypatch):
-    # 10,000 bits in chunks of 4096 leave a partial last chunk, and blocks of
-    # 1000 a partial last block in every chunk
+    # 10,000 bits are 5,000 draws: chunks of 4096 leave a partial last chunk,
+    # and blocks of 1000 a partial last block in every chunk
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
     schemes, states = _curve(system, beta)
@@ -454,10 +469,31 @@ def test_curve_counts_every_chunk(system, beta, monkeypatch):
     assert all(type(x) is float for point in results for x in point)
 
 
+def test_b_stderr_counts_draws_on_which_both_symbols_err():
+    # B's two regions overlap: a draw in [-u - d, -u) errs for both symbols,
+    # X = 2, so sum X^2 = errors + 2*both.  The standard error is the
+    # reference's, above the p(1 - 2p)/n of regions that never overlap
+    schemes, states = _curve("B", 0.0)
+    results = ber_monte_carlo_curve(schemes, states, 20_000, 9)
+    assert results == _ref_errors(schemes, states, 20_000, 9, MC_CHUNK)
+    for p, stderr in results:
+        assert stderr > 1.1 * math.sqrt(p * (1.0 - 2.0 * p) / 20_000), (p, stderr)
+
+
+@pytest.mark.parametrize("factor", [0.25, -1.0])
+def test_b_counts_hold_at_any_threshold(factor):
+    # below d/2 B's two regions do not meet, and below 0 both are empty: the
+    # counts still match the reference's decisions on |y|
+    schemes, _ = _curve("B", 0.0)
+    states = [DetectorState(factor * s.delta, *s.symbols) for s in schemes]
+    assert (ber_monte_carlo_curve(schemes, states, 10_000, 9)
+            == _ref_errors(schemes, states, 10_000, 9, MC_CHUNK))
+
+
 def test_curve_runs_one_task_per_chunk(monkeypatch):
     # a caller's run maps the chunk tasks to their counts in order, as a
-    # pool does: 10,000 bits in chunks of 4096 are three tasks, and the
-    # result is the serial one bit for bit
+    # pool does: 10,000 bits are 5,000 draws, in chunks of 4096 two tasks,
+    # and the result is the serial one bit for bit
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     schemes, states = _curve("C", 0.5)
     calls = []
@@ -468,7 +504,7 @@ def test_curve_runs_one_task_per_chunk(monkeypatch):
 
     serial = ber_monte_carlo_curve(schemes, states, 10_000, 9)
     assert ber_monte_carlo_curve(schemes, states, 10_000, 9, run) == serial
-    assert calls == [3]
+    assert calls == [2]
 
 
 MIXED = [("A", 1.0), ("B", 0.0), ("C", 1.0), ("C", -1.0), ("C", 0.5)]
@@ -507,11 +543,13 @@ def _peak_bytes(f) -> int:
 @pytest.mark.parametrize("system,beta", [("A", 1.0), ("B", 0.0), ("C", 0.5)])
 def test_curve_memory_is_one_point_memory(system, beta):
     # a curve holds one chunk's draw and one block's observations at a time:
-    # four points over three chunks peak about where one point over one does
+    # four points over three chunks (of MC_CHUNK draws, two bits each) peak
+    # about where one point over one does
     schemes, states = _curve(system, beta, (0.3, 3.0, 30.0, 300.0))
-    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], MC_CHUNK, 3, states[0]))
+    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], 2 * MC_CHUNK, 3,
+                                              states[0]))
     curve = _peak_bytes(lambda: ber_monte_carlo_curve(schemes, states,
-                                                      2 * MC_CHUNK + 1, 3))
+                                                      4 * MC_CHUNK + 2, 3))
     assert curve <= 1.25 * one, (curve, one)
 
 
@@ -521,9 +559,10 @@ def test_sweep_group_memory_is_one_point_memory():
     curves = [("A", 1.0), ("B", 0.0)] + [("C", b) for b in (0.0, 0.25, 0.5,
                                                            0.75, 0.95)]
     schemes, states = _group(curves, (0.3, 3.0, 30.0, 300.0))
-    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], MC_CHUNK, 3, states[0]))
+    one = _peak_bytes(lambda: ber_monte_carlo(schemes[0], 2 * MC_CHUNK, 3,
+                                              states[0]))
     group = _peak_bytes(lambda: ber_monte_carlo_curve(schemes, states,
-                                                      2 * MC_CHUNK + 1, 3))
+                                                      4 * MC_CHUNK + 2, 3))
     assert group <= 1.25 * one, (group, one)
 
 
@@ -533,6 +572,9 @@ def test_curve_needs_a_state_per_scheme_and_enough_bits():
         ber_monte_carlo_curve([a, a], [ml_threshold(a)], 10_000, 0)
     with pytest.raises(ValueError, match=">= 10000"):
         ber_monte_carlo_curve([a], [ml_threshold(a)], 9999, 0)
+    # each noise draw sends one low and one high bit
+    with pytest.raises(ValueError, match="must be even.*>= 10000, got 10001"):
+        ber_monte_carlo_curve([a], [ml_threshold(a)], 10_001, 0)
 
 
 def test_ber_monte_carlo_minimum_size():

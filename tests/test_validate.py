@@ -154,7 +154,7 @@ def test_ber_curve_point_is_ber_monte_carlo_on_that_point_alone(monkeypatch):
 
 def test_ber_check_fails_a_ber_two_percent_off(monkeypatch):
     # power at the default bit count: a 2% error in the analytic BER fails
-    # all nine gates with z >= 8.5 on these draws.  At 1% the weakest z
+    # all nine gates with z >= 5.98 on these draws.  At 1% the weakest z
     # depends on the draw and can sit on the gate (z = 3.00 on some seeding)
     ber_analytic = systems.ber_analytic
     monkeypatch.setattr(systems, "ber_analytic",

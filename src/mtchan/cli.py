@@ -81,7 +81,7 @@ def _compute_grid(points, mc_samples: int = 0, seed: int = 0,
     if mc_samples:
         from . import montecarlo  # here, so that the analytic commands skip numpy
         mcs = montecarlo.ber_monte_carlo_curve(
-            schemes, states, mc_samples, montecarlo.stream_seed(seed, 0),
+            schemes, states, mc_samples, point_seed(seed, 0),
             functools.partial(_run_tasks, workers=workers))
     return [BerRecord(
         gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
@@ -144,6 +144,9 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _FINITE = (math.isfinite, "finite")
 _MC_BITS = (lambda n: n == 0 or n >= MC_MIN_BITS, f"0 or >= {MC_MIN_BITS}")
 _EVEN = (lambda n: n % 2 == 0, "even, one low and one high bit per noise draw")
+# a file flag's directory; other write errors surface when the file is written
+_IN_A_DIR = (lambda p: not p or os.path.isdir(os.path.dirname(p) or "."),
+             "a file in an existing directory")
 
 
 def _require(flag: str, values, check) -> None:
@@ -164,6 +167,7 @@ def cmd_table1(args) -> int:
     _require("--betas", betas, _SKEW)
     _require("--deltas", deltas, _POSITIVE)
     _require("--gsnr", [args.gsnr], _POSITIVE)
+    _require("--output", [args.output], _IN_A_DIR)
     records = _compute_grid([(System.C, b, d, args.gsnr)
                              for b in betas for d in deltas])
 
@@ -238,6 +242,8 @@ def cmd_sweep(args) -> int:
     _require("--mc-samples", [args.mc_samples], _MC_BITS)
     _require("--mc-samples", [args.mc_samples], _EVEN)
     _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
+    _require("--output", [args.output], _IN_A_DIR)
+    _require("--plot", [args.plot], _IN_A_DIR)
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
     points = [(system, beta, args.delta, gsnr) for system, beta in curves
@@ -264,8 +270,8 @@ def cmd_validate(args) -> int:
              (lambda n: n >= MC_MIN_BITS, f">= {MC_MIN_BITS}"))
     _require("--mc-samples", [args.mc_samples], _EVEN)
     _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
-    tasks = validate.suite(args.mc_samples, args.seed)
-    results = [r for rs in _run_tasks(tasks, workers) for r in rs]
+    results = validate.run_all(args.mc_samples, args.seed,
+                               functools.partial(_run_tasks, workers=workers))
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     n_pass = sum(r.passed for r in results)

@@ -5,10 +5,11 @@ quadrature over the Chambers-Mallows-Stuck representation within
 GEOMETRIC_POWER_TOL, and within Z_GATE standard errors analytic BER vs one
 simulated draw per (system, beta) curve.
 
-Each check returns a CheckResult; the CLI `validate` command prints one
-line per check and the test suite asserts on the same objects.  A
-statistical group is one case per law, law i on stream_seed(group seed, i),
-and group g (1 KS, 3 BER) on stream_seed(suite seed, g); the geometric-power
+Each check returns a CheckResult.  run_all is the one list of the suite's
+four check groups, in report order; the CLI `validate` command runs them on
+its pool and prints one line per check, and the tests assert on the same
+objects.  A statistical group draws law i on stream_seed(group seed, i), and
+group g (1 KS, 3 BER) takes stream_seed(suite seed, g); the geometric-power
 group is deterministic, draws nothing, and sums stable._theta_range's sines
 by stable._quad.  The KS check reads the draws of montecarlo.sample at mu =
 0, c = 1, drawn a block of 2^16 at a time, and sorts the whole sample in
@@ -126,12 +127,6 @@ BER_CASES = ((System.A, 1.0), (System.B, 0.0), (System.C, 0.5))
 BER_GSNRS = (0.25, 1.0, 4.0)
 
 
-def _cases(check, laws, n: int, seed: int) -> list[functools.partial]:
-    # one call per law, law i on its own seed: check(*law, n, seed_i)
-    return [functools.partial(check, *law, n, stream_seed(seed, i))
-            for i, law in enumerate(laws)]
-
-
 def _ks_law(beta: float, n: int, seed: int) -> list[CheckResult]:
     # n draws of the standardized noise, the Levy difference the Monte Carlo
     # counts its errors on
@@ -143,9 +138,9 @@ def _ks_law(beta: float, n: int, seed: int) -> list[CheckResult]:
 
 def check_sampling_ks(n: int = 100_000, seed: int = 20) -> list[CheckResult]:
     """KS tests of the alpha = 1/2 noise sample draws, one per KS_LAWS beta,
-    against its CDF."""
-    # zip gives each beta as a one-element law
-    return [r for case in _cases(_ks_law, zip(KS_LAWS), n, seed) for r in case()]
+    against its CDF, law i on stream_seed(seed, i)."""
+    return [r for i, beta in enumerate(KS_LAWS)
+            for r in _ks_law(beta, n, stream_seed(seed, i))]
 
 
 def _log_abs_variance(alpha: float, beta: float) -> float:
@@ -240,31 +235,26 @@ def _ber_curve(system: System, beta: float, n_bits: int,
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,
                              seed: int = 11) -> list[CheckResult]:
-    """Analytic BER vs Monte Carlo within Z_GATE paired-count standard errors."""
-    return [r for case in _cases(_ber_curve, BER_CASES, n_bits, seed) for r in case()]
+    """Analytic BER vs Monte Carlo within Z_GATE paired-count standard errors,
+    one draw per BER_CASES curve, curve i on stream_seed(seed, i)."""
+    return [r for i, (system, beta) in enumerate(BER_CASES)
+            for r in _ber_curve(system, beta, n_bits, stream_seed(seed, i))]
 
 
-def _ks_samples(mc_samples: int) -> int:
-    return max(mc_samples // 10, 10_000)
-
-
-def suite(mc_samples: int, seed: int) -> list[functools.partial]:
-    """The suite in report order, as calls that take no arguments and each
-    return a list of results: the closed-form group whole, one call per KS
-    law, the geometric-power group whole, then one call per BER curve, each
-    statistical case on the seed run_all gives it, so that the calls can run
-    in any process."""
-    return ([functools.partial(check_levy_closed_vs_numeric)]
-            + _cases(_ks_law, zip(KS_LAWS), _ks_samples(mc_samples),
-                     stream_seed(seed, 1))
-            + [functools.partial(check_geometric_power_mc)]
-            + _cases(_ber_curve, BER_CASES, mc_samples, stream_seed(seed, 3)))
-
-
-def run_all(mc_samples: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
-    """The whole suite, serially in this process, one check_* call per group
-    (looked up when called); its results are those of suite(), in order."""
-    return (check_levy_closed_vs_numeric()
-            + check_sampling_ks(_ks_samples(mc_samples), stream_seed(seed, 1))
-            + check_geometric_power_mc()
-            + check_ber_analytic_vs_mc(mc_samples, stream_seed(seed, 3)))
+def run_all(mc_samples: int = 1_000_000, seed: int = 0,
+            run=None) -> list[CheckResult]:
+    """The whole suite in report order: the closed forms, the KS group on a
+    tenth of mc_samples (at least 10^4) and stream_seed(seed, 1), the
+    geometric power, and the BER group on mc_samples and stream_seed(seed,
+    3).  Each group is a call of its module-level check_* (looked up here)
+    that takes no arguments and seeds its own draws; run maps these calls
+    to their results in order (by default, calling each here), so a pool
+    may run the groups and report what a serial run does."""
+    groups = [functools.partial(check_levy_closed_vs_numeric),
+              functools.partial(check_sampling_ks, max(mc_samples // 10, 10_000),
+                                stream_seed(seed, 1)),
+              functools.partial(check_geometric_power_mc),
+              functools.partial(check_ber_analytic_vs_mc, mc_samples,
+                                stream_seed(seed, 3))]
+    return [r for rs in (run(groups) if run else [g() for g in groups])
+            for r in rs]

@@ -36,8 +36,10 @@ def test_single_law_commands_are_gone(argv, capsys):
 
 
 def test_quadrature_failure_exits_1(capsys, monkeypatch):
-    # a check failure with a message, not a traceback
-    from mtchan import stable
+    # a check failure with a message, not a traceback.  validate is imported
+    # first: cmd_validate's first import of it would bind the patched _quad
+    # for every later test
+    from mtchan import stable, validate  # noqa: F401
     # every integral misses its bound: a pass refuses both kinds, the density first
     monkeypatch.setattr(stable, "_quad", lambda *args, **kwargs: ([1.0, 1.0], [1.0, 1.0]))
     code, out, err = run(["validate", "--workers", "1", "--mc-samples",
@@ -283,6 +285,17 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
      "delta 1e-300 at G-SNR 1e+20 puts the noise scale at 1.487416652302e-311"),
     (["sweep", "--systems", "C", "--delta", "1e300", "--gsnr-db", "-3000",
       "--points", "1"], "delta 1e+300 at G-SNR 1e-300 puts the noise scale at inf"),
+    # a file flag's missing directory, before the sweep prints its CSV or
+    # counts its Monte Carlo
+    (["sweep", "--points", "3", "--plot", "/no/such/dir/x.svg"],
+     "--plot must be a file in an existing directory, got '/no/such/dir/x.svg'"),
+    (["sweep", "--points", "3", "--output", "/no/such/dir/x.csv"],
+     "--output must be a file in an existing directory, got '/no/such/dir/x.csv'"),
+    (["sweep", "--points", "3", "--mc-samples", "10000", "--output",
+      "/no/such/dir/x.csv", "--plot", "fig.svg"],
+     "--output must be a file in an existing directory, got '/no/such/dir/x.csv'"),
+    (["table1", "--output", "/no/such/dir/t.csv"],
+     "--output must be a file in an existing directory, got '/no/such/dir/t.csv'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_grid_input_names_its_flag(argv, message, capsys):
     # checked before any point is computed: exit 2, nothing on stdout
@@ -290,6 +303,16 @@ def test_bad_grid_input_names_its_flag(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", [["table1", "--deltas", "1"],
+                                     ["sweep", "--points", "1"]])
+def test_an_unwritable_output_exits_1_when_written(command, tmp_path, capsys):
+    # its directory exists, so the grid is computed; the write then fails
+    code, out, err = run(command + ["--output", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: " in err and str(tmp_path) in err
 
 
 def test_table1_at_the_largest_delta(capsys):
@@ -658,7 +681,7 @@ def test_sweep_monte_carlo_at_400_db_counts_no_errors(capsys):
 
 def test_validate_output_independent_of_worker_count(capsys):
     args = ["validate", "--seed", "3", "--mc-samples", "100000"]
-    outs = [run(args + ["--workers", w], capsys)[1] for w in ("1", "2", "3")]
+    outs = [run(args + ["--workers", w], capsys)[1] for w in ("1", "2", "3", "4")]
     outs.append(run(args, capsys)[1])  # the default count
     assert outs[0].endswith("26/26 checks passed\n")
-    assert outs[1:] == [outs[0]] * 3
+    assert outs[1:] == [outs[0]] * 4

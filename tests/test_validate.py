@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -69,41 +70,96 @@ def test_cdf_table_vs_std_cdf(beta):
     assert err.max() <= 1e-4
 
 
+#: the module-level check_* names bench/traced.py wraps, in report order
+CHECKS = ("check_levy_closed_vs_numeric", "check_sampling_ks",
+          "check_geometric_power_mc", "check_ber_analytic_vs_mc")
+
+
+def test_run_all_calls_each_check_once_by_name_in_report_order(monkeypatch):
+    # bench/traced.py wraps every module-level check_* and calls run_all by
+    # keyword: each group is one call of its check_*, read when run_all is
+    # called, on the KS and BER groups' seeds
+    assert sorted(CHECKS) == [n for n in dir(validate) if n.startswith("check_")]
+    calls = []
+
+    def recorder(name):
+        def check(*args):
+            calls.append((name, args))
+            return [validate.CheckResult(name, True, "")]
+        return check
+
+    for name in CHECKS:
+        monkeypatch.setattr(validate, name, recorder(name))
+    for n, ks_n in [(20_000, 10_000), (10 ** 6, 10 ** 5)]:
+        calls.clear()
+        results = validate.run_all(mc_samples=n, seed=5)
+        assert calls == [
+            ("check_levy_closed_vs_numeric", ()),
+            ("check_sampling_ks", (ks_n, montecarlo.stream_seed(5, 1))),
+            ("check_geometric_power_mc", ()),
+            ("check_ber_analytic_vs_mc", (n, montecarlo.stream_seed(5, 3)))]
+        assert [r.name for r in results] == list(CHECKS)
+
+
 def test_pooled_suite_reports_what_run_all_does():
-    # one pool task per seeded case, each on the seed run_all gives it, and
-    # one per deterministic group: the closed-form group whole, each KS law,
-    # the geometric-power group whole, then each BER curve
-    tasks = validate.suite(20_000, 5)
-    assert len(tasks) == 1 + len(validate.KS_LAWS) + 1 + len(validate.BER_CASES)
-    pooled = [r for rs in cli._run_tasks(tasks, 2) for r in rs]
-    assert pooled == validate.run_all(20_000, 5)
+    # each group seeds its own draws, so any worker may run it; at four
+    # workers each group has its own
+    serial = validate.run_all(20_000, 5)
+    for workers in (2, 4):
+        assert validate.run_all(20_000, 5, functools.partial(
+            cli._run_tasks, workers=workers)) == serial, workers
 
 
-def _case_seeds(tasks):
-    return [case.args[-1] for case in tasks if case.args]
+@pytest.fixture
+def suite_cases(monkeypatch):
+    """suite_cases(mc_samples, seed): the (case, args) of every KS law and
+    BER curve that run_all hands _ks_law and _ber_curve, in order.  The
+    cases are recorded, not run, and the two groups that take no seed are
+    skipped, so a call draws and integrates nothing."""
+    calls = []
+
+    def recorder(name):
+        def case(*args):
+            calls.append((name, args))
+            return []
+        return case
+
+    for name in ("_ks_law", "_ber_curve"):
+        monkeypatch.setattr(validate, name, recorder(name))
+    for name in ("check_levy_closed_vs_numeric", "check_geometric_power_mc"):
+        monkeypatch.setattr(validate, name, lambda: [])
+
+    def cases(mc_samples, seed):
+        calls.clear()
+        assert validate.run_all(mc_samples, seed) == []
+        return list(calls)
+
+    return cases
 
 
-def test_suite_draws_each_case_on_its_own_seed():
+def _case_seeds(cases):
+    return [args[-1] for _, args in cases]
+
+
+def test_suite_draws_each_case_on_its_own_seed(suite_cases):
     # two cases on one seed draw the same normals, and their gates would
     # pass or fail together.  The three points of a BER curve share one draw
     # by design, so a curve is one case
     for seed in (0, 7):
-        tasks = validate.suite(10_000, seed)
-        seeds = _case_seeds(tasks)
+        cases = suite_cases(10_000, seed)
+        seeds = _case_seeds(cases)
         assert len(seeds) == 7
         assert len(set(seeds)) == len(seeds)
-        ber_seeds = [case.args[-1] for case in tasks
-                     if case.func is validate._ber_curve]
-        assert ber_seeds == [
+        assert [args[-1] for name, args in cases if name == "_ber_curve"] == [
             montecarlo.stream_seed(montecarlo.stream_seed(seed, 3), i)
             for i in range(len(validate.BER_CASES))]
 
 
-def test_nearby_suite_seeds_share_no_case_seed():
+def test_nearby_suite_seeds_share_no_case_seed(suite_cases):
     # a case's seed mixes the suite seed, its group and its law, so suites
     # whose seeds differ by 1, 100 or 200 draw independently
     for seed in (0, 7, 11):
-        seeds = [_case_seeds(validate.suite(10_000, seed + k))
+        seeds = [_case_seeds(suite_cases(10_000, seed + k))
                  for k in (0, 1, 100, 200)]
         assert len(set().union(*seeds)) == sum(map(len, seeds)), seed
 
@@ -193,13 +249,14 @@ def _pooled_ber_passes(mc, stderr, analytic) -> tuple[bool, float, float]:
     return abs(t) <= 3.5 and p >= validate.KS_SIGNIFICANCE, t, p
 
 
-def test_ber_checks_are_calibrated_over_300_suite_seeds():
+def test_ber_checks_are_calibrated_over_300_suite_seeds(suite_cases):
     # validate's nine BER points at 10^4 bits over suite seeds 0-299, each
-    # curve on the seed the suite gives it: 900 draws, 2,700 signed z.
+    # curve on the seed run_all gives it: 900 draws, 2,700 signed z.
     # Pooled, they resolve a bias of 3e-3 in the analytic BER, where one run
     # at 10^6 bits needs ~2%.  The seeds are fixed, so the test is
-    # deterministic: t = +0.45 and KS p = 0.83 here.  Scaled by 1.003 and
-    # 0.997 the analytic BER reads t = -4.65 and +5.56, both at p < 1e-9
+    # deterministic: t = +1.13 and KS p = 0.32 here.  Scaled by 1.003 and
+    # 0.997 the analytic BER reads t = -4.48 and +6.74, at KS p = 1.5e-9
+    # and 1e-17
     n = 10_000
     curves = []
     for system, beta in validate.BER_CASES:
@@ -210,12 +267,11 @@ def test_ber_checks_are_calibrated_over_300_suite_seeds():
                                          for point in zip(schemes, states)]))
     mc, stderr, analytic = [], [], []
     for seed in range(300):
-        tasks = [t for t in validate.suite(n, seed) if t.func is validate._ber_curve]
-        for task, case, (schemes, states, ber) in zip(tasks, validate.BER_CASES,
-                                                      curves):
-            assert task.args[:2] == case
-            points = montecarlo.ber_monte_carlo_curve(schemes, states, n,
-                                                      task.args[-1])
+        cases = [args for name, args in suite_cases(n, seed) if name == "_ber_curve"]
+        for args, case, (schemes, states, ber) in zip(cases, validate.BER_CASES,
+                                                      curves, strict=True):
+            assert args[:3] == (*case, n)
+            points = montecarlo.ber_monte_carlo_curve(schemes, states, n, args[-1])
             mc.append([p for p, _ in points])
             stderr.append([e for _, e in points])
             analytic.append(ber)
@@ -228,9 +284,9 @@ def test_ber_checks_are_calibrated_over_300_suite_seeds():
         assert not passed, (scale, t, p)
 
 
-def test_ks_checks_are_calibrated_over_300_suite_seeds():
+def test_ks_checks_are_calibrated_over_300_suite_seeds(suite_cases):
     # validate's four KS cases at 10^4 draws over suite seeds 0-299, each on
-    # the seed the suite gives it: 1,200 p values, Uniform(0, 1) on correct
+    # the seed run_all gives it: 1,200 p values, Uniform(0, 1) on correct
     # code.  Pooled, they resolve CDF tables at a skew 0.005 off, where the
     # single-case gates catch 4 of the 1,200 cases.  The seeds are fixed, so
     # the test is deterministic: KS p = 0.215 here, and 1.8e-9 at the shift
@@ -240,11 +296,11 @@ def test_ks_checks_are_calibrated_over_300_suite_seeds():
               for beta in validate.KS_LAWS}
     p_values = []
     for seed in range(300):
-        tasks = [t for t in validate.suite(n, seed) if t.func is validate._ks_law]
-        for task, beta in zip(tasks, validate.KS_LAWS, strict=True):
-            assert task.args[:2] == (beta, n)
+        cases = [args for name, args in suite_cases(n, seed) if name == "_ks_law"]
+        for args, beta in zip(cases, validate.KS_LAWS, strict=True):
+            assert args[:2] == (beta, n)
             draws = montecarlo.sample(stable.StableParams(0.0, 1.0, 0.5, beta),
-                                      n, task.args[-1])
+                                      n, args[-1])
             p_values.append([validate._ks_test(draws, table)[1]
                              for table in tables[beta]])
     correct, shifted = np.array(p_values).T
@@ -298,14 +354,23 @@ def test_geometric_power_check_fails_a_closed_form_1e9_off(monkeypatch, closed_f
     assert not any(r.passed for r in results), [r.detail for r in results]
 
 
-def test_geometric_power_lines_are_the_same_at_any_seed_and_sample_count():
-    # the group is one task that takes no argument and draws nothing
+def test_geometric_power_lines_are_the_same_at_any_seed_and_sample_count(
+        monkeypatch):
+    # run_all calls the group with no argument, and it draws nothing
+    check = validate.check_geometric_power_mc
     reports = []
+
+    def recorded(*args):
+        assert not args
+        reports.append(check())
+        return reports[-1]
+
+    monkeypatch.setattr(validate, "check_geometric_power_mc", recorded)
+    for name in ("check_levy_closed_vs_numeric", "check_sampling_ks",
+                 "check_ber_analytic_vs_mc"):
+        monkeypatch.setattr(validate, name, lambda *args: [])
     for n, seed in [(10_000, 0), (20_000, 1), (10 ** 6, 99)]:
-        [task] = [t for t in validate.suite(n, seed)
-                  if t.func is validate.check_geometric_power_mc]
-        assert not task.args and not task.keywords
-        reports.append(task())
+        assert validate.run_all(n, seed) == reports[-1]
     assert reports[0] == reports[1] == reports[2]
     assert [r.name for r in reports[0]] == [
         f"geometric power vs quadrature (alpha={alpha}, beta={beta})"

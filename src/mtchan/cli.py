@@ -144,8 +144,10 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _FINITE = (math.isfinite, "finite")
 _MC_BITS = (lambda n: n == 0 or n >= MC_MIN_BITS, f"0 or >= {MC_MIN_BITS}")
 _EVEN = (lambda n: n % 2 == 0, "even, one low and one high bit per noise draw")
-# a file flag's directory; other write errors surface when the file is written
-_IN_A_DIR = (lambda p: not p or os.path.isdir(os.path.dirname(p) or "."),
+# a given file flag's directory; other write errors surface when the file
+# is written
+_IN_A_DIR = (lambda p: p is None or (p != "" and
+                                     os.path.isdir(os.path.dirname(p) or ".")),
              "a file in an existing directory")
 
 
@@ -243,7 +245,7 @@ def cmd_sweep(args) -> int:
     _require("--mc-samples", [args.mc_samples], _EVEN)
     _require("--seed", [args.seed], (lambda n: n >= 0, ">= 0"))
     _require("--output", [args.output], _IN_A_DIR)
-    _require("--plot", [args.plot], _IN_A_DIR)
+    _require("--plot", [args.plot or None], _IN_A_DIR)  # "": no plot
     curves = [(system, noise_beta(system, b)) for system in systems_sel
               for b in (betas_c if system is System.C else [0.0])]
     points = [(system, beta, args.delta, gsnr) for system, beta in curves

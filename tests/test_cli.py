@@ -296,6 +296,11 @@ def test_sweep_more_than_two_gsnr_db_values_exits_2(capsys):
      "--output must be a file in an existing directory, got '/no/such/dir/x.csv'"),
     (["table1", "--output", "/no/such/dir/t.csv"],
      "--output must be a file in an existing directory, got '/no/such/dir/t.csv'"),
+    # an empty path names no file; an empty --plot draws no plot
+    (["sweep", "--points", "3", "--output", "", "--plot", ""],
+     "--output must be a file in an existing directory, got ''"),
+    (["table1", "--output", ""],
+     "--output must be a file in an existing directory, got ''"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_grid_input_names_its_flag(argv, message, capsys):
     # checked before any point is computed: exit 2, nothing on stdout

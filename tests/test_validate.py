@@ -75,70 +75,53 @@ CHECKS = ("check_levy_closed_vs_numeric", "check_sampling_ks",
           "check_geometric_power_mc", "check_ber_analytic_vs_mc")
 
 
-def test_run_all_calls_each_check_once_by_name_in_report_order(monkeypatch):
-    # bench/traced.py wraps every module-level check_* and calls run_all by
-    # keyword: each group is one call of its check_*, read when run_all is
-    # called, on the KS and BER groups' seeds
-    assert sorted(CHECKS) == [n for n in dir(validate) if n.startswith("check_")]
-    calls = []
-
-    def recorder(name):
-        def check(*args):
-            calls.append((name, args))
-            return [validate.CheckResult(name, True, "")]
-        return check
-
-    for name in CHECKS:
-        monkeypatch.setattr(validate, name, recorder(name))
-    for n, ks_n in [(20_000, 10_000), (10 ** 6, 10 ** 5)]:
-        calls.clear()
-        results = validate.run_all(mc_samples=n, seed=5)
-        assert calls == [
-            ("check_levy_closed_vs_numeric", ()),
-            ("check_sampling_ks", (ks_n, montecarlo.stream_seed(5, 1))),
-            ("check_geometric_power_mc", ()),
-            ("check_ber_analytic_vs_mc", (n, montecarlo.stream_seed(5, 3)))]
-        assert [r.name for r in results] == list(CHECKS)
+#: what suite_cases records by default: the two groups that draw nothing,
+#: and each KS law and BER curve of the two that do
+CASES = ("check_levy_closed_vs_numeric", "_ks_law", "check_geometric_power_mc",
+         "_ber_curve")
 
 
-def test_pooled_suite_reports_what_run_all_does():
-    # each group seeds its own draws, so any worker may run it; at four
-    # workers each group has its own
-    serial = validate.run_all(20_000, 5)
-    for workers in (2, 4):
-        assert validate.run_all(20_000, 5, functools.partial(
-            cli._run_tasks, workers=workers)) == serial, workers
+def _recorded(name, *args):
+    return [validate.CheckResult(name, True, args)]
 
 
 @pytest.fixture
 def suite_cases(monkeypatch):
-    """suite_cases(mc_samples, seed): the (case, args) of every KS law and
-    BER curve that run_all hands _ks_law and _ber_curve, in order.  The
-    cases are recorded, not run, and the two groups that take no seed are
-    skipped, so a call draws and integrates nothing."""
-    calls = []
-
-    def recorder(name):
-        def case(*args):
-            calls.append((name, args))
-            return []
-        return case
-
-    for name in ("_ks_law", "_ber_curve"):
-        monkeypatch.setattr(validate, name, recorder(name))
-    for name in ("check_levy_closed_vs_numeric", "check_geometric_power_mc"):
-        monkeypatch.setattr(validate, name, lambda: [])
-
-    def cases(mc_samples, seed):
-        calls.clear()
-        assert validate.run_all(mc_samples, seed) == []
-        return list(calls)
+    """suite_cases(mc_samples, seed, names=CASES): the (name, args) of each
+    call that run_all(mc_samples=..., seed=...) makes of the validate
+    functions in names, in report order.  The calls are recorded, not run,
+    each as one result line, so that by default run_all draws and
+    integrates nothing."""
+    def cases(mc_samples, seed, names=CASES):
+        for name in names:
+            monkeypatch.setattr(validate, name, functools.partial(_recorded, name))
+        return [(r.name, r.detail)
+                for r in validate.run_all(mc_samples=mc_samples, seed=seed)]
 
     return cases
 
 
+def test_run_all_calls_each_check_once_by_name_in_report_order(suite_cases):
+    # bench/traced.py wraps every module-level check_* and calls run_all by
+    # keyword: each group is one call of its check_*, read when run_all is
+    # called, on the KS and BER groups' seeds
+    assert sorted(CHECKS) == [n for n in dir(validate) if n.startswith("check_")]
+    for n, ks_n in [(20_000, 10_000), (10 ** 6, 10 ** 5)]:
+        assert suite_cases(n, 5, CHECKS) == [
+            ("check_levy_closed_vs_numeric", ()),
+            ("check_sampling_ks", (ks_n, montecarlo.stream_seed(5, 1))),
+            ("check_geometric_power_mc", ()),
+            ("check_ber_analytic_vs_mc", (n, montecarlo.stream_seed(5, 3)))]
+
+
+def test_pooled_suite_reports_what_run_all_does():
+    # each group seeds its own draws, so any worker may run it
+    assert validate.run_all(20_000, 5, functools.partial(
+        cli._run_tasks, workers=2)) == validate.run_all(20_000, 5)
+
+
 def _case_seeds(cases):
-    return [args[-1] for _, args in cases]
+    return [args[-1] for name, args in cases if name in ("_ks_law", "_ber_curve")]
 
 
 def test_suite_draws_each_case_on_its_own_seed(suite_cases):
@@ -355,23 +338,13 @@ def test_geometric_power_check_fails_a_closed_form_1e9_off(monkeypatch, closed_f
 
 
 def test_geometric_power_lines_are_the_same_at_any_seed_and_sample_count(
-        monkeypatch):
+        suite_cases):
     # run_all calls the group with no argument, and it draws nothing
     check = validate.check_geometric_power_mc
-    reports = []
-
-    def recorded(*args):
-        assert not args
-        reports.append(check())
-        return reports[-1]
-
-    monkeypatch.setattr(validate, "check_geometric_power_mc", recorded)
-    for name in ("check_levy_closed_vs_numeric", "check_sampling_ks",
-                 "check_ber_analytic_vs_mc"):
-        monkeypatch.setattr(validate, name, lambda *args: [])
     for n, seed in [(10_000, 0), (20_000, 1), (10 ** 6, 99)]:
-        assert validate.run_all(n, seed) == reports[-1]
-    assert reports[0] == reports[1] == reports[2]
+        assert ("check_geometric_power_mc", ()) in suite_cases(n, seed)
+    reports = [check(), check()]
+    assert reports[0] == reports[1]
     assert [r.name for r in reports[0]] == [
         f"geometric power vs quadrature (alpha={alpha}, beta={beta})"
         for alpha, beta in validate.GEOMETRIC_POWER_LAWS]

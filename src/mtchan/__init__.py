@@ -3,7 +3,7 @@
 Modules:
   stable      evaluate alpha-stable laws (alpha = 1/2 closed form at every beta)
   power       geometric power, G-SNR and the physics -> noise-parameter map
-  systems     ML thresholds and analytic BER
+  systems     ML thresholds, analytic BER and the BER rows (ber_rows)
   montecarlo  sampling and the Monte Carlo BER oracle, the one module on numpy
   validate    dual-route cross checks (closed form vs numeric, KS, quadrature,
               MC oracles)
@@ -17,7 +17,8 @@ from .stable import (G_GAMMA, NUMERIC_TOL, QuadratureError, StableParams,
                      StandardStable, cdf, pdf, std_cdf, std_pdf,
                      tail_coefficient)
 from .systems import (BerRecord, BinaryScheme, DetectorState, ber_analytic,
-                      ml_threshold, scheme_for_gsnr, system_c_component_scales)
+                      ber_rows, ml_threshold, scheme_for_gsnr,
+                      system_c_component_scales)
 
 __version__ = "0.1.0"
 
@@ -28,7 +29,7 @@ __all__ = [
     "System", "g_snr", "geometric_power", "geometric_power_alpha_half",
     "physics_to_channel", "scale_for_gsnr", "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
-    "ber_monte_carlo", "ber_monte_carlo_curve", "ml_threshold",
+    "ber_monte_carlo", "ber_monte_carlo_curve", "ber_rows", "ml_threshold",
     "scheme_for_gsnr", "system_c_component_scales",
 ]
 

@@ -14,9 +14,7 @@ um^2/s; the library itself is unit-agnostic.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import os
 import re
@@ -24,12 +22,10 @@ import sys
 
 from .power import System, noise_beta
 from .stable import QuadratureError
-from .systems import (MC_MIN_BITS, BerRecord, ber_analytic, ml_threshold,
-                      scheme_for_gsnr)
+from .systems import MC_MIN_BITS, BerRecord, ber_rows
 from . import plotting
 
-CSV_HEADER = ["gsnr_db", "system", "beta", "delta", "c", "threshold",
-              "ber_analytic", "ber_mc", "mc_stderr", "samples"]
+CSV_HEADER = list(BerRecord._fields)
 
 # reference digits of the constant-G-SNR BER table (4-decimal print
 # precision).  Note: the table is calibrated at linear G-SNR = 10; its
@@ -69,27 +65,14 @@ def _run_tasks(tasks: list, workers: int) -> list:
 
 def _compute_grid(points, mc_samples: int = 0, seed: int = 0,
                   workers: int = 1) -> list[BerRecord]:
-    """One record per (system, beta, delta, gsnr) point, in order.  The
-    thresholds and analytic BER are computed here, as a point costs less
-    than starting a worker; only Monte Carlo chunks, if mc_samples > 0, go
-    to the pool.  Every point's (ber_mc, stderr) is the paired count of
-    ber_monte_carlo_curve on the one draw of point_seed."""
-    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
-               for system, beta, delta, gsnr in points]
-    states = [ml_threshold(s) for s in schemes]
-    mcs = [(None, None)] * len(points)
-    if mc_samples:
-        from . import montecarlo  # here, so that the analytic commands skip numpy
-        mcs = montecarlo.ber_monte_carlo_curve(
-            schemes, states, mc_samples, point_seed(seed, 0),
-            functools.partial(_run_tasks, workers=workers))
-    return [BerRecord(
-        gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
-        beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
-        threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
-        ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
-        for (_, _, delta, gsnr), scheme, state, (mc, stderr)
-        in zip(points, schemes, states, mcs)]
+    """The rows of `sweep` and `table1`: systems.ber_rows with the CLI's
+    Monte Carlo policy, one draw on point_seed(seed, 0) whose chunks go to
+    a pool of `workers`.  Thresholds and analytic BER run in this process,
+    as a point costs less than starting a worker."""
+    if not mc_samples:
+        return ber_rows(points)
+    return ber_rows(points, mc_samples, point_seed(seed, 0),
+                    functools.partial(_run_tasks, workers=workers))
 
 
 def _fmt(value) -> str:
@@ -100,17 +83,10 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _records_to_csv(records: list[BerRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([_fmt(getattr(r, k)) for k in CSV_HEADER])
-    return buf.getvalue()
-
-
 def _emit(records: list[BerRecord], path: str | None) -> None:
-    text = _records_to_csv(records)
+    # CSV: no cell holds a comma, a quote or a newline, so none is quoted
+    text = "".join(",".join(map(_fmt, row)) + "\n"
+                   for row in [CSV_HEADER, *records])
     if path is None:
         sys.stdout.write(text)
     else:
@@ -346,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # mtchan makes no BLAS call, yet OpenBLAS starts a spinning helper thread
     # per further CPU when numpy loads.  numpy loads after this (in
-    # _compute_grid and cmd_validate) and pool workers inherit the setting;
+    # systems.ber_rows and cmd_validate) and pool workers inherit the setting;
     # a user's own value wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()

@@ -158,7 +158,8 @@ def ber_monte_carlo_curve(schemes: list[BinaryScheme],
     their detectors, counted on one draw of m = n_bits/2 noise values, each
     sending a low and a high bit.  With X a draw's errors (0, 1 or 2), the
     BER is sum X / n_bits and the standard error the plug-in sqrt((sum X^2/m
-    - (sum X/m)^2)/(4m)), 0.0 on a zero count: no confidence bound.
+    - (sum X/m)^2)/(4m)), 0.0 wherever every draw erred equally often (a zero
+    count, or one error each at a BER of 1/2): no confidence bound.
 
     The draw comes in chunks of MC_CHUNK, each from its own generator
     (chunk_errors), so memory is one chunk's and each point's estimate is

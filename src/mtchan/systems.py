@@ -1,11 +1,11 @@
-"""Binary signaling over the three timing systems: ML thresholds and
-analytic BER.
+"""Binary signaling over the three timing systems: ML thresholds, analytic
+BER and ber_rows, the BER rows that `sweep`, `table1` and `validate` print.
 
 All detector math is done in standardized coordinates u = y/c with
 separation delta_std = delta/c, so results at a fixed G-SNR are invariant
 under joint rescaling of (delta, c) down to floating-point roundoff.  The
-Monte Carlo oracle is in montecarlo, which loads numpy; its ber_monte_carlo
-resolves here too, on first use.
+Monte Carlo oracle is in montecarlo, which loads numpy: ber_rows imports it
+for Monte Carlo columns only, and its ber_monte_carlo resolves here on use.
 """
 
 from __future__ import annotations
@@ -188,6 +188,28 @@ def ber_analytic(scheme: BinaryScheme, state: DetectorState | None = None) -> fl
     # rule sets the threshold, their rounding reads up to 3 ulp above
     tails = _law(scheme, low, u, "sf") + _law(scheme, high, u, "cdf")
     return 0.5 * min(tails, 1.0)
+
+
+def ber_rows(points, mc_samples: int = 0, seed=0, run=None) -> list[BerRecord]:
+    """One BerRecord per (system, beta, delta, gsnr) point, in order: the
+    scheme's ML threshold and analytic BER and, if mc_samples > 0, the
+    paired count of montecarlo.ber_monte_carlo_curve over all points on the
+    one draw of seed, its chunk tasks mapped through run."""
+    schemes = [scheme_for_gsnr(system, delta, gsnr, beta)
+               for system, beta, delta, gsnr in points]
+    states = [ml_threshold(s) for s in schemes]
+    mcs = [(None, None)] * len(points)
+    if mc_samples:
+        from . import montecarlo  # here, so that analytic rows skip numpy
+        mcs = montecarlo.ber_monte_carlo_curve(schemes, states, mc_samples,
+                                               seed, run)
+    return [BerRecord(
+        gsnr_db=10.0 * math.log10(gsnr), system=scheme.system,
+        beta=scheme.noise.beta, delta=delta, c=scheme.noise.c,
+        threshold=state.threshold, ber_analytic=ber_analytic(scheme, state),
+        ber_mc=mc, mc_stderr=stderr, samples=mc_samples or None)
+        for (_, _, delta, gsnr), scheme, state, (mc, stderr)
+        in zip(points, schemes, states, mcs)]
 
 
 def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import systems
-from .montecarlo import ber_monte_carlo_curve, sample, stream_seed
+from .montecarlo import sample, stream_seed
 from .power import System, geometric_power
 from .stable import (EULER_GAMMA, StableParams, StandardStable,
                      _levy_std_cdf, _levy_std_pdf, _nolan, _quad,
@@ -222,15 +222,13 @@ def check_geometric_power_mc() -> list[CheckResult]:
 
 def _ber_curve(system: System, beta: float, n_bits: int,
                seed: int) -> list[CheckResult]:
-    schemes = [systems.scheme_for_gsnr(system, 1.0, g, beta) for g in BER_GSNRS]
-    states = [systems.ml_threshold(scheme) for scheme in schemes]
-    curve = ber_monte_carlo_curve(schemes, states, n_bits, seed)
-    analytic = [systems.ber_analytic(*point) for point in zip(schemes, states)]
+    rows = systems.ber_rows([(system, beta, 1.0, g) for g in BER_GSNRS],
+                            n_bits, seed)
     return [CheckResult(
         f"BER analytic vs MC ({system.value}, beta={beta}, gsnr={gsnr})",
-        z <= Z_GATE, f"analytic={a:.6f} mc={mc:.6f} z={z:.2f}")
-        for gsnr, a, (mc, stderr) in zip(BER_GSNRS, analytic, curve)
-        for z in [abs(a - mc) / stderr]]
+        z <= Z_GATE, f"analytic={r.ber_analytic:.6f} mc={r.ber_mc:.6f} z={z:.2f}")
+        for gsnr, r in zip(BER_GSNRS, rows)
+        for z in [abs(r.ber_analytic - r.ber_mc) / r.mc_stderr]]
 
 
 def check_ber_analytic_vs_mc(n_bits: int = 1_000_000,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mtchan import cli, montecarlo
+from mtchan import cli, montecarlo, systems
 from mtchan.montecarlo import MC_CHUNK, ber_monte_carlo
 from mtchan.power import System
 from mtchan.systems import ml_threshold, scheme_for_gsnr
@@ -132,7 +132,8 @@ def test_sweep_mc_point_is_ber_monte_carlo_with_point_seed(capsys):
 
 def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
     # the CLI counts its one draw through ber_monte_carlo_curve, whatever
-    # the worker count: two chunks here or on the pool
+    # the worker count: two chunks here or on the pool.  Its rows are
+    # systems.ber_rows' on that draw's seed
     monkeypatch.setattr(montecarlo, "MC_CHUNK", 4096)
     points = [(system, beta, 1.0, gsnr)
               for system, beta in ((System.A, 1.0), (System.C, 0.5))
@@ -142,9 +143,11 @@ def test_monte_carlo_is_the_curve_on_stream_zero(monkeypatch):
     states = [ml_threshold(s) for s in schemes]
     curve = montecarlo.ber_monte_carlo_curve(
         schemes, states, 10_000, montecarlo.stream_seed(6, 0))
+    rows = systems.ber_rows(points, 10_000, cli.point_seed(6, 0))
     for workers in (1, 2):
         records = cli._compute_grid(points, 10_000, 6, workers)
         assert [(r.ber_mc, r.mc_stderr) for r in records] == curve
+        assert records == rows
 
 
 @pytest.mark.parametrize("args", [
@@ -336,14 +339,14 @@ def test_table1_fails_a_delta_dependent_or_unreferenced_ber(monkeypatch, capsys)
     # each of the table's two gates exits 1 and tags its row: a BER that
     # moves with delta fails the spread, one off the paper's value the
     # reference
-    ber_analytic = cli.ber_analytic
-    monkeypatch.setattr(cli, "ber_analytic", lambda scheme, state: ber_analytic(
+    ber_analytic = systems.ber_analytic
+    monkeypatch.setattr(systems, "ber_analytic", lambda scheme, state: ber_analytic(
         scheme, state) * (1.0 + 1e-3 * scheme.delta))
     code, _, err = run(["table1", "--betas", "0", "--deltas", "1,2", "--gsnr", "2"],
                        capsys)
     assert code == 1
     assert "SPREAD-FAIL" in err and "REF-FAIL" not in err
-    monkeypatch.setattr(cli, "ber_analytic", ber_analytic)
+    monkeypatch.setattr(systems, "ber_analytic", ber_analytic)
     monkeypatch.setattr(cli, "TABLE1_REFERENCE", {0.0: 0.15})
     code, _, err = run(["table1", "--betas", "0", "--deltas", "1,2"], capsys)
     assert code == 1

@@ -32,3 +32,12 @@ def test_demo_runs(demo, tmp_path):
     if demo.name in PINNED:
         want = (GOLDEN / PINNED[demo.name]).read_text()
         assert _mismatch(proc.stdout, want) is None, _mismatch(proc.stdout, want)
+
+
+def test_readme_library_overview_runs():
+    # the documented calls run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    overview = readme.split("## Library overview", 1)[1]
+    code = overview.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "ber_rows(" in code
+    exec(compile(code, "README.md", "exec"), {})

@@ -480,6 +480,17 @@ def test_b_stderr_counts_draws_on_which_both_symbols_err():
         assert stderr > 1.1 * math.sqrt(p * (1.0 - 2.0 * p) / 20_000), (p, stderr)
 
 
+def test_stderr_reads_zero_where_every_draw_errs_once():
+    # at -400 dB d = delta/c is ~1e-19, so the two symbols' low-decision
+    # regions differ on a set no draw hits: each draw errs for exactly one
+    # symbol, X = 1 throughout, and the plug-in standard error of a BER of
+    # 1/2 reads 0.0, as on a zero count; neither is a confidence bound
+    schemes = [scheme_for_gsnr(System(system), 1.0, 1e-40, beta)
+               for system, beta in (("A", 1.0), ("B", 0.0), ("C", 0.5))]
+    states = [ml_threshold(s) for s in schemes]
+    assert ber_monte_carlo_curve(schemes, states, 10_000, 0) == [(0.5, 0.0)] * 3
+
+
 @pytest.mark.parametrize("factor", [0.25, -1.0])
 def test_b_counts_hold_at_any_threshold(factor):
     # below d/2 B's two regions do not meet, and below 0 both are empty: the

@@ -171,15 +171,17 @@ def test_ber_curve_point_is_ber_monte_carlo_on_that_point_alone(monkeypatch):
     # a curve's one draw gives each point what ber_monte_carlo gives that
     # point alone on the curve's seed
     curves = []
+    curve_of = montecarlo.ber_monte_carlo_curve
 
-    def counted(schemes, states, n_bits, seed):
-        curve = montecarlo.ber_monte_carlo_curve(schemes, states, n_bits, seed)
+    def counted(schemes, states, n_bits, seed, run=None):
+        curve = curve_of(schemes, states, n_bits, seed, run)
         curves.append((schemes, states, seed, curve))
         return curve
 
-    monkeypatch.setattr(validate, "ber_monte_carlo_curve", counted)
+    monkeypatch.setattr(montecarlo, "ber_monte_carlo_curve", counted)
     n = 20_000
     results = iter(validate.check_ber_analytic_vs_mc(n, seed=4))
+    monkeypatch.undo()  # ber_monte_carlo below counts unrecorded
     assert [c[2] for c in curves] == [montecarlo.stream_seed(4, i)
                                       for i in range(len(validate.BER_CASES))]
     for (system, beta), (schemes, states, seed, curve) in zip(

@@ -2,7 +2,7 @@
 
 Modules:
   stable      evaluate alpha-stable laws (alpha = 1/2 closed form at every beta)
-  power       geometric power, G-SNR and the physics -> noise-parameter map
+  power       geometric power, G-SNR and the delays <-> noise-law map
   systems     ML thresholds, analytic BER and the BER rows (ber_rows)
   montecarlo  sampling and the Monte Carlo BER oracle, the one module on numpy
   validate    dual-route cross checks (closed form vs numeric, KS, quadrature,
@@ -12,13 +12,13 @@ Modules:
 """
 
 from .power import (System, g_snr, geometric_power, geometric_power_alpha_half,
-                    physics_to_channel, scale_for_gsnr, system_gsnr)
+                    physics_to_channel, scale_for_gsnr,
+                    system_c_component_scales, system_gsnr)
 from .stable import (G_GAMMA, NUMERIC_TOL, QuadratureError, StableParams,
                      StandardStable, cdf, pdf, std_cdf, std_pdf,
                      tail_coefficient)
 from .systems import (BerRecord, BinaryScheme, DetectorState, ber_analytic,
-                      ber_rows, ml_threshold, scheme_for_gsnr,
-                      system_c_component_scales)
+                      ber_rows, ml_threshold, scheme_for_gsnr)
 
 __version__ = "0.1.0"
 
@@ -27,10 +27,11 @@ __all__ = [
     "StandardStable", "cdf", "pdf", "sample", "std_cdf", "std_pdf",
     "tail_coefficient",
     "System", "g_snr", "geometric_power", "geometric_power_alpha_half",
-    "physics_to_channel", "scale_for_gsnr", "system_gsnr",
+    "physics_to_channel", "scale_for_gsnr", "system_c_component_scales",
+    "system_gsnr",
     "BerRecord", "BinaryScheme", "DetectorState", "ber_analytic",
     "ber_monte_carlo", "ber_monte_carlo_curve", "ber_rows", "ml_threshold",
-    "scheme_for_gsnr", "system_c_component_scales",
+    "scheme_for_gsnr",
 ]
 
 #: the names resolved from montecarlo on first use, so that importing the

@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from .power import input_symbols
+from .power import input_symbols, system_c_component_scales
 from .stable import StableParams
 from .systems import (MC_MIN_BITS, BinaryScheme, DetectorState, _low_region,
-                      ml_threshold, system_c_component_scales)
+                      ml_threshold)
 
 
 #: noise draws (two bits each) per Monte Carlo chunk: memory is bounded by it

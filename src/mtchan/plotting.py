@@ -17,8 +17,8 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 
 def _x_px(v, lo, hi):
-    span = hi - lo if hi > lo else 1.0
-    return _MARGIN_L + (v - lo) / span * (_WIDTH - _MARGIN_L - _MARGIN_R)
+    frac = (v - lo) / (hi - lo) if hi > lo else 0.5  # one G-SNR: mid-axis
+    return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
 
 def _y_px(v, lo, hi):
@@ -57,17 +57,17 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]])
         parts.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">1e{dec}</text>')
 
-    # x ticks: ~8 round steps
+    # x ticks: ~8 round steps, or the one G-SNR itself
     step = max(round((x_hi - x_lo) / 8.0), 1)
-    tick = math.ceil(x_lo / step) * step
-    while tick <= x_hi:
+    ticks = ([x_lo] if x_lo == x_hi else
+             range(math.ceil(x_lo / step) * step, math.floor(x_hi) + 1, step))
+    for tick in ticks:
         px = _x_px(tick, x_lo, x_hi)
         parts.append(f'<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" '
                      f'x2="{px:.1f}" y2="{_HEIGHT - _MARGIN_B + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{tick:g}</text>')
-        tick += step
 
     # axes
     parts.append(f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
@@ -85,11 +85,13 @@ def write_ber_svg(path: str, curves: list[tuple[str, list[float], list[float]]])
 
     for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{_x_px(x, x_lo, x_hi):.2f},{_y_px(y, y_lo_dec, y_hi_dec):.2f}"
-            for x, y in zip(xs, ys) if y > 0.0)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.8"/>')
+        pts = [f"{_x_px(x, x_lo, x_hi):.2f},{_y_px(y, y_lo_dec, y_hi_dec):.2f}"
+               for x, y in zip(xs, ys) if y > 0.0]
+        style = 'stroke-width="1.8"'
+        if len(pts) == 1:  # one vertex strokes nothing: doubled, its cap is a dot
+            pts, style = pts * 2, 'stroke-width="6" stroke-linecap="round"'
+        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                     f'stroke="{color}" {style}/>')
         ly = _MARGIN_T + 16 + 18 * i
         lx = _WIDTH - _MARGIN_R + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '

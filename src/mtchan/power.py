@@ -3,10 +3,10 @@
 Geometric power S0(N) = exp(E[log|N|]) replaces variance-based power for
 heavy-tailed noise.  G-SNR normalizes the squared input dynamic range by
 the squared geometric noise power and by 2*exp(gamma) so that it reduces
-to the ordinary SNR for Gaussian noise.  physics_to_channel maps distance
-and diffusion to a system's alpha = 1/2 noise law; system_gsnr maps its
-scale c to the G-SNR through the alpha = 1/2 geometric power, and
-scale_for_gsnr inverts that, refusing a c that is not a normal float.
+to the ordinary SNR for Gaussian noise.  physics_to_channel composes a
+system's first-passage delays into its alpha = 1/2 noise law (c, beta), and
+system_c_component_scales splits it back; system_gsnr maps c to the G-SNR,
+and scale_for_gsnr inverts that, refusing a c that is not a normal float.
 """
 
 from __future__ import annotations
@@ -98,11 +98,25 @@ def system_gsnr(system: System, delta: float, c: float, beta: float = 0.0) -> fl
     return g_snr(high - low, 0.0, s0 / (delta / c))
 
 
+def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
+    """Scales (c_pos, c_neg) of the two one-sided first-passage delays whose
+    difference is the S(0, c, 1/2, beta) noise; physics_to_channel inverts it.
+
+    Levy scales add in square root, sqrt(c) = sqrt(c_pos) + sqrt(c_neg), and
+    the skew is the positive delay's share, sqrt(c_pos) = sqrt(c)(1+beta)/2.
+    A's one delay is beta = 1, (c, 0); B's two indistinguishable delays, each
+    Levy with c/4, are beta = 0; C's two distinguishable ones take any beta.
+    """
+    root = math.sqrt(c)
+    return (root * (1.0 + beta) / 2.0) ** 2, (root * (1.0 - beta) / 2.0) ** 2
+
+
 def physics_to_channel(system: System, d: float, *D: float) -> StableParams:
-    """Map distance d and diffusion coefficient(s) to the additive stable
-    noise law: A and B take one coefficient D, C one per particle type
-    (D_a, D_b).  Each delay is a first passage, Levy with scale d^2/(2D);
-    C's noise is T_b - T_a, so beta > 0 when D_a > D_b (T_a is shorter)."""
+    """Map distance d and diffusion coefficient(s), one D for A and B and
+    (D_a, D_b) for C, to the noise law by system_c_component_scales' inverse.
+    Each delay is a first passage, Levy with root scale d/sqrt(2D); the
+    noise's positive and negative delays are (T, none) for A, (T, T) for B
+    and (T_b, T_a) for C, so C's beta > 0 when D_a > D_b (T_a is shorter)."""
     n = 2 if system is System.C else 1
     if len(D) != n:
         raise ValueError(f"system {system.value} takes {n} diffusion "
@@ -111,15 +125,11 @@ def physics_to_channel(system: System, d: float, *D: float) -> StableParams:
         raise ValueError(f"distance d must be > 0, got {d}")
     if min(D) <= 0.0:
         raise ValueError(f"diffusion coefficients must be > 0, got {D}")
-    if system is System.A:
-        return StableParams(0.0, d ** 2 / (2.0 * D[0]), 0.5, 1.0)
-    if system is System.B:
-        return StableParams(0.0, 2.0 * d ** 2 / D[0], 0.5, 0.0)
-    d_a, d_b = D
-    sa, sb = math.sqrt(d_a), math.sqrt(d_b)
-    c = d ** 2 * (sa + sb) ** 2 / (2.0 * d_a * d_b)
-    beta = (sa - sb) / (sa + sb)
-    return StableParams(0.0, c, 0.5, beta)
+    roots = [d / math.sqrt(2.0 * x) for x in D]
+    pos, neg = roots[-1], (0.0 if system is System.A else roots[0])
+    # c, a product so that it overflows to inf, is refused before beta's 0/0
+    law = StableParams(0.0, (pos + neg) * (pos + neg), 0.5)
+    return law._replace(beta=(pos - neg) / (pos + neg))
 
 
 #: largest G-SNR scale_for_gsnr takes: 2 e^gamma G-SNR is finite up to it

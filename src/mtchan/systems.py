@@ -212,19 +212,6 @@ def ber_rows(points, mc_samples: int = 0, seed=0, run=None) -> list[BerRecord]:
         in zip(points, schemes, states, mcs)]
 
 
-def system_c_component_scales(c: float, beta: float) -> tuple[float, float]:
-    """Scales (c_pos, c_neg) of the two one-sided first-arrival delays whose
-    difference realizes the S(0, c, 1/2, beta) noise of system C.
-
-    The positively-signed delay carries sqrt(c_pos) = sqrt(c)*(1+beta)/2 so
-    that the skew of the difference matches beta.  The other systems are its
-    ends: A's one delay is beta = 1, (c, 0), and B's two indistinguishable
-    arrivals, each Levy with c/4, are beta = 0.
-    """
-    root = math.sqrt(c)
-    return (root * (1.0 + beta) / 2.0) ** 2, (root * (1.0 - beta) / 2.0) ** 2
-
-
 #: fewest bits ber_monte_carlo draws; here, so that the CLI checks its flags
 #: without loading numpy
 MC_MIN_BITS = 10_000

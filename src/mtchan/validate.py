@@ -1,7 +1,7 @@
-"""Cross-validation checks: closed forms (Levy, and alpha = 1/2 at any beta)
-vs numerical inversion, the sampled alpha = 1/2 noise the Monte Carlo counts
-vs its CDF by Kolmogorov-Smirnov, geometric power and Var log|X| vs their
-quadrature over the Chambers-Mallows-Stuck representation within
+"""Cross-validation checks: std_pdf and std_cdf's closed forms (Levy, alpha
+= 1/2) vs numerical inversion, the sampled alpha = 1/2 noise the Monte Carlo
+counts vs its CDF by Kolmogorov-Smirnov, geometric power and Var log|X| vs
+their quadrature over the Chambers-Mallows-Stuck representation within
 GEOMETRIC_POWER_TOL, and within Z_GATE standard errors analytic BER vs one
 simulated draw per (system, beta) curve.
 
@@ -28,9 +28,8 @@ import numpy as np
 from . import systems
 from .montecarlo import sample, stream_seed
 from .power import System, geometric_power
-from .stable import (EULER_GAMMA, StableParams, StandardStable,
-                     _levy_std_cdf, _levy_std_pdf, _nolan, _quad,
-                     _theta_range, std_cdf, std_pdf, tail_coefficient)
+from .stable import (EULER_GAMMA, StableParams, StandardStable, _nolan,
+                     _quad, _theta_range, std_cdf, std_pdf, tail_coefficient)
 
 #: significance level shared by all KS checks
 KS_SIGNIFICANCE = 1e-3
@@ -85,35 +84,34 @@ def _ks_test(samples: np.ndarray, cdf_callable) -> tuple[float, float]:
     return d, p
 
 
+#: the closed-form check's alpha = 1/2 laws, (beta, abscissae): the Levy law
+#: on [0.05, 50], two spacings sharing x = 2, and three skews on +/-[0.05, 50]
+_HALF = np.geomspace(0.05, 50.0, 16).tolist()
+CLOSED_FORM_LAWS = ((1.0, np.linspace(0.05, 2.0, 40).tolist()
+                     + np.linspace(2.0, 50.0, 40)[1:].tolist()),
+                    *((beta, [-x for x in _HALF[::-1]] + _HALF)
+                      for beta in (0.0, 0.5, -0.75)))
+
+
 def check_levy_closed_vs_numeric(tol: float = 1e-8) -> list[CheckResult]:
-    """Numerical inversion vs the closed forms: the Levy law on x in
-    [0.05, 50], and alpha = 1/2 at beta in {0, 0.5, -0.75} on +/-x in
-    [0.05, 50], where the inversion agrees with them to ~1e-14.  One Nolan
-    pass per point gives both the density and the CDF."""
-    # the two spacings share x = 2, inverted once
-    xs = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 50.0, 40)[1:]])
-    levy = [(x, _nolan(0.5, 1.0, x, slice(0, 2))) for x in map(float, xs)]
-    dev_pdf = max(abs(f - _levy_std_pdf(x)) for x, (f, _) in levy)
-    dev_cdf = max(abs(cdf_x - _levy_std_cdf(x)) for x, (_, cdf_x) in levy)
-    at_zero = abs(std_pdf(StandardStable(0.5, 0.0), 0.0) - 2.0 / math.pi)
-    results = [
-        CheckResult("pdf numeric vs Levy closed form", dev_pdf <= tol,
-                    f"max |dev| = {dev_pdf:.3e} (tol {tol:.1e})"),
-        CheckResult("cdf numeric vs Levy closed form", dev_cdf <= tol,
-                    f"max |dev| = {dev_cdf:.3e} (tol {tol:.1e})"),
-        CheckResult("symmetric pdf at 0 equals 2/pi", at_zero <= 1e-10,
-                    f"|dev| = {at_zero:.3e} (tol 1e-10)"),
-    ]
-    half = np.geomspace(0.05, 50.0, 16)
-    xs = [float(x) for x in np.concatenate([-half[::-1], half])]
-    for beta in (0.0, 0.5, -0.75):
+    """Numerical inversion vs std_pdf and std_cdf, the closed forms, at each
+    CLOSED_FORM_LAWS law, where they agree to ~1e-14, and the symmetric
+    density at 0 vs 2/pi before the beta = 0 lines.  One Nolan pass per
+    point gives both the density and the CDF."""
+    results = []
+    for beta, xs in CLOSED_FORM_LAWS:
         s = StandardStable(0.5, beta)
+        if beta == 0.0:
+            dev = abs(std_pdf(s, 0.0) - 2.0 / math.pi)
+            results.append(CheckResult("symmetric pdf at 0 equals 2/pi", dev <= 1e-10,
+                                       f"|dev| = {dev:.3e} (tol 1e-10)"))
+        law = ("Levy closed form" if beta == 1.0
+               else f"alpha=1/2 closed form (beta={beta})")
         numeric = [_nolan(0.5, beta, x, slice(0, 2)) for x in xs]
         for k, (what, closed) in enumerate((("pdf", std_pdf), ("cdf", std_cdf))):
             dev = max(abs(closed(s, x) - pair[k]) for x, pair in zip(xs, numeric))
-            results.append(CheckResult(
-                f"{what} numeric vs alpha=1/2 closed form (beta={beta})",
-                dev <= tol, f"max |dev| = {dev:.3e} (tol {tol:.1e})"))
+            results.append(CheckResult(f"{what} numeric vs {law}", dev <= tol,
+                                       f"max |dev| = {dev:.3e} (tol {tol:.1e})"))
     return results
 
 

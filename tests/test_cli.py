@@ -498,9 +498,9 @@ def test_validate_passes_and_is_deterministic(capsys):
 
 def test_validate_exits_1_when_a_check_fails(capsys, monkeypatch):
     # a Levy density off by 1e-6 fails its closed-form check, and only that
-    from mtchan import validate
-    levy = validate._levy_std_pdf
-    monkeypatch.setattr(validate, "_levy_std_pdf", lambda x: levy(x) + 1e-6)
+    from mtchan import stable
+    levy = stable._levy_std_pdf
+    monkeypatch.setattr(stable, "_levy_std_pdf", lambda x: levy(x) + 1e-6)
     code, out, _ = run(["validate", "--workers", "1", "--mc-samples", "100000",
                         "--seed", "0"], capsys)
     assert code == 1

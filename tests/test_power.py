@@ -7,9 +7,9 @@ import pytest
 import mtchan
 from mtchan.power import (GSNR_MAX, System, g_snr,
                           geometric_power, geometric_power_alpha_half,
-                          physics_to_channel, scale_for_gsnr, system_gsnr)
+                          physics_to_channel, scale_for_gsnr,
+                          system_c_component_scales, system_gsnr)
 from mtchan.stable import G_GAMMA, StableParams, cdf
-from mtchan.systems import system_c_component_scales
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +275,15 @@ def test_physics_to_channel_validation():
     # d^2 underflows: the scale would be 0, a point mass, not a law
     with pytest.raises(ValueError, match="c must be"):
         physics_to_channel(System.A, 1e-200, 1.0)
+
+
+@pytest.mark.parametrize("system, d, D", [
+    (System.A, 1e200, (1.0,)), (System.B, 1e160, (1.0,)),
+    (System.C, 1e300, (1e-300, 1.0)), (System.B, 1e-300, (1e300,)),
+    (System.C, 1e-300, (1e300, 1e300))],
+    ids=["A-inf", "B-inf", "C-inf", "B-zero", "C-zero"])
+def test_physics_to_channel_refuses_a_scale_out_of_range(system, d, D):
+    # c overflows, or every delay's root scale underflows to 0: refused as a
+    # law, not an OverflowError or a 0/0 skew
+    with pytest.raises(ValueError, match="c must be a finite normal float"):
+        physics_to_channel(system, d, *D)

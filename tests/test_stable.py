@@ -11,13 +11,13 @@ from scipy import integrate
 
 from mtchan import stable
 from mtchan.montecarlo import _BLOCK, _noise, _standard_sample, sample
+from mtchan.power import system_c_component_scales
 from mtchan.stable import (G_GAMMA, QuadratureError, StableParams,
                            StandardStable, _W_LAPLACE_EDGE, _W_TAYLOR_EDGE,
                            _int_laplace, _int_taylor, _int_weideman,
                            _levy_std_cdf, _levy_std_pdf, _nolan, _zw,
                            _zw_laplace, _zw_taylor, _zw_weideman, cdf, pdf,
                            std_cdf, std_pdf, tail_coefficient)
-from mtchan.systems import system_c_component_scales
 
 LEVY = StandardStable(0.5, 1.0)
 SYM_HALF = StandardStable(0.5, 0.0)

@@ -8,12 +8,11 @@ import pytest
 from mtchan import montecarlo, systems
 from mtchan.montecarlo import (MC_CHUNK, ber_monte_carlo, ber_monte_carlo_curve,
                                sample)
-from mtchan.power import System, input_symbols
+from mtchan.power import System, input_symbols, system_c_component_scales
 from mtchan.stable import StableParams, StandardStable, std_pdf
 from mtchan.systems import (BerRecord, BinaryScheme, DetectorState,
                             _bracket, _brent, _density_gap, _law,
-                            ber_analytic, ml_threshold, scheme_for_gsnr,
-                            system_c_component_scales)
+                            ber_analytic, ml_threshold, scheme_for_gsnr)
 from mtchan.validate import CheckResult, _ks_test
 
 

@@ -120,6 +120,29 @@ def test_pooled_suite_reports_what_run_all_does():
         cli._run_tasks, workers=2)) == validate.run_all(20_000, 5)
 
 
+#: the validate report's line names in report order; CI checks only their
+#: count, and a group that adds or drops a line updates this list
+REPORT_NAMES = [
+    "pdf numeric vs Levy closed form",
+    "cdf numeric vs Levy closed form",
+    "symmetric pdf at 0 equals 2/pi",
+    *(f"{what} numeric vs alpha=1/2 closed form (beta={beta})"
+      for beta in (0.0, 0.5, -0.75) for what in ("pdf", "cdf")),
+    *(f"sampled noise vs std_cdf (beta={beta})" for beta in (1.0, 0.0, 0.25, 0.75)),
+    *(f"geometric power vs quadrature (alpha={alpha}, beta={beta})"
+      for alpha, beta in ((0.5, 0.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.0))),
+    *(f"BER analytic vs MC ({system}, beta={beta}, gsnr={gsnr})"
+      for system, beta in (("A", 1.0), ("B", 0.0), ("C", 0.5))
+      for gsnr in (0.25, 1.0, 4.0)),
+]
+
+
+def test_report_lists_its_26_lines_by_name_in_order():
+    # names only: the details' last digits vary with the platform's libm
+    assert len(REPORT_NAMES) == 26
+    assert [r.name for r in validate.run_all(20_000, 0)] == REPORT_NAMES
+
+
 def _case_seeds(cases):
     return [args[-1] for name, args in cases if name in ("_ks_law", "_ber_curve")]
 
